@@ -11,18 +11,13 @@ alternative constant conventions (--printed).
 import argparse
 
 from maassl import PhiSW, l_value, rhs_integer_value, synth_harmonic
+from maassl.ltest import richardson_table
 
 
 def tableau(f, m, x0, levels):
     xs = [x0 / 2 ** j for j in range(levels)]
     vals = [l_value(f, PhiSW(float(m), 1j * x)).value for x in xs]
-    rows = [vals]
-    while len(rows[-1]) > 1:
-        prev = rows[-1]
-        i = len(rows)
-        fac = 2.0 ** i
-        rows.append([(fac * b - a) / (fac - 1) for a, b in zip(prev, prev[1:])])
-    return xs, rows
+    return xs, richardson_table(vals)
 
 
 def main():

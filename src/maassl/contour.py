@@ -17,8 +17,8 @@ import numpy as np
 
 from . import specfun
 from .modforms import FourierExpansion, xi_image
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, SegmentIntegral,
-                         integrate_decaying, integrate_segment)
+from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_decaying,
+                         integrate_segment)
 
 TWO_PI = 2.0 * math.pi
 I = 1j
@@ -61,17 +61,6 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
         out += ((z[:, None] + m[None, :]) ** s_exponent
                 * np.exp(1j * complex(w) * m)[None, :]).sum(axis=1)
     return out
-
-
-def _bern_poly_np(n: int, z: np.ndarray) -> np.ndarray:
-    coeffs = [float(c) for c in specfun.bernoulli_poly_coeffs(n)]
-    return np.polyval(coeffs, z)
-
-
-def _zeta_star_vec(a: float, z: np.ndarray) -> np.ndarray:
-    if abs(a - 1) < 1e-13:
-        return np.array([-specfun.digamma(zz) for zz in z])
-    return np.array([specfun.hurwitz_zeta(a, zz) for zz in z])
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +250,12 @@ def _bern_second_integral(f: FourierExpansion, m: int, cfg: QuadratureConfig,
 
     def g(zs):
         zs = np.asarray(zs, dtype=complex)
-        poly = ckm * _bern_poly_np(2 + m - k, zs) / (2 + m - k)
+        poly = ckm * specfun.bernoulli_poly(2 + m - k, zs) / (2 + m - k)
         for el in range(m + 1):
             for j in range(m - el + 1):
                 r = 1 - el + m - j
                 phase = 1.0 if printed_constants else i_power(r)
-                poly = poly - phase * bern_d_constant(k, m, el, j) * _bern_poly_np(
+                poly = poly - phase * bern_d_constant(k, m, el, j) * specfun.bernoulli_poly(
                     r, zs.real)
         return xi_f.eval_at(zs) * poly
 
@@ -286,7 +275,7 @@ def rhs_integer_value(f: FourierExpansion, m: int,
     """
     if f.is_weakly_holomorphic:
         def g(zs):
-            return f.eval_at(zs) * _zeta_star_vec(1 - m, np.asarray(zs, dtype=complex))
+            return f.eval_at(zs) * specfun.hurwitz_zeta_star(1 - m, zs)
 
         seg = integrate_segment(g, 1j, 1j + 1, cfg)
         return complex(i_power(-m) * seg.value)
@@ -305,7 +294,7 @@ def rhs_integer_value(f: FourierExpansion, m: int,
 
         def g2(zs):
             zs = np.asarray(zs, dtype=complex)
-            return xi_f.eval_at(zs) * (i_power(k) * _bern_poly_np(2 - k, zs) / (2 - k)
+            return xi_f.eval_at(zs) * (i_power(k) * specfun.bernoulli_poly(2 - k, zs) / (2 - k)
                                        + x_coeff * zs.real)
 
         first = 1j * integrate_segment(g1, 1j, 1j + 1, cfg).value
@@ -315,34 +304,22 @@ def rhs_integer_value(f: FourierExpansion, m: int,
 
     def g(zs):
         zs = np.asarray(zs, dtype=complex)
-        return f.eval_at(zs) * _bern_poly_np(mm + 1, zs) / (mm + 1)
+        return f.eval_at(zs) * specfun.bernoulli_poly(mm + 1, zs) / (mm + 1)
 
     first = -i_power(-mm - 1) * integrate_segment(g, 1j, 1j + 1, cfg).value
     return complex(first + _bern_second_integral(f, mm, cfg, printed_constants))
 
 
 def rhs_negative_s(f: FourierExpansion, s: float,
-                   cfg: QuadratureConfig = DEFAULT_QUAD,
-                   use_polygamma: bool = False) -> complex:
+                   cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
     """i^{-s} int_i^{i+1} f(z) zeta(1-s, z) dz for s < 0 (weakly holomorphic f)."""
     if s >= 0:
         raise RegimeError("this formula needs s < 0")
     if not f.is_weakly_holomorphic:
         raise RegimeError("negative-s formula applies to weakly holomorphic shapes")
-    if use_polygamma:
-        if not float(s).is_integer():
-            raise RegimeError("polygamma form needs integer s")
-        n = int(-s)
-
-        def g(zs):
-            return f.eval_at(zs) * np.array([specfun.polygamma(n, zz) for zz in zs])
-
-        seg = integrate_segment(g, 1j, 1j + 1, cfg)
-        # zeta(n+1, z) = (-1)^{n+1} psi^{(n)}(z) / n!
-        return complex(i_power(-s) * (-1) ** (n + 1) / math.factorial(n) * seg.value)
 
     def g(zs):
-        return f.eval_at(zs) * np.array([specfun.hurwitz_zeta(1 - s, zz) for zz in zs])
+        return f.eval_at(zs) * specfun.hurwitz_zeta(1 - s, zs)
 
     seg = integrate_segment(g, 1j, 1j + 1, cfg)
     return complex(i_power(-s) * seg.value)
@@ -357,8 +334,8 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float,
     """-i (int_{ia}^{ia+1} - int_{ib}^{ib+1}) f(z) Phi~(z) dz.
 
     seed provides .value(z) and .translated_sum(z) = sum_{n>=0} Phi(z+n),
-    together with a decay exponent used to sanity-check |Phi(z)| < |z|^{-1-eps}
-    on the strip.
+    both taking a scalar or an ndarray z, together with a decay exponent used
+    to sanity-check |Phi(z)| < |z|^{-1-eps} on the strip.
     """
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
@@ -371,7 +348,7 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float,
                 raise RegimeError(f"seed violates the decay condition at z={zz}")
 
     def g(zs):
-        return f.eval_at(zs) * np.array([seed.translated_sum(zz) for zz in zs])
+        return f.eval_at(zs) * seed.translated_sum(zs)
 
     top = integrate_segment(g, 1j * a, 1j * a + 1, cfg).value
     bottom = integrate_segment(g, 1j * b, 1j * b + 1, cfg).value

@@ -11,7 +11,6 @@ of holomorphic seeds.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -102,8 +101,9 @@ class CompactAnalytic:
     """Restriction y -> seed.value(iy) to [a_lo, a_hi], zero elsewhere.
 
     The seed is a holomorphic function on the upper half-plane exposing
-    value(z), translated_sum(z) = sum_{n>=0} value(z+n), and decay_epsilon
-    with |seed(z)| < |z|^{-1-decay_epsilon} on the strip.
+    value(z), translated_sum(z) = sum_{n>=0} value(z+n), both taking a scalar
+    or an ndarray z, and decay_epsilon with |seed(z)| < |z|^{-1-decay_epsilon}
+    on the strip.
     """
 
     seed: object
@@ -119,7 +119,7 @@ class CompactAnalytic:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t, dtype=complex)
         mask = (t >= self.a_lo) & (t <= self.a_hi)
-        out[mask] = np.array([self.seed.value(1j * tt) for tt in t[mask]])
+        out[mask] = self.seed.value(1j * t[mask])
         return out
 
     def laplace(self, u, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
@@ -127,8 +127,7 @@ class CompactAnalytic:
 
         def g(t):
             tr = np.real(t)
-            vals = np.array([self.seed.value(1j * tt) for tt in tr])
-            return np.exp(-u * tr) * vals
+            return np.exp(-u * tr) * self.seed.value(1j * tr)
 
         seg = integrate_segment(g, self.a_lo, self.a_hi, cfg)
         return complex(seg.value)
@@ -283,14 +282,20 @@ def l_value_limit(f: FourierExpansion, s, x0: float = 0.4, levels: int = 6,
         raise ValueError("need at least two levels")
     vals = [l_value(f, PhiSW(s, 1j * x0 / 2 ** j), cfg).value
             for j in range(levels)]
+    diag = [row[-1] for row in richardson_table(vals)]
+    return diag[-1], abs(diag[-1] - diag[-2])
+
+
+def richardson_table(vals) -> list[list]:
+    """Richardson tableau of values on a dyadic ladder x0 / 2^j whose error
+    expands in integer powers of x; row i eliminates the first i powers."""
     table = [list(vals)]
-    for i in range(1, levels):
+    for i in range(1, len(vals)):
         prev = table[-1]
         fac = 2.0 ** i
         table.append([(fac * prev[j + 1] - prev[j]) / (fac - 1.0)
                       for j in range(len(prev) - 1)])
-    diag = [row[-1] for row in table]
-    return diag[-1], abs(diag[-1] - diag[-2])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +317,11 @@ class InversePowerSeed:
     def decay_epsilon(self) -> float:
         return self.power - 1.0
 
-    def value(self, z) -> complex:
-        return complex(z + self.shift) ** (-self.power)
+    def value(self, z):
+        return (np.asarray(z, dtype=complex) + self.shift) ** (-self.power)
 
-    def translated_sum(self, z) -> complex:
-        return specfun.hurwitz_zeta(self.power, complex(z) + self.shift)
+    def translated_sum(self, z):
+        return specfun.hurwitz_zeta(self.power, np.asarray(z, dtype=complex) + self.shift)
 
 
 @dataclass(frozen=True)
@@ -332,11 +337,11 @@ class LorentzianSeed:
 
     decay_epsilon = 1.0
 
-    def value(self, z) -> complex:
-        return self.amp / (complex(z) ** 2 + self.c ** 2)
+    def value(self, z):
+        return self.amp / (np.asarray(z, dtype=complex) ** 2 + self.c ** 2)
 
-    def translated_sum(self, z) -> complex:
-        z = complex(z)
+    def translated_sum(self, z):
+        z = np.asarray(z, dtype=complex)
         psi_plus = specfun.digamma(z + 1j * self.c)
         psi_minus = specfun.digamma(z - 1j * self.c)
         return self.amp * (psi_plus - psi_minus) / (2j * self.c)

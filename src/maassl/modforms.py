@@ -9,14 +9,13 @@ and supports point evaluation and the xi-operator image.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .specfun import upper_gamma_int
+from .specfun import bernoulli_number, upper_gamma_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,15 +179,9 @@ def build_eisenstein(k: int, prec: int) -> QSeries:
         raise ValueError("only E_4 and E_6 are provided")
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    front = Fraction(-2 * k, bernoulli_fraction(k))
+    front = Fraction(-2 * k, bernoulli_number(k))
     coeffs = [Fraction(1)] + [front * _divisor_sigma(n, k - 1) for n in range(1, prec)]
     return QSeries(0, coeffs, prec)
-
-
-def bernoulli_fraction(k: int) -> Fraction:
-    from .specfun import bernoulli_number
-
-    return bernoulli_number(k)
 
 
 def build_delta(prec: int) -> QSeries:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.special import gamma as _complete_gamma
+import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -36,13 +36,12 @@ class ConvergenceError(SpecFunError):
 @dataclass(frozen=True)
 class SpecFunConfig:
     target_abs_tol: float = 1e-14
-    target_rel_tol: float = 1e-14
     max_terms: int = 500_000
     series_switch_radius: float = 12.0
 
     def __post_init__(self):
-        if self.target_abs_tol <= 0 or self.target_rel_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if self.target_abs_tol <= 0:
+            raise ValueError("target_abs_tol must be strictly positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
 
@@ -95,6 +94,18 @@ def _is_int(x, tol: float = 1e-12) -> bool:
     return abs(x.imag) < tol and abs(x.real - round(x.real)) < tol
 
 
+def _as_array(z):
+    """(z as complex numpy values with _clean's -0.0 rule, whether z is a scalar)."""
+    za = np.asarray(z, dtype=complex)
+    return za + 0j, za.ndim == 0
+
+
+def _reject_poles(z, message: str) -> None:
+    """Raise DomainError if any element of z is a non-positive integer."""
+    if np.any((z.imag == 0) & (z.real <= 0) & (np.abs(z.real - np.round(z.real)) < 1e-12)):
+        raise DomainError(message)
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials (exact rationals)
 # ---------------------------------------------------------------------------
@@ -123,15 +134,45 @@ def bernoulli_poly_coeffs(n: int) -> list[Fraction]:
     return [math.comb(n, k) * bernoulli_number(n - k) for k in range(n, -1, -1)]
 
 
-def bernoulli_poly(n: int, z) -> complex:
-    """B_n(z) evaluated through its exact rational coefficients."""
+def bernoulli_poly(n: int, z):
+    """B_n(z) by Horner's rule on its exact rational coefficients; z is a
+    scalar (complex returned) or an ndarray."""
     if n < 0:
         raise DomainError("Bernoulli index must be non-negative")
-    z = complex(z)
-    acc = 0j
-    for k in range(n + 1):
-        acc += complex(math.comb(n, k) * bernoulli_number(k)) * z ** (n - k)
-    return acc
+    z, scalar = _as_array(z)
+    out = np.polyval([float(c) for c in bernoulli_poly_coeffs(n)], z)
+    return complex(out) if scalar else out
+
+
+# B_{2j} as floats for j = 0..12, read by every asymptotic series below
+_B2J = [float(bernoulli_number(2 * j)) for j in range(13)]
+
+_STIRLING_SHIFT = 6.0
+# B_{2j} / (2j (2j-1)) for j = 12..1, Horner order for the Stirling series
+_STIRLING = [_B2J[j] / (2 * j * (2 * j - 1)) for j in range(12, 0, -1)]
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _gamma(z: complex) -> complex:
+    """Complete Gamma(z): the Stirling series (DLMF 5.11.1) after shifting to
+    Re z >= 6; for Re z < 1/2 reflection (DLMF 5.5.3) with sin(pi z) reduced
+    by n = round(Re z) first, since unreduced it loses accuracy near poles."""
+    if z.real < 0.5:
+        n = round(z.real)
+        sin = cmath.sin(math.pi * (z - n))
+        if sin == 0:
+            raise DomainError("Gamma has a pole at non-positive integers")
+        return (-1) ** n * math.pi / (sin * _gamma(1 - z))
+    prod = 1.0
+    while z.real < _STIRLING_SHIFT:
+        prod *= z
+        z += 1
+    zinv2 = 1.0 / (z * z)
+    series = 0j
+    for c in _STIRLING:
+        series = series * zinv2 + c
+    log_gamma = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series / z
+    return cmath.exp(log_gamma) / prod
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +184,7 @@ def _gamma_upper_cf(r: complex, z: complex, cfg: SpecFunConfig) -> complex:
     tiny = 1e-300
     b = z + 1.0 - r
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
+    d = 1.0 / b if abs(b) >= tiny else 1.0 / tiny
     h = d
     for i in range(1, 2000):
         an = -i * (i - r)
@@ -160,20 +201,6 @@ def _gamma_upper_cf(r: complex, z: complex, cfg: SpecFunConfig) -> complex:
         if abs(delta - 1.0) < 1e-17:
             return h
     raise ConvergenceError("continued fraction for Gamma(r, z) did not converge")
-
-
-def _lower_gamma_series(r: complex, z: complex, cfg: SpecFunConfig) -> complex:
-    """gamma(r, z) = z^r e^{-z} sum_n z^n / (r)_(n+1); |z| modest."""
-    term = 1.0 / r
-    acc = term
-    ap = r
-    for _ in range(cfg.max_terms):
-        ap += 1
-        term *= z / ap
-        acc += term
-        if abs(term) < abs(acc) * 1e-17 + 1e-300:
-            return principal_power(z, r) * cmath.exp(-z) * acc
-    raise ConvergenceError("lower incomplete gamma series did not converge")
 
 
 def _exp_int_series(s: complex, z: complex, cfg: SpecFunConfig) -> complex:
@@ -198,7 +225,7 @@ def _exp_int_series(s: complex, z: complex, cfg: SpecFunConfig) -> complex:
             term *= -z / k
         return lead - acc
     # non-integer s: z^{s-1} Gamma(1-s) - sum_k (-z)^k / (k! (1-s+k))
-    lead = principal_power(z, s - 1) * complex(_complete_gamma(complex(1) - s))
+    lead = principal_power(z, s - 1) * _gamma(1 - s)
     acc = 0j
     term = 1.0 + 0j
     k = 0
@@ -266,24 +293,14 @@ def exp_int_E(s, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
 
 
 def inc_gamma_upper(r, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
-    """Upper incomplete gamma Gamma(r, z) = int_z^inf e^{-t} t^{r-1} dt."""
+    """Upper incomplete gamma Gamma(r, z) = int_z^inf e^{-t} t^{r-1} dt,
+    computed as z^r E_{1-r}(z) (DLMF 8.19.1) for z != 0."""
     r = complex(r)
     z = _clean(z)
     if z == 0:
         if r.real <= 0:
             raise DomainError("Gamma(r, 0) diverges for Re(r) <= 0")
-        return complex(_complete_gamma(r))
-    if _is_int(r) and r.real <= 0:
-        # complete Gamma(r) has a pole; go through E_{1-r} which is regular
-        return principal_power(z, r) * exp_int_E(1 - r, z, cfg)
-    az = abs(z)
-    if z.real > 0 and az >= _CF_RADIUS and az < _ASYMPTOTIC_RADIUS:
-        return cmath.exp(-z + r * principal_log(z)) * _gamma_upper_cf(r, z, cfg)
-    near_cut = z.real <= 0 and abs(z.imag) <= -z.real
-    series_radius = _CF_RADIUS if z.real > 0 else (
-        cfg.series_switch_radius if near_cut else 0.55 * cfg.series_switch_radius)
-    if az <= series_radius:
-        return complex(_complete_gamma(r)) - _lower_gamma_series(r, z, cfg)
+        return _gamma(r)
     return principal_power(z, r) * exp_int_E(1 - r, z, cfg)
 
 
@@ -291,8 +308,6 @@ def upper_gamma_int(m: int, x):
     """Gamma(m, x) for integer m >= 1 in closed form; scalar or ndarray x."""
     if m < 1:
         raise DomainError("integer order must be >= 1")
-    import numpy as np
-
     xa = np.asarray(x, dtype=complex)
     term = np.ones_like(xa)
     acc = term.copy()
@@ -338,14 +353,14 @@ _EM_ORDER = 8
 _EM_SHIFT_TARGET = 16.0
 
 
-def hurwitz_zeta(s, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
-    """Hurwitz zeta(s, z) by Euler-Maclaurin with shifting, s != 1."""
+def hurwitz_zeta(s, z):
+    """Hurwitz zeta(s, z), s != 1, by Euler-Maclaurin after one shift taken
+    from the smallest Re z; z is a scalar (complex returned) or an ndarray."""
     s = complex(s)
-    z = _clean(z)
+    z, scalar = _as_array(z)
     if abs(s - 1) < 1e-13:
         raise DomainError("Hurwitz zeta has a pole at s = 1")
-    if z.imag == 0 and z.real <= 0 and _is_int(z):
-        raise DomainError("Hurwitz zeta undefined at non-positive integers")
+    _reject_poles(z, "Hurwitz zeta undefined at non-positive integers")
     # For Re(s) < 0 the direct sum grows like shift^{|s|} while the result
     # stays O(1); a short shift with a longer tail expansion avoids the
     # cancellation (for integer s < 0 the tail terminates exactly).
@@ -353,23 +368,19 @@ def hurwitz_zeta(s, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
         target, order = 6.0, 12
     else:
         target, order = _EM_SHIFT_TARGET, _EM_ORDER
-    shift = int(max(0.0, target - z.real)) + 1
-    acc = 0j
-    for n in range(shift):
-        acc += principal_power(z + n, -s)
+    shift = int(max(0.0, target - np.min(z.real, initial=target))) + 1
+    acc = sum((z + n) ** -s for n in range(shift))
     zM = z + shift
-    acc += principal_power(zM, 1 - s) / (s - 1)
-    base = principal_power(zM, -s)
-    acc += base / 2
+    base = zM ** -s
+    acc = acc + zM ** (1 - s) / (s - 1) + base / 2
     poch = s  # rising factorial (s)(s+1)...(s+2j-2)
     zM2 = zM * zM
     fac = base / zM  # zM^{-s-1}
     for j in range(1, order + 1):
-        bj = bernoulli_number(2 * j)
-        acc += float(bj) / math.factorial(2 * j) * poch * fac
+        acc = acc + _B2J[j] / math.factorial(2 * j) * poch * fac
         poch *= (s + 2 * j - 1) * (s + 2 * j)
-        fac /= zM2
-    return acc
+        fac = fac / zM2
+    return complex(acc) if scalar else acc
 
 
 def lerch_zeta(s, a, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
@@ -425,54 +436,31 @@ def lerch_zeta(s, a, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
     raise ConvergenceError("Lerch series with unimodular twist converged too slowly")
 
 
-def hurwitz_zeta_star(a, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
+def hurwitz_zeta_star(a, z):
     """Constant Laurent term of zeta(s, z) at s = a; equals -psi(z) at a = 1."""
     a = complex(a)
     if abs(a - 1) < 1e-13:
-        return -digamma(z, cfg)
-    return hurwitz_zeta(a, z, cfg)
+        return -digamma(z)
+    return hurwitz_zeta(a, z)
 
 
-def digamma(z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
-    """psi(z) by recurrence plus the Bernoulli asymptotic series."""
-    z = _clean(z)
-    if z.imag == 0 and z.real <= 0 and _is_int(z):
-        raise DomainError("digamma pole at non-positive integer")
-    acc = 0j
-    while z.real < _EM_SHIFT_TARGET:
-        acc -= 1.0 / z
-        z += 1
-    acc += principal_log(z) - 1.0 / (2 * z)
-    z2 = z * z
-    fac = 1.0 / z2
-    for j in range(1, _EM_ORDER + 1):
-        acc -= float(bernoulli_number(2 * j)) / (2 * j) * fac
-        fac /= z2
-    return acc
+def digamma(z):
+    """psi(z) by recurrence plus the Bernoulli asymptotic series; z is a
+    scalar (complex returned) or an ndarray."""
+    z, scalar = _as_array(z)
+    _reject_poles(z, "digamma pole at non-positive integer")
+    shift = max(0, math.ceil(_EM_SHIFT_TARGET - np.min(z.real, initial=_EM_SHIFT_TARGET)))
+    acc = -sum(1.0 / (z + k) for k in range(shift))
+    z = z + shift
+    tail = sum(_B2J[j] / (2 * j) / z ** (2 * j) for j in range(1, _EM_ORDER + 1))
+    acc = acc + np.log(z) - 1.0 / (2 * z) - tail
+    return complex(acc) if scalar else acc
 
 
-def polygamma(m: int, z, cfg: SpecFunConfig = DEFAULT_CONFIG) -> complex:
-    """psi^{(m)}(z) for m >= 0, by recurrence and the asymptotic series."""
+def polygamma(m: int, z):
+    """psi^{(m)}(z) for m >= 0: digamma, or (-1)^{m+1} m! zeta(m+1, z)."""
     if m < 0:
         raise DomainError("polygamma order must be non-negative")
     if m == 0:
-        return digamma(z, cfg)
-    z = _clean(z)
-    if z.imag == 0 and z.real <= 0 and _is_int(z):
-        raise DomainError("polygamma pole at non-positive integer")
-    sign = (-1) ** m
-    acc = 0j
-    while z.real < _EM_SHIFT_TARGET:
-        acc -= sign * math.factorial(m) * principal_power(z, -m - 1)
-        z += 1
-    # psi^{(m)}(z) = (-1)^{m-1} [ (m-1)!/z^m + m!/(2 z^{m+1})
-    #                + sum_j B_{2j} (2j+m-1)!/((2j)! z^{2j+m}) ]
-    inner = math.factorial(m - 1) * principal_power(z, -m)
-    inner += math.factorial(m) / 2 * principal_power(z, -m - 1)
-    z2 = z * z
-    fac = principal_power(z, -m)  # becomes z^{-(2j+m)} inside the loop
-    for j in range(1, _EM_ORDER + 1):
-        fac /= z2
-        coeff = float(bernoulli_number(2 * j)) * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
-        inner += coeff * fac
-    return acc + (-1) ** (m - 1) * inner
+        return digamma(z)
+    return (-1) ** (m + 1) * math.factorial(m) * hurwitz_zeta(m + 1, z)

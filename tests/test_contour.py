@@ -243,12 +243,6 @@ def test_negative_s_cross_pipeline(J):
         assert abs(rhs_negative_s(J, s) - l_star(J, s)) < 1e-8
 
 
-def test_negative_s_polygamma_form(J):
-    v1 = rhs_negative_s(J, -1.0)
-    v2 = rhs_negative_s(J, -1.0, use_polygamma=True)
-    assert abs(v1 - v2) < 1e-9
-
-
 def test_negative_s_zero_form():
     f = synth_harmonic(0, {1: 0}, {})
     assert rhs_negative_s(f, -0.5) == 0
@@ -257,8 +251,6 @@ def test_negative_s_zero_form():
 def test_negative_s_regime(J):
     with pytest.raises(RegimeError):
         rhs_negative_s(J, 0.5)
-    with pytest.raises(RegimeError):
-        rhs_negative_s(J, -0.5, use_polygamma=True)  # non-integer s
 
 
 # ---------------------------------------------------------------------------

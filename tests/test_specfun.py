@@ -4,8 +4,9 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maassl import specfun
@@ -13,6 +14,13 @@ from maassl.specfun import (DomainError, SpecFunConfig, bernoulli_number,
                             bernoulli_poly, cal_EI, digamma, exp_int_E,
                             hurwitz_zeta, hurwitz_zeta_star, inc_gamma_upper,
                             lerch_zeta, polygamma, upper_gamma_int)
+
+try:
+    import mpmath
+except ImportError:  # the oracle tests are optional
+    mpmath = None
+
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
 
 # oracle values computed by direct numerical quadrature / independent series
 E1_AT_1 = 0.21938393439552029  # int_1^inf e^-t/t dt
@@ -62,6 +70,7 @@ def test_inc_gamma_integer_closed_form():
 @given(st.floats(-2.5, 2.5).filter(lambda r: abs(r - round(r)) > 0.05),
        st.floats(0.2, 25), st.floats(-math.pi + 0.2, math.pi - 0.2))
 @settings(max_examples=120, deadline=None)
+@example(r=2.5, rad=2.5, ang=2.2250738585e-313)  # continued-fraction start b ~ 5.6e-313j
 def test_gamma_recurrence_property(r, rad, ang):
     """Gamma(r+1, z) = r Gamma(r, z) + z^r e^{-z}."""
     z = rad * cmath.exp(1j * ang)
@@ -73,6 +82,7 @@ def test_gamma_recurrence_property(r, rad, ang):
 
 @given(st.floats(-3, 3), st.floats(0.2, 30), st.floats(0.05, math.pi - 0.05))
 @settings(max_examples=120, deadline=None)
+@example(s=2.75, rad=12.0, ang=3.0)  # near the cut, where Gamma(r) - gamma(r, z) cancels
 def test_E_gamma_consistency_property(s, rad, ang):
     """E_s(z) = z^{s-1} Gamma(1-s, z) away from the cut."""
     z = rad * cmath.exp(1j * ang)
@@ -180,3 +190,74 @@ def test_pole_errors():
         digamma(0)
     with pytest.raises(DomainError):
         cal_EI(0.0)
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracle (mpmath, tests only)
+# ---------------------------------------------------------------------------
+
+def _rel_err(value, exact) -> float:
+    return abs(value - exact) / max(1e-300, abs(exact))
+
+
+@needs_mpmath
+def test_complete_gamma_vs_mpmath():
+    grid = [complex(x, y) for x in np.linspace(-6.5, 6.5, 53) for y in np.linspace(-3, 3, 13)]
+    poles = [z for z in grid if z.imag == 0 and z.real <= 0 and z.real.is_integer()]
+    near_poles = [-n + d for n in range(7) for d in (1e-8, -1e-8, 1e-8j, -1e-9 + 1e-9j)]
+    with mpmath.workdps(30):
+        for z in [z for z in grid if z not in poles] + near_poles:
+            assert _rel_err(specfun._gamma(z), complex(mpmath.gamma(z))) <= 1e-14, z
+    with pytest.raises(DomainError):
+        specfun._gamma(-3 + 0j)
+
+
+def _gauss_nodes(height: float) -> np.ndarray:
+    x = np.polynomial.legendre.leggauss(16)[0]
+    return 1j * height + (x + 1) / 2
+
+
+@needs_mpmath
+@pytest.mark.parametrize("height", [1.0, 2.0])
+def test_array_kernels_vs_mpmath(height):
+    zs = _gauss_nodes(height)
+    cases = [(lambda z, s=s: hurwitz_zeta(s, z), lambda z, s=s: mpmath.zeta(s, z))
+             for s in (2.0, 3.5, 0.5, -1.5, -3.0, 1.5 + 2j)]
+    cases.append((digamma, mpmath.digamma))
+    cases += [(lambda z, m=m: polygamma(m, z), lambda z, m=m: mpmath.polygamma(m, z))
+              for m in (1, 2, 4)]
+    cases += [(lambda z, n=n: bernoulli_poly(n, z), lambda z, n=n: mpmath.bernpoly(n, z))
+              for n in (0, 1, 3, 6)]
+    with mpmath.workdps(30):
+        for kernel, oracle in cases:
+            values = kernel(zs)
+            assert isinstance(values, np.ndarray) and values.shape == zs.shape
+            for z, v in zip(zs, values):
+                exact = complex(oracle(mpmath.mpc(z)))
+                assert abs(v - exact) <= 1e-12 * max(1.0, abs(exact)), (z, v, exact)
+            scalar = kernel(complex(zs[3]))
+            assert type(scalar) is complex and scalar == pytest.approx(values[3], rel=1e-14)
+
+
+def test_array_kernels_reject_poles_elementwise():
+    zs = np.array([0.5 + 1j, -2.0 + 0j])
+    for call in (lambda: hurwitz_zeta(2, zs), lambda: digamma(zs), lambda: polygamma(1, zs)):
+        with pytest.raises(DomainError):
+            call()
+    # -0.0 imaginary parts sit on the upper side of the cut, as for scalars
+    lower = np.array([-0.5 - 0.0j, 0.3 + 1j])
+    assert hurwitz_zeta(0.5, lower)[0] == hurwitz_zeta(0.5, complex(-0.5, 0.0))
+
+
+@needs_mpmath
+def test_inc_gamma_upper_sweep_vs_mpmath():
+    """A fixed sweep of r in (-2.5, 2.5) and |z| <= 30, cut included."""
+    rng = np.random.default_rng(5)
+    n = 1000
+    rs = rng.uniform(-2.5, 2.5, n)
+    zs = 30 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    with mpmath.workdps(30):
+        errs = [_rel_err(inc_gamma_upper(float(r), complex(z)),
+                         complex(mpmath.gammainc(float(r), complex(z))))
+                for r, z in zip(rs, zs)]
+    assert max(errs) <= 1e-10

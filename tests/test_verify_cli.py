@@ -201,3 +201,10 @@ def test_main_callable_directly(capsys):
     assert cli.main(["specfun", "digamma", "1"]) == 0
     out = capsys.readouterr().out
     assert float(out.split()[0]) == pytest.approx(-0.5772156649015329, abs=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, maassl; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
