@@ -55,12 +55,22 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     mmax = _lerch_terms(complex(s_exponent).real, complex(w).imag)
     out = np.zeros_like(z)
-    chunk = 4096
-    for start in range(0, mmax, chunk):
-        m = np.arange(start, min(start + chunk, mmax))
-        out += ((z[:, None] + m[None, :]) ** s_exponent
-                * np.exp(1j * complex(w) * m)[None, :]).sum(axis=1)
+    for start in range(0, mmax, 4096):
+        m = np.arange(start, min(start + 4096, mmax))
+        phase = np.exp(1j * complex(w) * m)
+        rows = max(1, 2 ** 16 // m.size)  # one block holds at most 2^16 elements
+        for r in range(0, z.size, rows):
+            out[r:r + rows] += ((z[r:r + rows, None] + m) ** s_exponent * phase).sum(axis=1)
     return out
+
+
+def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0,
+                     cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+    """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray."""
+    def integrand(zs):
+        return f.eval_at(zs) * kernel(zs)
+
+    return integrate_segment(integrand, 1j * height, 1j * height + 1, cfg).value
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +132,6 @@ def _remainder_m_terms(im_w: float) -> int:
     return int(45.0 / im_w) + 10
 
 
-def _r_t_values(xi_f: FourierExpansion, s: complex, w: complex, z: complex,
-                t: np.ndarray) -> np.ndarray:
-    """R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}."""
-    mmax = _remainder_m_terms(w.imag)
-    m = np.arange(mmax)
-    u = 2j - z - m  # shape (M,)
-    weights = (z + m) ** (complex(s) - 1.0)
-    tm = np.outer(t, m)
-    acc = np.zeros((t.size, m.size), dtype=complex)
-    for p, c in xi_f.holo.items():
-        acc += c * np.exp(2j * math.pi * p * np.outer(t, u))
-    acc *= np.exp(1j * w * tm)
-    return acc @ weights
-
-
 def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim",
                 cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
     """Remainder term R(w, s) produced by the non-holomorphic part of f.
@@ -175,19 +170,24 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim",
         nmin = min(-n for n in f.nonholo)
         rate = TWO_PI * nmin + max(0.0, w.real)
         t_hi = min(cfg.t_cutoff, 1.0 + 46.0 / rate)
+        m = np.arange(_remainder_m_terms(w.imag))
 
-        def inner(zz: complex) -> complex:
-            def g(t):
-                tr = np.real(t)
-                rt = _r_t_values(xi_f, s, w, zz, tr)
-                return np.exp(1j * tr * zz * w) * tr ** (s - k) * rt
+        # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}
+        #           = sum_p c_p e^{2 pi i p t(2i - z)} sum_m (z+m)^{s-1} e^{itm(w - 2 pi p)},
+        # so the t-integrand e^{itzw} t^{s-k} R_t(z, w) at all outer nodes z
+        # is one (T, M) @ (M, Z) product per xi-coefficient p.
+        def integrand(zs):
+            zm = (zs[:, None] + m) ** (complex(s) - 1.0)
 
-            return integrate_decaying(g, 1.0, t_hi, cfg).value
+            def inner(t):
+                tr = np.real(t)[:, None]
+                return sum(c * np.exp(tr * (1j * w * zs + 2j * math.pi * p * (2j - zs)))
+                           * ((tr ** (s - k) * np.exp(1j * tr * m * (w - TWO_PI * p))) @ zm.T)
+                           for p, c in xi_f.holo.items())
 
-        def outer(zs):
-            return np.array([inner(zz) for zz in zs])
+            return integrate_decaying(inner, 1.0, t_hi, cfg).value
 
-        seg = integrate_segment(outer, 1j, 1j + 1, cfg)
+        seg = integrate_segment(integrand, 1j, 1j + 1, cfg)
         return i_power(-s) * seg.value
     raise ValueError(f"unknown remainder form {form!r}")
 
@@ -203,11 +203,8 @@ def rhs_main_theorem(f: FourierExpansion, s: float, w,
     if w.imag <= 0:
         raise RegimeError("the contour formula needs Im(w) > 0")
 
-    def g(zs):
-        return f.eval_at(zs) * np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs)
-
-    seg = integrate_segment(g, 1j, 1j + 1, cfg)
-    value = i_power(-s) * seg.value
+    value = i_power(-s) * _segment_pairing(
+        f, lambda zs: np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs), cfg=cfg)
     if f.nonholo:
         value += r_remainder(f, s, w, "double_integral", cfg)
     return complex(value)
@@ -248,8 +245,7 @@ def _bern_second_integral(f: FourierExpansion, m: int, cfg: QuadratureConfig,
     xi_f = _xi_conj_expansion(f)
     ckm = bern_c_constant(k, m)
 
-    def g(zs):
-        zs = np.asarray(zs, dtype=complex)
+    def kernel(zs):
         poly = ckm * specfun.bernoulli_poly(2 + m - k, zs) / (2 + m - k)
         for el in range(m + 1):
             for j in range(m - el + 1):
@@ -257,9 +253,9 @@ def _bern_second_integral(f: FourierExpansion, m: int, cfg: QuadratureConfig,
                 phase = 1.0 if printed_constants else i_power(r)
                 poly = poly - phase * bern_d_constant(k, m, el, j) * specfun.bernoulli_poly(
                     r, zs.real)
-        return xi_f.eval_at(zs) * poly
+        return poly
 
-    return integrate_segment(g, 1j, 1j + 1, cfg).value
+    return _segment_pairing(xi_f, kernel, cfg=cfg)
 
 
 def rhs_integer_value(f: FourierExpansion, m: int,
@@ -274,11 +270,8 @@ def rhs_integer_value(f: FourierExpansion, m: int,
     _bern_second_integral) for discrepancy reporting.
     """
     if f.is_weakly_holomorphic:
-        def g(zs):
-            return f.eval_at(zs) * specfun.hurwitz_zeta_star(1 - m, zs)
-
-        seg = integrate_segment(g, 1j, 1j + 1, cfg)
-        return complex(i_power(-m) * seg.value)
+        return complex(i_power(-m) * _segment_pairing(
+            f, lambda zs: specfun.hurwitz_zeta_star(1 - m, zs), cfg=cfg))
     if m < 1:
         raise RegimeError(
             "integer-value formula with a non-holomorphic part exists for m >= 1 only")
@@ -286,27 +279,19 @@ def rhs_integer_value(f: FourierExpansion, m: int,
         k = f.weight
         xi_f = _xi_conj_expansion(f)
 
-        def g1(zs):
-            return f.eval_at(zs) * np.asarray(zs, dtype=complex)
-
         # the x-term carries the phase -i in the oracle-confirmed form
         x_coeff = 1.0 if printed_constants else -1j
 
-        def g2(zs):
-            zs = np.asarray(zs, dtype=complex)
-            return xi_f.eval_at(zs) * (i_power(k) * specfun.bernoulli_poly(2 - k, zs) / (2 - k)
-                                       + x_coeff * zs.real)
+        def kernel2(zs):
+            return i_power(k) * specfun.bernoulli_poly(2 - k, zs) / (2 - k) + x_coeff * zs.real
 
-        first = 1j * integrate_segment(g1, 1j, 1j + 1, cfg).value
-        second = integrate_segment(g2, 1j, 1j + 1, cfg).value / (1 - k)
+        first = 1j * _segment_pairing(f, lambda zs: zs, cfg=cfg)
+        second = _segment_pairing(xi_f, kernel2, cfg=cfg) / (1 - k)
         return complex(first - second)
     mm = m - 1  # the Bernoulli theorem is stated for s = 1 + mm
 
-    def g(zs):
-        zs = np.asarray(zs, dtype=complex)
-        return f.eval_at(zs) * specfun.bernoulli_poly(mm + 1, zs) / (mm + 1)
-
-    first = -i_power(-mm - 1) * integrate_segment(g, 1j, 1j + 1, cfg).value
+    first = -i_power(-mm - 1) * _segment_pairing(
+        f, lambda zs: specfun.bernoulli_poly(mm + 1, zs) / (mm + 1), cfg=cfg)
     return complex(first + _bern_second_integral(f, mm, cfg, printed_constants))
 
 
@@ -318,11 +303,8 @@ def rhs_negative_s(f: FourierExpansion, s: float,
     if not f.is_weakly_holomorphic:
         raise RegimeError("negative-s formula applies to weakly holomorphic shapes")
 
-    def g(zs):
-        return f.eval_at(zs) * specfun.hurwitz_zeta(1 - s, zs)
-
-    seg = integrate_segment(g, 1j, 1j + 1, cfg)
-    return complex(i_power(-s) * seg.value)
+    return complex(i_power(-s) * _segment_pairing(
+        f, lambda zs: specfun.hurwitz_zeta(1 - s, zs), cfg=cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +329,6 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float,
             if abs(seed.value(zz)) >= abs(zz) ** (-1.0 - eps) * (1 + 1e-9):
                 raise RegimeError(f"seed violates the decay condition at z={zz}")
 
-    def g(zs):
-        return f.eval_at(zs) * seed.translated_sum(zs)
-
-    top = integrate_segment(g, 1j * a, 1j * a + 1, cfg).value
-    bottom = integrate_segment(g, 1j * b, 1j * b + 1, cfg).value
+    top = _segment_pairing(f, seed.translated_sum, a, cfg)
+    bottom = _segment_pairing(f, seed.translated_sum, b, cfg)
     return complex(-1j * (top - bottom))

@@ -3,13 +3,15 @@
 Each check evaluates the same quantity through two independent pipelines
 (coefficient series vs contour quadrature) and compares at a tolerance.
 Configs are JSON with a top-level "checks" array; complex parameters are
-[re, im] pairs.  Reports are deterministic apart from runtime_ms.
+[re, im] pairs.  Reports are deterministic apart from runtime_ms, the wall
+time of a check in milliseconds as a float.
 """
 
 from __future__ import annotations
 
 import cmath
 import fnmatch
+import functools
 import json
 import math
 import os
@@ -63,7 +65,7 @@ class CheckReport:
     lhs_err_est: float
     rhs_err_est: float
     status: str
-    runtime_ms: int
+    runtime_ms: float
     message: str = ""
 
     def to_json_dict(self) -> dict:
@@ -74,30 +76,27 @@ class CheckReport:
         return d
 
 
-_FORM_CACHE: dict[str, modforms.FourierExpansion] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def resolve_form(desc: str) -> modforms.FourierExpansion:
-    """Resolve a form descriptor: 'J', 'Jsq', or 'synth:<inline-json>'."""
-    if desc in _FORM_CACHE:
-        return _FORM_CACHE[desc]
+    """Resolve a form descriptor: 'J', 'Jsq', or 'synth:<inline-json>'.
+
+    The 32 most recently used forms are kept, so a stream of one-off
+    synthetic descriptors does not grow memory without bound.
+    """
     if desc == "J":
-        form = modforms.build_J(40)
-    elif desc == "Jsq":
-        form = modforms.build_J_squared(40)
-    elif desc.startswith("synth:"):
+        return modforms.build_J(40)
+    if desc == "Jsq":
+        return modforms.build_J_squared(40)
+    if desc.startswith("synth:"):
         data = json.loads(desc[len("synth:"):])
 
         def cmap(raw):
             return {int(n): _to_complex(c) for n, c in raw.items()}
 
-        form = modforms.synth_harmonic(int(data["k"]), cmap(data.get("holo", {})),
+        return modforms.synth_harmonic(int(data["k"]), cmap(data.get("holo", {})),
                                        cmap(data.get("nonholo", {})),
                                        level=int(data.get("level", 1)))
-    else:
-        raise ValueError(f"unknown form descriptor {desc!r}")
-    _FORM_CACHE[desc] = form
-    return form
+    raise ValueError(f"unknown form descriptor {desc!r}")
 
 
 _SEEDS = {
@@ -195,15 +194,15 @@ def run_check(spec: CheckSpec) -> CheckReport:
     try:
         lhs, rhs, lhs_err, rhs_err = _evaluate(spec)
     except (ltest.AdmissibilityError, contour.RegimeError) as exc:
-        ms = int((time.perf_counter() - start) * 1000)
+        ms = (time.perf_counter() - start) * 1000
         return CheckReport(spec.id, spec.theorem, 0j, 0j, 0.0, 0.0, 0.0, 0.0,
                            "skipped", ms, f"precondition: {exc}")
     except Exception as exc:  # evaluator failure counts as check failure
-        ms = int((time.perf_counter() - start) * 1000)
+        ms = (time.perf_counter() - start) * 1000
         return CheckReport(spec.id, spec.theorem, 0j, 0j, math.inf, math.inf,
                            0.0, 0.0, "fail", ms,
                            f"{type(exc).__name__}: {exc}")
-    ms = int((time.perf_counter() - start) * 1000)
+    ms = (time.perf_counter() - start) * 1000
     lhs, rhs = complex(lhs), complex(rhs)
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
