@@ -7,6 +7,10 @@ gamma-weighted integral over the support.  Three kinds of test function are
 provided: the exponential-monomial family phi_s^w on [1, infinity), its
 Fricke transform supported in (0, 1/M], and compactly supported restrictions
 of holomorphic seeds.
+
+For phi_s^w the holomorphic sum stops where a rigorous bound on all the
+remaining stored terms falls below the sum's rounding, and the reported
+error estimate includes that bound.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ TWO_PI = 2.0 * math.pi
 
 # e^{-46} is comfortably below every tolerance used here
 _DECAY_BUDGET = 46.0
+
+# the phi_s^w series stops once its remaining terms provably sum to at most
+# 2^-55 of the partial sum, under half an ulp of it
+_TAIL_CUT = 2.0 ** -55
+_TINY = np.finfo(float).tiny
 
 
 class AdmissibilityError(ValueError):
@@ -153,6 +162,14 @@ def fricke_transform_testfn(phi, a: int, M: int):
 
 @dataclass(frozen=True)
 class LValue:
+    """A series-side L-value and its parts.
+
+    error_estimate adds the non-holomorphic quadrature estimates to the
+    holomorphic part's: for phi_s^w the bound on the stored terms the sum
+    skipped, once it stopped at that bound, and otherwise the magnitude of
+    the last term summed.
+    """
+
     value: complex
     holo_part: complex
     nonholo_part: complex
@@ -188,6 +205,32 @@ def _nonholo_integral(f: FourierExpansion, phi, n: int,
     return integrate_segment(g, lo, hi, cfg)
 
 
+def _phi_sw_bound_shifts(phi: PhiSW) -> tuple[float, float]:
+    """(Re w, p = max(0, Re s - 1)) of the bound |E_{1-s}(z)| <= e^{-x}/(x - p)."""
+    return complex(phi.w).real, max(0.0, complex(phi.s).real - 1.0)
+
+
+def _phi_sw_tail_bounds(f: FourierExpansion, phi: PhiSW) -> np.ndarray:
+    """Bounds on sum_{m >= n_i} |a(m) E_{1-s}(2 pi m + w)| for every stored
+    holomorphic index n_i, in sorted order.
+
+    With x = Re z and p = max(0, Re s - 1), |E_{1-s}(z)| <= e^{-x}/(x - p) for
+    x > p, from |int_1^inf e^{-zt} t^{s-1} dt| <= int_1^inf e^{-xt} t^p dt and
+    t^p <= e^{p(t-1)}.  A term with x <= p has no bound, so every tail that
+    contains one is +inf.
+    """
+    hn, ha, _, _ = f.arrays()
+    re_w, p = _phi_sw_bound_shifts(phi)
+    x = TWO_PI * hn + re_w
+    k = int(np.searchsorted(x, p, side="right"))  # x increases: x <= p before k
+    xk = x[k:]
+    # a zero coefficient counts as the smallest normal float, keeping logs finite
+    log_b = np.log(np.maximum(np.abs(ha[k:]), _TINY)) - xk - np.log(xk - p)
+    tail = np.full(x.size, np.inf)
+    tail[k:] = np.exp(np.logaddexp.accumulate(log_b[::-1])[::-1])
+    return tail
+
+
 def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
     threshold = max(TWO_PI * f.n0, f.growth_const ** 2 * phi.M / TWO_PI)
     if complex(phi.w).real <= threshold:
@@ -197,15 +240,35 @@ def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
 
 
 def l_value(f: FourierExpansion, phi, cfg: QuadratureConfig = DEFAULT_QUAD) -> LValue:
-    """Series-side L-value: coefficient sums against the Laplace transform."""
+    """Series-side L-value: coefficient sums against the Laplace transform.
+
+    For phi_s^w the holomorphic sum stops at the first n > 0 whose tail bound
+    (``_phi_sw_tail_bounds``) is at most 2^-55 of the partial sum.
+    """
     if isinstance(phi, FrickePhiSW):
         _check_fricke_admissibility(f, phi)
+    can_cut = isinstance(phi, PhiSW)
+    if can_cut:
+        re_w, p = _phi_sw_bound_shifts(phi)
+    tail = None
     holo = 0j
     err = 0.0
     prev = math.inf
     growing = 0
-    for n in sorted(f.holo):
-        term = f.holo[n] * phi.laplace(TWO_PI * n)
+    for i, n in enumerate(sorted(f.holo)):
+        a = f.holo[n]
+        if can_cut and n > 0:
+            # a term's own bound is part of its tail's, so the tail bounds are
+            # computed only once some term's bound alone is below the cut
+            x = TWO_PI * n + re_w
+            limit = _TAIL_CUT * abs(holo)
+            if x > p and abs(a) * math.exp(-x) / (x - p) <= limit:
+                if tail is None:
+                    tail = _phi_sw_tail_bounds(f, phi)
+                if tail[i] <= limit:
+                    prev = float(tail[i])
+                    break
+        term = a * phi.laplace(TWO_PI * n)
         holo += term
         if n > 0:
             mag = abs(term)
@@ -220,7 +283,7 @@ def l_value(f: FourierExpansion, phi, cfg: QuadratureConfig = DEFAULT_QUAD) -> L
                 growing = 0
             prev = mag
     if math.isfinite(prev):
-        err += prev  # crude tail bound: decreasing geometric-type terms
+        err += prev  # the tail bound at a cut, else the last term's magnitude
     nonholo = 0j
     for n, b in f.nonholo.items():
         part = _nonholo_integral(f, phi, n, cfg)

@@ -210,6 +210,7 @@ def _exp_int_series(s: complex, z: complex, cfg: SpecFunConfig) -> complex:
         # (-z)^(n-1)/(n-1)! (psi(n) - Log z) - sum_{k != n-1} (-z)^k / (k! (1-n+k))
         psi_n = -EULER_GAMMA + sum(1.0 / j for j in range(1, n))
         lead = ((-z) ** (n - 1) / math.factorial(n - 1)) * (psi_n - principal_log(z))
+        k_min, abs_lead, minus_z = abs(z) + 4, abs(lead), -z
         acc = 0j
         term = 1.0 + 0j  # (-z)^k / k!
         k = 0
@@ -217,27 +218,28 @@ def _exp_int_series(s: complex, z: complex, cfg: SpecFunConfig) -> complex:
             if k != n - 1:
                 contrib = term / (1 - n + k)
                 acc += contrib
-                if k > abs(z) + 4 and abs(contrib) < (abs(acc) + abs(lead)) * 1e-17 + 1e-300:
+                if k > k_min and abs(contrib) < (abs(acc) + abs_lead) * 1e-17 + 1e-300:
                     break
             k += 1
             if k > cfg.max_terms:
                 raise ConvergenceError("E_s series did not converge")
-            term *= -z / k
+            term *= minus_z / k
         return lead - acc
     # non-integer s: z^{s-1} Gamma(1-s) - sum_k (-z)^k / (k! (1-s+k))
     lead = principal_power(z, s - 1) * _gamma(1 - s)
+    k_min, abs_lead, minus_z = abs(z) + 4, abs(lead), -z
     acc = 0j
     term = 1.0 + 0j
     k = 0
     while True:
         contrib = term / (1 - s + k)
         acc += contrib
-        if k > abs(z) + 4 and abs(contrib) < (abs(acc) + abs(lead)) * 1e-17 + 1e-300:
+        if k > k_min and abs(contrib) < (abs(acc) + abs_lead) * 1e-17 + 1e-300:
             break
         k += 1
         if k > cfg.max_terms:
             raise ConvergenceError("E_s series did not converge")
-        term *= -z / k
+        term *= minus_z / k
     return lead - acc
 
 
@@ -248,11 +250,12 @@ def _exp_int_asymptotic(s: complex, z: complex, cfg: SpecFunConfig) -> complex:
     best = abs(term)
     for k in range(1, 200):
         term *= -(s + k - 1) / z
-        if abs(term) > best:
+        abs_term = abs(term)
+        if abs_term > best:
             break
-        best = abs(term)
+        best = abs_term
         acc += term
-        if abs(term) < abs(acc) * 1e-17:
+        if abs_term < abs(acc) * 1e-17:
             break
     return cmath.exp(-z) / z * acc
 

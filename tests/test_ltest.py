@@ -5,15 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maassl import (CompactAnalytic, FrickePhiSW, InversePowerSeed, PhiSW,
                     fricke_transform_testfn, l_star, l_tilde, l_value,
                     l_value_by_vertical_integral, l_value_limit,
-                    laplace_phi_sw, synth_harmonic)
-from maassl.ltest import AdmissibilityError
+                    laplace_phi_sw, specfun, synth_harmonic)
+from maassl.ltest import AdmissibilityError, _phi_sw_tail_bounds
 from maassl.specfun import exp_int_E
 
 TWO_PI = 2 * math.pi
+EPS = np.finfo(float).eps
+
+# J, Jsq and this form store coefficients past the point where the phi_s^w
+# series terms drop below the sum's rounding
+CUT_SYNTH = synth_harmonic(0, {-1: 1, **{n: (1.5 - 0.5j) * (-3.0) ** n
+                                         for n in range(1, 25)}}, {})
+CUT_FORMS = ("J", "Jsq", "synth")
+
+
+def _cut_form(name, J, Jsq):
+    return {"J": J, "Jsq": Jsq, "synth": CUT_SYNTH}[name]
 
 
 def test_laplace_phi_sw_closed_forms():
@@ -157,3 +170,68 @@ def test_compact_analytic_validation():
         CompactAnalytic(InversePowerSeed(2), 2.0, 1.0)
     with pytest.raises(ValueError):
         InversePowerSeed(0.5)  # power must exceed 1
+
+
+def _terms(f, phi):
+    """Every stored holomorphic term a(n) (L phi)(2 pi n), in sorted order."""
+    return [(n, f.holo[n] * phi.laplace(TWO_PI * n)) for n in sorted(f.holo)]
+
+
+@given(st.sampled_from(CUT_FORMS), st.floats(-2.5, 3.5),
+       st.floats(-1, 1), st.floats(0, 2))
+@example(name="J", s=1.0, re_w=0.0, im_w=0.0)
+@settings(max_examples=60, deadline=None)
+def test_phi_sw_tail_bound_covers_terms(J, Jsq, name, s, re_w, im_w):
+    f = _cut_form(name, J, Jsq)
+    phi = PhiSW(s, complex(re_w, im_w))
+    tail = _phi_sw_tail_bounds(f, phi)
+    p = max(0.0, s - 1.0)
+    bounds = []
+    for n, term in _terms(f, phi):
+        if n <= 0:
+            bounds.append(0.0)
+            continue
+        x = TWO_PI * n + re_w
+        b = abs(f.holo[n]) * math.exp(-x) / (x - p)
+        # the slack covers the kernel's relative accuracy; at s = 1 and real
+        # w the bound is E_0(x) = e^{-x}/x itself
+        assert abs(term) <= b * (1 + 1e-10)
+        bounds.append(b)
+    for i, n in enumerate(sorted(f.holo)):
+        if n > 0:
+            assert tail[i] >= sum(bounds[i:]) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("name", CUT_FORMS)
+@pytest.mark.parametrize("s, w", [(0.5, 0.3 + 0.9j), (-1.5, 0.3 + 0.7j),
+                                  (2.0, 1j), (3.5, -1 + 2j), (1.0, 0.0)])
+def test_cut_sum_matches_full_sum(J, Jsq, name, s, w):
+    f = _cut_form(name, J, Jsq)
+    phi = PhiSW(s, w)
+    terms = [t for _, t in _terms(f, phi)]
+    full = sum(terms, 0j)
+    rounding = 4 * EPS * sum(abs(t) for t in terms)
+    lv = l_value(f, phi)
+    assert abs(lv.holo_part - full) <= rounding
+    assert abs(lv.holo_part - full) <= lv.error_estimate + rounding
+    # the estimate is the skipped tail's bound, not the last term's size
+    assert 0 < lv.error_estimate <= 2.0 ** -55 * abs(lv.holo_part)
+
+
+def test_divergence_check_survives_the_cut():
+    f = synth_harmonic(0, {-1: 1, **{n: 10.0 ** (3 * n) for n in range(1, 9)}}, {})
+    with pytest.raises(AdmissibilityError, match="stopped decreasing at n = 6"):
+        l_value(f, PhiSW(0.5, 0.3 + 0.5j))
+
+
+def test_cut_skips_kernel_calls(J, monkeypatch):
+    calls = []
+    kernel = specfun.exp_int_E
+
+    def counting(s, z, *args, **kwargs):
+        calls.append(z)
+        return kernel(s, z, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "exp_int_E", counting)
+    l_value(J, PhiSW(0.5, 0.3 + 0.9j))
+    assert 0 < len(calls) <= 16  # all 40 stored coefficients without the cut
