@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, specfun.SpecFunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

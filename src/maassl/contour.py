@@ -17,11 +17,14 @@ import numpy as np
 
 from . import specfun
 from .modforms import FourierExpansion, xi_image
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_decaying,
-                         integrate_segment)
+from .quadrature import integrate_decaying, integrate_segment
+from .specfun import lerch_sum
 
 TWO_PI = 2.0 * math.pi
 I = 1j
+
+# the largest upper limit of the remainder integrals in t
+_T_CUTOFF = 60.0
 
 
 class RegimeError(ValueError):
@@ -36,49 +39,19 @@ def i_power(a) -> complex:
     return cmath.exp(a * 1j * math.pi / 2)
 
 
-def _lerch_terms(exponent_real: float, im_w: float) -> int:
-    """Terms needed so e^{-m Im w} m^{sigma} drops below ~1e-19."""
-    if im_w <= 0:
-        raise RegimeError("geometric Lerch summation needs Im(w) > 0")
-    m = 45.0 / im_w
-    for _ in range(3):
-        m = (45.0 + max(0.0, exponent_real) * math.log(m + 3)) / im_w
-    return int(m) + 30
-
-
-def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
-    """sum_{m>=0} e^{imw} (z+m)^{s_exponent}, vectorized over z.
-
-    This is zeta(-s_exponent, w/(2 pi), z) in Lerch normalization; it needs
-    Im(w) > 0.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    mmax = _lerch_terms(complex(s_exponent).real, complex(w).imag)
-    out = np.zeros_like(z)
-    for start in range(0, mmax, 4096):
-        m = np.arange(start, min(start + 4096, mmax))
-        phase = np.exp(1j * complex(w) * m)
-        rows = max(1, 2 ** 16 // m.size)  # one block holds at most 2^16 elements
-        for r in range(0, z.size, rows):
-            out[r:r + rows] += ((z[r:r + rows, None] + m) ** s_exponent * phase).sum(axis=1)
-    return out
-
-
-def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0,
-                     cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0) -> complex:
     """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray."""
     def integrand(zs):
         return f.eval_at(zs) * kernel(zs)
 
-    return integrate_segment(integrand, 1j * height, 1j * height + 1, cfg).value
+    return integrate_segment(integrand, 1j * height, 1j * height + 1).value
 
 
 # ---------------------------------------------------------------------------
 # Lemma: bending the Laplace ray to a horizontal line
 # ---------------------------------------------------------------------------
 
-def ray_integral_bend(a: float, w, T: float, cfg: QuadratureConfig = DEFAULT_QUAD,
-                      tail_correction: bool = True) -> complex:
+def ray_integral_bend(a: float, w, T: float, tail_correction: bool = True) -> complex:
     """int_i^{i+T} e^{iwz} z^{a-1} dz, converging to i^a E_{1-a}(w).
 
     Valid for Im(w) > 0 with any real a, or for real w > 0 with a < 0.
@@ -99,7 +72,7 @@ def ray_integral_bend(a: float, w, T: float, cfg: QuadratureConfig = DEFAULT_QUA
     t_stop = T
     if w.imag > 0:
         t_stop = min(T, 45.0 / w.imag + 5.0)
-    value = integrate_decaying(g, 0.0, t_stop, cfg).value
+    value = integrate_decaying(g, 0.0, t_stop).value
     if tail_correction and t_stop == T:
         z0 = 1j + T
         iw = 1j * w
@@ -132,8 +105,7 @@ def _remainder_m_terms(im_w: float) -> int:
     return int(45.0 / im_w) + 10
 
 
-def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim",
-                cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> complex:
     """Remainder term R(w, s) produced by the non-holomorphic part of f.
 
     form = "one_dim": the coefficient-series shape
@@ -153,14 +125,14 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim",
         total = 0j
         for n, b in f.nonholo.items():
             rate = TWO_PI * (-n)
-            t_hi = min(cfg.t_cutoff, 1.0 + 46.0 / rate)
+            t_hi = min(_T_CUTOFF, 1.0 + 46.0 / rate)
 
             def g(t, n=n):
                 e = np.array([specfun.exp_int_E(1 - s, (TWO_PI * n + w) * tt)
                               for tt in np.real(t)])
                 return np.exp(4 * math.pi * n * np.real(t)) * np.real(t) ** (s - k) * e
 
-            part = integrate_decaying(g, 1.0, t_hi, cfg)
+            part = integrate_decaying(g, 1.0, t_hi)
             total += b * (-4 * math.pi * n) ** (1 - k) * part.value
         return -complex(total)
     if form == "double_integral":
@@ -169,7 +141,7 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim",
         xi_f = _xi_conj_expansion(f)
         nmin = min(-n for n in f.nonholo)
         rate = TWO_PI * nmin + max(0.0, w.real)
-        t_hi = min(cfg.t_cutoff, 1.0 + 46.0 / rate)
+        t_hi = min(_T_CUTOFF, 1.0 + 46.0 / rate)
         m = np.arange(_remainder_m_terms(w.imag))
 
         # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}
@@ -185,15 +157,14 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim",
                            * ((tr ** (s - k) * np.exp(1j * tr * m * (w - TWO_PI * p))) @ zm.T)
                            for p, c in xi_f.holo.items())
 
-            return integrate_decaying(inner, 1.0, t_hi, cfg).value
+            return integrate_decaying(inner, 1.0, t_hi).value
 
-        seg = integrate_segment(integrand, 1j, 1j + 1, cfg)
+        seg = integrate_segment(integrand, 1j, 1j + 1)
         return i_power(-s) * seg.value
     raise ValueError(f"unknown remainder form {form!r}")
 
 
-def rhs_main_theorem(f: FourierExpansion, s: float, w,
-                     cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def rhs_main_theorem(f: FourierExpansion, s: float, w) -> complex:
     """Contour side of the main identity for L_f(phi_s^w), Im(w) > 0.
 
     i^{-s} int_i^{i+1} f(z) e^{iwz} zeta(1-s, w/(2 pi), z) dz, plus the
@@ -204,9 +175,9 @@ def rhs_main_theorem(f: FourierExpansion, s: float, w,
         raise RegimeError("the contour formula needs Im(w) > 0")
 
     value = i_power(-s) * _segment_pairing(
-        f, lambda zs: np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs), cfg=cfg)
+        f, lambda zs: np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs))
     if f.nonholo:
-        value += r_remainder(f, s, w, "double_integral", cfg)
+        value += r_remainder(f, s, w, "double_integral")
     return complex(value)
 
 
@@ -232,7 +203,7 @@ def bern_d_constant(k: int, m: int, el: int, j: int) -> float:
     return (-1) ** (j - 1) * num / den
 
 
-def _bern_second_integral(f: FourierExpansion, m: int, cfg: QuadratureConfig,
+def _bern_second_integral(f: FourierExpansion, m: int,
                           printed_constants: bool = False) -> complex:
     """The xi-part of the Bernoulli formula for L_f(phi_{1+m}^0), m >= 1.
 
@@ -255,11 +226,10 @@ def _bern_second_integral(f: FourierExpansion, m: int, cfg: QuadratureConfig,
                     r, zs.real)
         return poly
 
-    return _segment_pairing(xi_f, kernel, cfg=cfg)
+    return _segment_pairing(xi_f, kernel)
 
 
 def rhs_integer_value(f: FourierExpansion, m: int,
-                      cfg: QuadratureConfig = DEFAULT_QUAD,
                       printed_constants: bool = False) -> complex:
     """Closed-form contour value equal to L*(f, m) at integer m.
 
@@ -271,7 +241,7 @@ def rhs_integer_value(f: FourierExpansion, m: int,
     """
     if f.is_weakly_holomorphic:
         return complex(i_power(-m) * _segment_pairing(
-            f, lambda zs: specfun.hurwitz_zeta_star(1 - m, zs), cfg=cfg))
+            f, lambda zs: specfun.hurwitz_zeta_star(1 - m, zs)))
     if m < 1:
         raise RegimeError(
             "integer-value formula with a non-holomorphic part exists for m >= 1 only")
@@ -285,18 +255,17 @@ def rhs_integer_value(f: FourierExpansion, m: int,
         def kernel2(zs):
             return i_power(k) * specfun.bernoulli_poly(2 - k, zs) / (2 - k) + x_coeff * zs.real
 
-        first = 1j * _segment_pairing(f, lambda zs: zs, cfg=cfg)
-        second = _segment_pairing(xi_f, kernel2, cfg=cfg) / (1 - k)
+        first = 1j * _segment_pairing(f, lambda zs: zs)
+        second = _segment_pairing(xi_f, kernel2) / (1 - k)
         return complex(first - second)
     mm = m - 1  # the Bernoulli theorem is stated for s = 1 + mm
 
     first = -i_power(-mm - 1) * _segment_pairing(
-        f, lambda zs: specfun.bernoulli_poly(mm + 1, zs) / (mm + 1), cfg=cfg)
-    return complex(first + _bern_second_integral(f, mm, cfg, printed_constants))
+        f, lambda zs: specfun.bernoulli_poly(mm + 1, zs) / (mm + 1))
+    return complex(first + _bern_second_integral(f, mm, printed_constants))
 
 
-def rhs_negative_s(f: FourierExpansion, s: float,
-                   cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def rhs_negative_s(f: FourierExpansion, s: float) -> complex:
     """i^{-s} int_i^{i+1} f(z) zeta(1-s, z) dz for s < 0 (weakly holomorphic f)."""
     if s >= 0:
         raise RegimeError("this formula needs s < 0")
@@ -304,15 +273,14 @@ def rhs_negative_s(f: FourierExpansion, s: float,
         raise RegimeError("negative-s formula applies to weakly holomorphic shapes")
 
     return complex(i_power(-s) * _segment_pairing(
-        f, lambda zs: specfun.hurwitz_zeta(1 - s, zs), cfg=cfg))
+        f, lambda zs: specfun.hurwitz_zeta(1 - s, zs)))
 
 
 # ---------------------------------------------------------------------------
 # Compactly supported test functions: telescoped two-segment formula
 # ---------------------------------------------------------------------------
 
-def compact_support_value(f: FourierExpansion, seed, a: float, b: float,
-                          cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def compact_support_value(f: FourierExpansion, seed, a: float, b: float) -> complex:
     """-i (int_{ia}^{ia+1} - int_{ib}^{ib+1}) f(z) Phi~(z) dz.
 
     seed provides .value(z) and .translated_sum(z) = sum_{n>=0} Phi(z+n),
@@ -329,6 +297,6 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float,
             if abs(seed.value(zz)) >= abs(zz) ** (-1.0 - eps) * (1 + 1e-9):
                 raise RegimeError(f"seed violates the decay condition at z={zz}")
 
-    top = _segment_pairing(f, seed.translated_sum, a, cfg)
-    bottom = _segment_pairing(f, seed.translated_sum, b, cfg)
+    top = _segment_pairing(f, seed.translated_sum, a)
+    bottom = _segment_pairing(f, seed.translated_sum, b)
     return complex(-1j * (top - bottom))

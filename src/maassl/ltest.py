@@ -22,8 +22,7 @@ import numpy as np
 
 from . import specfun
 from .modforms import FourierExpansion
-from .quadrature import (DEFAULT_QUAD, QuadratureConfig, integrate_decaying,
-                         integrate_segment)
+from .quadrature import integrate_decaying, integrate_segment
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,13 +94,13 @@ class FrickePhiSW:
         out[mask] = np.exp(-complex(self.w) / mt) * mt ** expo
         return out
 
-    def laplace(self, u, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+    def laplace(self, u) -> complex:
         u = complex(u)
 
         def g(t):
             return np.exp(-u * np.real(t)) * self.value(np.real(t))
 
-        seg = integrate_segment(g, self._t_lo(), 1.0 / self.M, cfg)
+        seg = integrate_segment(g, self._t_lo(), 1.0 / self.M)
         return complex(seg.value)
 
 
@@ -131,14 +130,14 @@ class CompactAnalytic:
         out[mask] = self.seed.value(1j * t[mask])
         return out
 
-    def laplace(self, u, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+    def laplace(self, u) -> complex:
         u = complex(u)
 
         def g(t):
             tr = np.real(t)
             return np.exp(-u * tr) * self.seed.value(1j * tr)
 
-        seg = integrate_segment(g, self.a_lo, self.a_hi, cfg)
+        seg = integrate_segment(g, self.a_lo, self.a_hi)
         return complex(seg.value)
 
 
@@ -189,8 +188,7 @@ def _nonholo_support(phi, n: int):
     raise TypeError("unknown test-function kind")
 
 
-def _nonholo_integral(f: FourierExpansion, phi, n: int,
-                      cfg: QuadratureConfig):
+def _nonholo_integral(f: FourierExpansion, phi, n: int):
     """int Gamma(1-k, -4 pi n y) e^{-2 pi n y} phi(y) dy over phi's support."""
     k = f.weight
     lo, hi, decaying = _nonholo_support(phi, n)
@@ -201,8 +199,8 @@ def _nonholo_integral(f: FourierExpansion, phi, n: int,
         return gam * np.exp(-TWO_PI * n * yr) * phi.value(yr)
 
     if decaying:
-        return integrate_decaying(g, lo, hi, cfg)
-    return integrate_segment(g, lo, hi, cfg)
+        return integrate_decaying(g, lo, hi)
+    return integrate_segment(g, lo, hi)
 
 
 def _phi_sw_bound_shifts(phi: PhiSW) -> tuple[float, float]:
@@ -239,7 +237,7 @@ def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
             f"got {complex(phi.w).real:.4g}")
 
 
-def l_value(f: FourierExpansion, phi, cfg: QuadratureConfig = DEFAULT_QUAD) -> LValue:
+def l_value(f: FourierExpansion, phi) -> LValue:
     """Series-side L-value: coefficient sums against the Laplace transform.
 
     For phi_s^w the holomorphic sum stops at the first n > 0 whose tail bound
@@ -286,15 +284,14 @@ def l_value(f: FourierExpansion, phi, cfg: QuadratureConfig = DEFAULT_QUAD) -> L
         err += prev  # the tail bound at a cut, else the last term's magnitude
     nonholo = 0j
     for n, b in f.nonholo.items():
-        part = _nonholo_integral(f, phi, n, cfg)
+        part = _nonholo_integral(f, phi, n)
         nonholo += b * part.value
         err += abs(b) * part.est_error
     return LValue(value=holo + nonholo, holo_part=complex(holo),
                   nonholo_part=complex(nonholo), error_estimate=float(err))
 
 
-def l_value_by_vertical_integral(f: FourierExpansion, phi,
-                                 cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def l_value_by_vertical_integral(f: FourierExpansion, phi) -> complex:
     """L_f(phi) = int_0^infty f(iy) phi(y) dy, over the effective support."""
 
     def g(y):
@@ -302,7 +299,7 @@ def l_value_by_vertical_integral(f: FourierExpansion, phi,
         return f.eval_at(1j * yr) * phi.value(yr)
 
     if isinstance(phi, CompactAnalytic):
-        return complex(integrate_segment(g, phi.a_lo, phi.a_hi, cfg).value)
+        return complex(integrate_segment(g, phi.a_lo, phi.a_hi).value)
     if isinstance(phi, PhiSW):
         rw = complex(phi.w).real
         growth = TWO_PI * f.n0
@@ -310,7 +307,7 @@ def l_value_by_vertical_integral(f: FourierExpansion, phi,
             raise AdmissibilityError(
                 f"vertical integral needs Re(w) > {growth:.4g} for this expansion")
         hi = 1.0 + (_DECAY_BUDGET + 4) / (rw - growth)
-        return complex(integrate_decaying(g, 1.0, hi, cfg).value)
+        return complex(integrate_decaying(g, 1.0, hi).value)
     if isinstance(phi, FrickePhiSW):
         rw = complex(phi.w).real
         growth = TWO_PI * f.n0 * phi.M
@@ -318,24 +315,23 @@ def l_value_by_vertical_integral(f: FourierExpansion, phi,
             raise AdmissibilityError(
                 f"vertical integral needs Re(w) > {growth:.4g} near t = 0")
         lo = max(phi._t_lo(), (rw - growth) / (phi.M * _DECAY_BUDGET))
-        return complex(integrate_segment(g, lo, 1.0 / phi.M, cfg).value)
+        return complex(integrate_segment(g, lo, 1.0 / phi.M).value)
     raise TypeError("unknown test-function kind")
 
 
-def l_star(f: FourierExpansion, s, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def l_star(f: FourierExpansion, s) -> complex:
     """L*(f, s) = sum a_f(n) E_{1-s}(2 pi n), plus the w = 0 integral term
     for expansions with a non-holomorphic part."""
-    return complex(l_value(f, PhiSW(s, 0.0), cfg).value)
+    return complex(l_value(f, PhiSW(s, 0.0)).value)
 
 
-def l_tilde(f: FourierExpansion, s, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
+def l_tilde(f: FourierExpansion, s) -> complex:
     """Symmetrized value L*(f, s) + i^k L*(f, k-s)."""
     k = f.weight
-    return l_star(f, s, cfg) + (1j ** (k % 4)) * l_star(f, k - s, cfg)
+    return l_star(f, s) + (1j ** (k % 4)) * l_star(f, k - s)
 
 
-def l_value_limit(f: FourierExpansion, s, x0: float = 0.4, levels: int = 6,
-                  cfg: QuadratureConfig = DEFAULT_QUAD):
+def l_value_limit(f: FourierExpansion, s, x0: float = 0.4, levels: int = 6):
     """Richardson-extrapolated lim_{x->0+} L_f(phi_s^{ix}).
 
     Returns (value, error_estimate); the estimate is the difference between
@@ -343,7 +339,7 @@ def l_value_limit(f: FourierExpansion, s, x0: float = 0.4, levels: int = 6,
     """
     if levels < 2:
         raise ValueError("need at least two levels")
-    vals = [l_value(f, PhiSW(s, 1j * x0 / 2 ** j), cfg).value
+    vals = [l_value(f, PhiSW(s, 1j * x0 / 2 ** j)).value
             for j in range(levels)]
     diag = [row[-1] for row in richardson_table(vals)]
     return diag[-1], abs(diag[-1] - diag[-2])

@@ -34,21 +34,17 @@ class QuadratureConfig:
     """abs_tol: agreement asked of two successive levels (or the rounding
     floor, if larger); max_depth: the doubling cap, i.e. the finest level
     evaluated splits every base panel into 2^max_depth sub-panels;
-    base_nodes: Gauss-Legendre nodes per sub-panel; t_cutoff: the largest
-    upper limit of the remainder integrals in t."""
+    base_nodes: Gauss-Legendre nodes per sub-panel."""
 
     abs_tol: float = 1e-11
     max_depth: int = 14
     base_nodes: int = 16
-    t_cutoff: float = 60.0
 
     def __post_init__(self):
         if self.abs_tol <= 0:
             raise ValueError("abs_tol must be positive")
         if self.base_nodes < 8:
             raise ValueError("base_nodes must be >= 8")
-        if self.t_cutoff < 1:
-            raise ValueError("t_cutoff must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -9,7 +9,6 @@ time of a check in milliseconds as a float.
 
 from __future__ import annotations
 
-import cmath
 import fnmatch
 import functools
 import json

@@ -14,7 +14,7 @@ from maassl.contour import RegimeError, i_power, lerch_sum
 from maassl.ltest import ZeroSeed
 from maassl.quadrature import (QuadratureConfig, QuadratureError,
                                integrate_decaying, integrate_segment)
-from maassl.specfun import exp_int_E
+from maassl.specfun import DomainError, exp_int_E
 
 TWO_PI = 2 * math.pi
 
@@ -151,7 +151,7 @@ def test_lerch_unfolding_identity(J):
 
 
 def test_lerch_sum_needs_decay():
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError):
         lerch_sum(0.5, 1.0, np.array([1j]))
 
 

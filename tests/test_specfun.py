@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maassl import specfun
-from maassl.specfun import (DomainError, SpecFunConfig, bernoulli_number,
-                            bernoulli_poly, cal_EI, digamma, exp_int_E,
-                            hurwitz_zeta, hurwitz_zeta_star, inc_gamma_upper,
-                            lerch_zeta, polygamma, upper_gamma_int)
+from maassl.specfun import (DomainError, bernoulli_number, bernoulli_poly,
+                            cal_EI, digamma, exp_int_E, hurwitz_zeta,
+                            hurwitz_zeta_star, inc_gamma_upper, lerch_zeta,
+                            polygamma, upper_gamma_int)
 
 try:
     import mpmath
@@ -151,6 +151,13 @@ def test_lerch_dilogarithm_value():
     assert val.real == pytest.approx(1.164481052930025, abs=1e-12)
 
 
+def test_lerch_domain_errors():
+    with pytest.raises(DomainError):
+        lerch_zeta(2, 0.25, 1)  # real a != 0: no geometric decay
+    with pytest.raises(DomainError):
+        lerch_zeta(2, 0.1 + 0.3j, -1)  # Re z <= 0
+
+
 def test_polygamma_known_values():
     assert digamma(1) == pytest.approx(-specfun.EULER_GAMMA, abs=1e-13)
     assert polygamma(1, 1) == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
@@ -172,13 +179,6 @@ def test_digamma_reflection():
         lhs = digamma(1 - z) - digamma(z)
         rhs = math.pi / cmath.tan(math.pi * z)
         assert abs(lhs - rhs) < 1e-11 * max(1, abs(rhs))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SpecFunConfig(target_abs_tol=-1)
-    with pytest.raises(ValueError):
-        SpecFunConfig(max_terms=0)
 
 
 def test_pole_errors():
@@ -261,3 +261,32 @@ def test_inc_gamma_upper_sweep_vs_mpmath():
                          complex(mpmath.gammainc(float(r), complex(z))))
                 for r, z in zip(rs, zs)]
     assert max(errs) <= 1e-10
+
+
+def _lerch_rounding(s, a, z) -> float:
+    """eps sum_m (1 + m |2 pi a|) |e^{2 pi i m a} (z+m)^{-s}|: the rounding of
+    the terms and of their phases, the error left where the terms cancel."""
+    w = 2 * math.pi * complex(a)
+    m = np.arange(specfun._lerch_terms(-complex(s).real, w.imag))
+    terms = np.abs(np.exp(1j * w * m) * (complex(z) + m) ** -complex(s))
+    return float(np.finfo(float).eps * np.sum((1 + m * abs(w)) * terms))
+
+
+@needs_mpmath
+def test_lerch_zeta_vs_mpmath():
+    """Relative error 1e-13 for Im a > 0, plus the phase rounding, which
+    dominates only where the terms cancel (small Im a with Re a != 0); at
+    a = 0 the Hurwitz zeta's own tolerance."""
+    zs = (0.3, 2.5 + 1j, 0.7 - 0.5j)
+    avals = (0.1 + 0.3j, 1e-3j, -0.4 + 0.05j, 0.25 + 1e-3j)
+    with mpmath.workdps(30):
+        for i, s in enumerate((-1.5, 0, 0.5, 2, 10, 3 + 4j)):
+            for j, a in enumerate(avals):
+                z = zs[(i + j) % len(zs)]  # each (s, a) at one z, every z used
+                exact = complex(mpmath.lerchphi(mpmath.expjpi(2 * mpmath.mpc(a)), s, z))
+                err = abs(lerch_zeta(s, a, z) - exact)
+                assert err <= 1e-13 * abs(exact) + _lerch_rounding(s, a, z), (s, a, z)
+        for s in (1.5 + 2j, 0.5 - 3j, -0.7 - 2j, -1.5 + 1j, 3 + 5j):
+            for z in zs:
+                exact = complex(mpmath.zeta(s, z))
+                assert abs(lerch_zeta(s, 0, z) - exact) <= 1e-12 * max(1.0, abs(exact)), (s, z)

@@ -154,6 +154,13 @@ def test_cli_specfun_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [("E", "0", "0"), ("lerch", "2", "0.25", "1")])
+def test_cli_specfun_domain_error(args, capsys):
+    """A special-function failure is a usage error (exit 2), not a failed check."""
+    assert cli.main(["specfun", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_unknown_subcommand():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
