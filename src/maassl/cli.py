@@ -20,6 +20,12 @@ def _parse_complex(text: str) -> complex:
     return complex(text)
 
 
+def _order(z: complex) -> int:
+    if z.imag or not z.real.is_integer():
+        raise ValueError(f"the order must be an integer, got {z}")
+    return int(z.real)
+
+
 def _print_value(z: complex):
     z = complex(z)
     print(f"{z.real:.15g} {z.imag:.15g}")
@@ -28,12 +34,12 @@ def _print_value(z: complex):
 _SPECFUN_TABLE = {
     "E": (2, lambda a: specfun.exp_int_E(a[0], a[1])),
     "Gamma": (2, lambda a: specfun.inc_gamma_upper(a[0], a[1])),
-    "EI": (1, lambda a: specfun.cal_EI(a[0].real)),
+    "EI": (1, lambda a: specfun.cal_EI(a[0])),
     "hurwitz": (2, lambda a: specfun.hurwitz_zeta(a[0], a[1])),
     "lerch": (3, lambda a: specfun.lerch_zeta(a[0], a[1], a[2])),
     "digamma": (1, lambda a: specfun.digamma(a[0])),
-    "polygamma": (2, lambda a: specfun.polygamma(int(a[0].real), a[1])),
-    "bernoulli": (2, lambda a: specfun.bernoulli_poly(int(a[0].real), a[1])),
+    "polygamma": (2, lambda a: specfun.polygamma(_order(a[0]), a[1])),
+    "bernoulli": (2, lambda a: specfun.bernoulli_poly(_order(a[0]), a[1])),
 }
 
 

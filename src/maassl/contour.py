@@ -21,7 +21,6 @@ from .quadrature import integrate_decaying, integrate_segment
 from .specfun import lerch_sum
 
 TWO_PI = 2.0 * math.pi
-I = 1j
 
 # the largest upper limit of the remainder integrals in t
 _T_CUTOFF = 60.0
@@ -95,16 +94,6 @@ def ray_integral_bend(a: float, w, T: float, tail_correction: bool = True) -> co
 # Main-theorem right-hand side and the remainder term
 # ---------------------------------------------------------------------------
 
-def _xi_conj_expansion(f: FourierExpansion) -> FourierExpansion:
-    return xi_image(f, conjugate_first=True)
-
-
-def _remainder_m_terms(im_w: float) -> int:
-    if im_w <= 0:
-        raise RegimeError("double-integral remainder needs Im(w) > 0")
-    return int(45.0 / im_w) + 10
-
-
 def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> complex:
     """Remainder term R(w, s) produced by the non-holomorphic part of f.
 
@@ -138,11 +127,11 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
     if form == "double_integral":
         if w.imag <= 0:
             raise RegimeError("double-integral remainder needs Im(w) > 0")
-        xi_f = _xi_conj_expansion(f)
+        xi_f = xi_image(f, conjugate_first=True)
         nmin = min(-n for n in f.nonholo)
         rate = TWO_PI * nmin + max(0.0, w.real)
         t_hi = min(_T_CUTOFF, 1.0 + 46.0 / rate)
-        m = np.arange(_remainder_m_terms(w.imag))
+        m = np.arange(int(45.0 / w.imag) + 10)
 
         # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}
         #           = sum_p c_p e^{2 pi i p t(2i - z)} sum_m (z+m)^{s-1} e^{itm(w - 2 pi p)},
@@ -213,7 +202,7 @@ def _bern_second_integral(f: FourierExpansion, m: int,
     for discrepancy reporting.
     """
     k = f.weight
-    xi_f = _xi_conj_expansion(f)
+    xi_f = xi_image(f, conjugate_first=True)
     ckm = bern_c_constant(k, m)
 
     def kernel(zs):
@@ -247,7 +236,7 @@ def rhs_integer_value(f: FourierExpansion, m: int,
             "integer-value formula with a non-holomorphic part exists for m >= 1 only")
     if m == 1:
         k = f.weight
-        xi_f = _xi_conj_expansion(f)
+        xi_f = xi_image(f, conjugate_first=True)
 
         # the x-term carries the phase -i in the oracle-confirmed form
         x_coeff = 1.0 if printed_constants else -1j

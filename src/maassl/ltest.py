@@ -49,7 +49,6 @@ class PhiSW:
 
     s: complex
     w: complex
-    kind: str = "phi_sw"
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -72,18 +71,20 @@ class FrickePhiSW:
     w: complex
     a: int
     M: int
-    kind: str = "fricke_of_phi_sw"
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("level M must be a positive integer")
 
-    def _t_lo(self) -> float:
+    @property
+    def support(self) -> tuple[float, float]:
+        """(lo, 1/M); below lo, |e^{-w/(Mt)}| is under e^{-46} of its value at
+        t = 1/M.  Needs Re w > 0."""
         rw = complex(self.w).real
         if rw <= 0:
             raise AdmissibilityError(
                 "Fricke-transformed phi_s^w needs Re(w) > 0 near t = 0")
-        return max(1e-12, rw / (self.M * (rw + _DECAY_BUDGET)))
+        return max(1e-12, rw / (self.M * (rw + _DECAY_BUDGET))), 1.0 / self.M
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -95,13 +96,7 @@ class FrickePhiSW:
         return out
 
     def laplace(self, u) -> complex:
-        u = complex(u)
-
-        def g(t):
-            return np.exp(-u * np.real(t)) * self.value(np.real(t))
-
-        seg = integrate_segment(g, self._t_lo(), 1.0 / self.M)
-        return complex(seg.value)
+        return _laplace_on_support(self, u)
 
 
 @dataclass(frozen=True)
@@ -117,11 +112,14 @@ class CompactAnalytic:
     seed: object
     a_lo: float
     a_hi: float
-    kind: str = "compact_analytic"
 
     def __post_init__(self):
         if not (0 < self.a_lo < self.a_hi < math.inf):
             raise ValueError("need 0 < a_lo < a_hi < inf")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.a_lo, self.a_hi
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -131,14 +129,18 @@ class CompactAnalytic:
         return out
 
     def laplace(self, u) -> complex:
-        u = complex(u)
+        return _laplace_on_support(self, u)
 
-        def g(t):
-            tr = np.real(t)
-            return np.exp(-u * tr) * self.seed.value(1j * tr)
 
-        seg = integrate_segment(g, self.a_lo, self.a_hi)
-        return complex(seg.value)
+def _laplace_on_support(phi, u) -> complex:
+    """int e^{-ut} phi(t) dt over the compact support of phi."""
+    u = complex(u)
+
+    def g(t):
+        tr = np.real(t)
+        return np.exp(-u * tr) * phi.value(tr)
+
+    return complex(integrate_segment(g, *phi.support).value)
 
 
 def laplace_phi_sw(s, w, u) -> complex:
@@ -152,7 +154,7 @@ def fricke_transform_testfn(phi, a: int, M: int):
         return FrickePhiSW(phi.s, phi.w, a, M)
     if isinstance(phi, FrickePhiSW) and phi.a == a and phi.M == M:
         return PhiSW(phi.s, phi.w)  # the involution squares to the identity
-    raise TypeError(f"Fricke transform unsupported for kind {getattr(phi, 'kind', '?')}")
+    raise TypeError(f"Fricke transform unsupported for {type(phi).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,32 +177,20 @@ class LValue:
     error_estimate: float
 
 
-def _nonholo_support(phi, n: int):
-    """Integration window for the n-th (n < 0) incomplete-gamma integral."""
-    rate = TWO_PI * (-n)
-    if isinstance(phi, PhiSW):
-        rate += max(0.0, complex(phi.w).real)
-        return 1.0, 1.0 + (_DECAY_BUDGET + 4) / rate, True
-    if isinstance(phi, FrickePhiSW):
-        return phi._t_lo(), 1.0 / phi.M, False
-    if isinstance(phi, CompactAnalytic):
-        return phi.a_lo, phi.a_hi, False
-    raise TypeError("unknown test-function kind")
-
-
 def _nonholo_integral(f: FourierExpansion, phi, n: int):
     """int Gamma(1-k, -4 pi n y) e^{-2 pi n y} phi(y) dy over phi's support."""
     k = f.weight
-    lo, hi, decaying = _nonholo_support(phi, n)
 
     def g(y):
         yr = np.real(y)
         gam = specfun.upper_gamma_int(1 - k, -4 * math.pi * n * yr)
         return gam * np.exp(-TWO_PI * n * yr) * phi.value(yr)
 
-    if decaying:
-        return integrate_decaying(g, lo, hi)
-    return integrate_segment(g, lo, hi)
+    if isinstance(phi, PhiSW):
+        # g decays like e^{-rate y} on [1, inf); stop once it is below e^{-50}
+        rate = TWO_PI * (-n) + max(0.0, complex(phi.w).real)
+        return integrate_decaying(g, 1.0, 1.0 + (_DECAY_BUDGET + 4) / rate)
+    return integrate_segment(g, *phi.support)
 
 
 def _phi_sw_bound_shifts(phi: PhiSW) -> tuple[float, float]:
@@ -298,8 +288,6 @@ def l_value_by_vertical_integral(f: FourierExpansion, phi) -> complex:
         yr = np.real(y)
         return f.eval_at(1j * yr) * phi.value(yr)
 
-    if isinstance(phi, CompactAnalytic):
-        return complex(integrate_segment(g, phi.a_lo, phi.a_hi).value)
     if isinstance(phi, PhiSW):
         rw = complex(phi.w).real
         growth = TWO_PI * f.n0
@@ -308,15 +296,18 @@ def l_value_by_vertical_integral(f: FourierExpansion, phi) -> complex:
                 f"vertical integral needs Re(w) > {growth:.4g} for this expansion")
         hi = 1.0 + (_DECAY_BUDGET + 4) / (rw - growth)
         return complex(integrate_decaying(g, 1.0, hi).value)
+    # below decay_lo the integrand is under e^{-46}: phi's decay at t = 0
+    # outweighs the growth of f(iy)
+    decay_lo = 0.0
     if isinstance(phi, FrickePhiSW):
         rw = complex(phi.w).real
         growth = TWO_PI * f.n0 * phi.M
         if rw <= growth:
             raise AdmissibilityError(
                 f"vertical integral needs Re(w) > {growth:.4g} near t = 0")
-        lo = max(phi._t_lo(), (rw - growth) / (phi.M * _DECAY_BUDGET))
-        return complex(integrate_segment(g, lo, 1.0 / phi.M).value)
-    raise TypeError("unknown test-function kind")
+        decay_lo = (rw - growth) / (phi.M * _DECAY_BUDGET)
+    lo, hi = phi.support
+    return complex(integrate_segment(g, max(lo, decay_lo), hi).value)
 
 
 def l_star(f: FourierExpansion, s) -> complex:

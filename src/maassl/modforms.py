@@ -17,8 +17,6 @@ import numpy as np
 
 from .specfun import bernoulli_number, upper_gamma_int
 
-TWO_PI = 2.0 * math.pi
-
 
 class PrecisionError(ValueError):
     """Result precision would drop below the leading exponent."""
@@ -60,10 +58,7 @@ class QSeries:
     def __getitem__(self, n: int) -> Fraction:
         if n >= self.precision:
             raise PrecisionError(f"coefficient q^{n} beyond stored precision {self.precision}")
-        idx = n - self.min_exponent
-        if idx < 0 or idx >= len(self.coefficients):
-            return Fraction(0)
-        return self.coefficients[idx]
+        return self._get(n)
 
     def items(self):
         for i, c in enumerate(self.coefficients):
@@ -204,13 +199,6 @@ def build_j_series(prec: int) -> QSeries:
 # Fourier expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointValue:
-    z: complex
-    value: complex
-    truncation_error: float
-
-
 @dataclass
 class FourierExpansion:
     """Finite coefficient table in the harmonic-Maass-cusp-form shape.
@@ -293,10 +281,6 @@ class FourierExpansion:
 def synth_harmonic(k: int, holo: dict[int, complex], nonholo: dict[int, complex],
                    level: int = 1) -> FourierExpansion:
     """A synthetic expansion of the harmonic shape; flagged non-modular."""
-    if holo.get(0, 0) != 0:
-        raise ExpansionError("synthetic expansion must have vanishing constant term")
-    if nonholo and k > 0:
-        raise ExpansionError("non-holomorphic part requires k <= 0")
     n0 = max((-n for n in holo if n < 0), default=0)
     n0 = max(n0, max((-n for n in nonholo), default=0), 1)
     return FourierExpansion(k, level, dict(holo), dict(nonholo), n0,
@@ -323,7 +307,6 @@ def build_J(prec: int = 40) -> FourierExpansion:
     """The Hauptmodul J = j - 744 as a FourierExpansion (weight 0, level 1)."""
     series = build_j_series(prec)
     holo = {n: complex(c) for n, c in series.items() if n != 0}
-    holo.pop(0, None)
     assert series[0] == 744
     return FourierExpansion(0, 1, holo, {}, 1, growth_const=4 * math.pi,
                             modular=True, label="J")
@@ -341,25 +324,3 @@ def build_J_squared(prec: int = 40) -> FourierExpansion:
                           modular=True, label="Jsq")
     fe.constant_removed = float(const)  # 393768, derived not hard-coded
     return fe
-
-
-def eval_expansion(f: FourierExpansion, z: complex, tolerance: float = 1e-9) -> PointValue:
-    """Evaluate f at a point of the upper half-plane with a tail estimate."""
-    z = complex(z)
-    y = z.imag
-    if y <= 0:
-        raise ValueError("evaluation point must have positive imaginary part")
-    value = f.eval_at(z)
-    hn, _, _, _ = f.arrays()
-    nmax = int(hn.max()) if hn.size else 0
-    c = f.growth_const
-    t1 = math.exp(c * math.sqrt(nmax + 1) - TWO_PI * (nmax + 1) * y)
-    t2 = math.exp(c * math.sqrt(nmax + 2) - TWO_PI * (nmax + 2) * y)
-    if t1 > 0 and t2 / t1 < 1:
-        tail = t1 / (1 - t2 / t1)
-    else:
-        tail = math.inf
-    if tail > tolerance:
-        raise PrecisionError(
-            f"stored coefficients insufficient at Im z = {y}: tail bound {tail:.3g}")
-    return PointValue(z=z, value=value, truncation_error=tail)

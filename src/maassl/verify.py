@@ -30,8 +30,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def default_tolerance() -> float:
+    """MAASSL_TOL if set, else DEFAULT_TOL; it must be positive and finite."""
     env = os.environ.get("MAASSL_TOL")
-    return float(env) if env else DEFAULT_TOL
+    if not env:
+        return DEFAULT_TOL
+    tol = float(env)
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"MAASSL_TOL must be a positive finite number, got {env!r}")
+    return tol
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from maassl import modforms
 from maassl.modforms import (ExpansionError, PrecisionError, QSeries,
                              build_delta, build_eisenstein, build_j_series,
-                             build_J, build_J_squared, eval_expansion,
-                             synth_harmonic, xi_image)
+                             build_J, build_J_squared, synth_harmonic,
+                             xi_image)
 
 
 def qs(d, prec=10):
@@ -108,19 +108,12 @@ def test_J_squared_constant_derived(Jsq):
 
 def test_J_value_at_i(J):
     # j(i) = 1728, so J(i) = 984
-    pv = eval_expansion(J, 1j, tolerance=1e-8)
-    assert pv.value == pytest.approx(984, abs=1e-6)
-    assert pv.truncation_error < 1e-8
+    assert J.eval_at(1j) == pytest.approx(984, abs=1e-6)
 
 
 def test_J_periodicity(J):
     z = 0.3 + 1.1j
     assert J.eval_at(z) == pytest.approx(J.eval_at(z + 1), rel=1e-12)
-
-
-def test_eval_expansion_precision_guard(J):
-    with pytest.raises(PrecisionError):
-        eval_expansion(J, 0.3 + 0.05j)
 
 
 def test_synth_validation():

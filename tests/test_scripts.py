@@ -1,5 +1,6 @@
-"""Smoke tests for the study scripts under scripts/, which call the public API."""
+"""Smoke tests for the scripts under scripts/."""
 
+import json
 import math
 import os
 import re
@@ -28,3 +29,21 @@ def test_script_runs(name, args, label):
     match = re.search(re.escape(label) + r"\s*:\s*(\S+)", proc.stdout)
     assert match, proc.stdout
     assert math.isfinite(float(match.group(1)))
+
+
+def test_compare_reports(tmp_path):
+    from maassl import verify
+
+    reports, summary = verify.run_suite(verify.default_suite(), "bend_*")
+    data = verify.report_json(reports, summary)
+    parent, change = tmp_path / "parent.json", tmp_path / "change.json"
+    parent.write_text(json.dumps(data))
+    proc = run_script("compare_reports.py", str(parent), str(parent))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    changed = data["checks"][2]
+    changed["lhs"][0] = math.nextafter(changed["lhs"][0], math.inf)
+    change.write_text(json.dumps(data))
+    proc = run_script("compare_reports.py", str(parent), str(change))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0] == changed["id"]
+    assert "1 of 4 checks differ" in proc.stdout

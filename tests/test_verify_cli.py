@@ -138,6 +138,19 @@ def test_env_tolerance_override(monkeypatch):
     assert spec.effective_tolerance == 1e-1
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_env_tolerance_must_be_positive_finite(value, monkeypatch, tmp_path, capsys):
+    """A bad MAASSL_TOL is a usage error (exit 2), not a failed check (exit 1)."""
+    monkeypatch.setenv("MAASSL_TOL", value)
+    with pytest.raises(ValueError, match="MAASSL_TOL"):
+        CheckSpec("loose", "prop_zag", "J").effective_tolerance
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(
+        {"checks": [{"id": "zag", "theorem": "prop_zag", "form": "J"}]}))
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert "error: MAASSL_TOL" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -154,7 +167,9 @@ def test_cli_specfun_usage_error():
     assert code == 2
 
 
-@pytest.mark.parametrize("args", [("E", "0", "0"), ("lerch", "2", "0.25", "1")])
+@pytest.mark.parametrize("args", [("E", "0", "0"), ("lerch", "2", "0.25", "1"),
+                                  ("polygamma", "1.5", "2"), ("bernoulli", "2.7", "0.5"),
+                                  ("EI", "2+3j")])
 def test_cli_specfun_domain_error(args, capsys):
     """A special-function failure is a usage error (exit 2), not a failed check."""
     assert cli.main(["specfun", *args]) == 2
