@@ -22,9 +22,6 @@ from .specfun import lerch_sum
 
 TWO_PI = 2.0 * math.pi
 
-# the largest upper limit of the remainder integrals in t
-_T_CUTOFF = 60.0
-
 
 class RegimeError(ValueError):
     """Arguments outside the validity regime of the requested formula."""
@@ -114,7 +111,7 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
         total = 0j
         for n, b in f.nonholo.items():
             rate = TWO_PI * (-n)
-            t_hi = min(_T_CUTOFF, 1.0 + 46.0 / rate)
+            t_hi = 1.0 + 46.0 / rate
 
             def g(t, n=n):
                 e = np.array([specfun.exp_int_E(1 - s, (TWO_PI * n + w) * tt)
@@ -130,7 +127,7 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
         xi_f = xi_image(f, conjugate_first=True)
         nmin = min(-n for n in f.nonholo)
         rate = TWO_PI * nmin + max(0.0, w.real)
-        t_hi = min(_T_CUTOFF, 1.0 + 46.0 / rate)
+        t_hi = 1.0 + 46.0 / rate
         m = np.arange(int(45.0 / w.imag) + 10)
 
         # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}

@@ -1,198 +1,82 @@
 """Exact q-expansions and Fourier-expansion objects.
 
-QSeries does truncated Laurent arithmetic over exact rationals and is used
-to build the Eisenstein series E4/E6, the discriminant Delta and the
-Hauptmodul J = j - 744.  FourierExpansion holds a finite holomorphic /
-non-holomorphic coefficient table (the shape of a harmonic Maass cusp form)
-and supports point evaluation and the xi-operator image.
+A power series is a list of Python ints indexed by exponent.  series_mul
+and series_inv truncate products and inverses to n coefficients; they build
+the Eisenstein series E4/E6, the discriminant Delta and the Hauptmodul
+J = j - 744, whose coefficients are all integers.  FourierExpansion holds a
+finite holomorphic / non-holomorphic coefficient table (the shape of a
+harmonic Maass cusp form) and supports point evaluation and the xi-operator
+image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .specfun import bernoulli_number, upper_gamma_int
 
 
-class PrecisionError(ValueError):
-    """Result precision would drop below the leading exponent."""
-
-
 class ExpansionError(ValueError):
     """Coefficient data violates the cusp-form shape."""
 
 
-class QSeries:
-    """Truncated Laurent series sum_{n >= min_exponent} c_n q^n, exact below `precision`."""
+def series_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the power series a and b."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                out[i + j] += x * y
+    return out
 
-    __slots__ = ("min_exponent", "coefficients", "precision")
 
-    def __init__(self, min_exponent: int, coefficients, precision: int):
-        coeffs = [Fraction(c) for c in coefficients]
-        # normalize: drop leading zeros so the invariant "leading coeff nonzero" holds
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            min_exponent += 1
-        if precision <= min_exponent and coeffs:
-            raise PrecisionError("precision must exceed the leading exponent")
-        coeffs = coeffs[: precision - min_exponent]
-        self.min_exponent = min_exponent
-        self.coefficients = coeffs
-        self.precision = precision
-
-    @classmethod
-    def zero(cls, precision: int) -> "QSeries":
-        return cls(0, [], precision)
-
-    @classmethod
-    def from_dict(cls, d: dict[int, Fraction | int], precision: int) -> "QSeries":
-        if not d:
-            return cls.zero(precision)
-        lo = min(d)
-        return cls(lo, [d.get(n, 0) for n in range(lo, precision)], precision)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if n >= self.precision:
-            raise PrecisionError(f"coefficient q^{n} beyond stored precision {self.precision}")
-        return self._get(n)
-
-    def items(self):
-        for i, c in enumerate(self.coefficients):
-            if c:
-                yield self.min_exponent + i, c
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (self.min_exponent == other.min_exponent
-                and self.coefficients == other.coefficients)
-
-    def __repr__(self):
-        head = ", ".join(f"{c}*q^{n}" for n, c in list(self.items())[:4])
-        return f"QSeries({head}..., prec={self.precision})"
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        prec = min(self.precision, other.precision)
-        lo = min(self.min_exponent, other.min_exponent) if (self.coefficients or other.coefficients) else 0
-        return QSeries(lo, [self._get(n) + other._get(n) for n in range(lo, prec)], prec)
-
-    def _get(self, n: int) -> Fraction:
-        idx = n - self.min_exponent
-        if idx < 0 or idx >= len(self.coefficients):
-            return Fraction(0)
-        return self.coefficients[idx]
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.min_exponent, [-c for c in self.coefficients], self.precision)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def scale(self, c) -> "QSeries":
-        c = Fraction(c)
-        if c == 0:
-            return QSeries.zero(self.precision)
-        return QSeries(self.min_exponent, [c * x for x in self.coefficients], self.precision)
-
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by q^k."""
-        return QSeries(self.min_exponent + k, list(self.coefficients), self.precision + k)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        if self.is_zero() or other.is_zero():
-            return QSeries.zero(min(self.precision, other.precision))
-        lo = self.min_exponent + other.min_exponent
-        # precision of a product: exponent n is exact iff every split n = a+b
-        # uses exact coefficients, so prec = min(p1 + lo2, p2 + lo1)
-        prec = min(self.precision + other.min_exponent,
-                   other.precision + self.min_exponent)
-        if prec <= lo:
-            raise PrecisionError("product precision would not exceed its leading exponent")
-        out = [Fraction(0)] * (prec - lo)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            na = self.min_exponent + i
-            jmax = min(len(other.coefficients), prec - na - other.min_exponent)
-            for j in range(jmax):
-                b = other.coefficients[j]
-                if b:
-                    out[na + other.min_exponent + j - lo] += a * b
-        return QSeries(lo, out, prec)
-
-    def invert(self) -> "QSeries":
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert the zero series")
-        lead = self.coefficients[0]
-        lo = -self.min_exponent
-        prec = self.precision - 2 * self.min_exponent
-        n_out = prec - lo
-        out = [Fraction(0)] * n_out
-        out[0] = 1 / lead
-        for n in range(1, n_out):
-            acc = Fraction(0)
-            for k in range(1, min(n, len(self.coefficients) - 1) + 1):
-                acc += self.coefficients[k] * out[n - k]
-            out[n] = -acc / lead
-        return QSeries(lo, out, prec)
-
-    def __pow__(self, e: int) -> "QSeries":
-        if e < 0:
-            return self.invert() ** (-e)
-        if e == 0:
-            return QSeries(0, [1], self.precision)
-        acc = None
-        base = self
-        while e:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
-
-    def truncate(self, precision: int) -> "QSeries":
-        if precision > self.precision:
-            raise PrecisionError("cannot extend precision by truncation")
-        return QSeries(self.min_exponent, self.coefficients[: precision - self.min_exponent], precision)
+def series_inv(a: list[int], n: int) -> list[int]:
+    """The first n coefficients of 1/a; over the integers this needs a[0] == 1."""
+    if not a or a[0] != 1:
+        raise ValueError("series_inv needs a leading coefficient of 1")
+    out = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        out[m] = -sum(a[k] * out[m - k] for k in range(1, min(m, len(a) - 1) + 1))
+    return out[:n]
 
 
 def _divisor_sigma(n: int, k: int) -> int:
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
-def build_eisenstein(k: int, prec: int) -> QSeries:
-    """Normalized Eisenstein series E_4 or E_6 with exact rational coefficients."""
+def build_eisenstein(k: int, prec: int) -> list[int]:
+    """Normalized Eisenstein series E_4 or E_6, coefficients of q^0 .. q^(prec-1)."""
     if k not in (4, 6):
         raise ValueError("only E_4 and E_6 are provided")
     if prec < 1:
         raise ValueError("prec must be >= 1")
-    front = Fraction(-2 * k, bernoulli_number(k))
-    coeffs = [Fraction(1)] + [front * _divisor_sigma(n, k - 1) for n in range(1, prec)]
-    return QSeries(0, coeffs, prec)
+    front = int(-2 * k / bernoulli_number(k))  # exactly 240 or -504
+    return [1] + [front * _divisor_sigma(n, k - 1) for n in range(1, prec)]
 
 
-def build_delta(prec: int) -> QSeries:
-    """Delta = (E_4^3 - E_6^2)/1728, leading term q."""
+def build_delta(prec: int) -> list[int]:
+    """Delta = (E_4^3 - E_6^2)/1728, coefficients of q^0 .. q^(prec-1)."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
     e4 = build_eisenstein(4, prec)
     e6 = build_eisenstein(6, prec)
-    return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728)).truncate(prec)
+    diff = [x - y for x, y in zip(series_mul(e4, series_mul(e4, e4, prec), prec),
+                                  series_mul(e6, e6, prec))]
+    if any(c % 1728 for c in diff):
+        raise ArithmeticError("E_4^3 - E_6^2 is not divisible by 1728")
+    return [c // 1728 for c in diff]
 
 
-def build_j_series(prec: int) -> QSeries:
-    """q-expansion of the modular j-function, exponents -1 .. prec-1."""
-    e4 = build_eisenstein(4, prec + 2)
-    delta = build_delta(prec + 2)
-    return (e4 ** 3 * delta.invert()).truncate(prec)
+def build_j_series(prec: int) -> dict[int, int]:
+    """q-expansion of the modular j-function: {n: c(n)} for n = -1 .. prec-1."""
+    e4 = build_eisenstein(4, prec + 1)
+    e4_cubed = series_mul(e4, series_mul(e4, e4, prec + 1), prec + 1)
+    # Delta = q (1 - 24 q + ...), so j = q^-1 E_4^3 / (Delta / q)
+    qj = series_mul(e4_cubed, series_inv(build_delta(prec + 2)[1:], prec + 1), prec + 1)
+    return {n - 1: c for n, c in enumerate(qj)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +102,8 @@ class FourierExpansion:
     _arrays: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if any(int(n) != n for n in (*self.holo, *self.nonholo)):
+            raise ExpansionError("frequencies must be integers")
         if self.holo.get(0, 0) != 0:
             raise ExpansionError("constant term must vanish (cuspidal expansion)")
         self.holo = {n: complex(c) for n, c in self.holo.items() if n != 0 and c != 0}
@@ -314,12 +200,12 @@ def build_J(prec: int = 40) -> FourierExpansion:
 
 def build_J_squared(prec: int = 40) -> FourierExpansion:
     """J^2 minus its constant term, a weakly holomorphic cusp form."""
-    j = build_j_series(prec + 2)
-    jm = QSeries.from_dict({n: c for n, c in j.items() if n != 0} | {0: j[0] - 744},
-                           j.precision)
-    sq = (jm * jm).truncate(prec)
-    const = sq[0]
-    holo = {n: complex(c) for n, c in sq.items() if n != 0}
+    j = build_j_series(prec + 1)
+    j[0] -= 744
+    qJ = [j[n] for n in range(-1, prec + 1)]
+    q2J2 = series_mul(qJ, qJ, prec + 2)  # index i holds the q^(i-2) coefficient of J^2
+    const = q2J2[2]
+    holo = {i - 2: complex(c) for i, c in enumerate(q2J2) if i != 2}
     fe = FourierExpansion(0, 1, holo, {}, 2, growth_const=4 * math.pi,
                           modular=True, label="Jsq")
     fe.constant_removed = float(const)  # 393768, derived not hard-coded

@@ -30,7 +30,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def default_tolerance() -> float:
-    """MAASSL_TOL if set, else DEFAULT_TOL; it must be positive and finite."""
+    """MAASSL_TOL if set, else DEFAULT_TOL; it must be positive and finite.
+
+    Only a check without a tolerance of its own uses this; every check of
+    default_suite sets one.
+    """
     env = os.environ.get("MAASSL_TOL")
     if not env:
         return DEFAULT_TOL

@@ -142,6 +142,19 @@ def test_vertical_integral_admissibility(J):
         l_value_by_vertical_integral(J, PhiSW(0, 1.0))  # Re w < 2 pi n0
 
 
+@pytest.mark.parametrize("name", ["J", "harm0", "harm-2"])
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("w", [30 + 5j, 30])
+def test_vertical_integral_fricke(J, name, s, w):
+    # the Fricke-transformed phi_s^w on (0, 1/M]; the harmonic forms also
+    # reach the non-holomorphic integral over the test function's support
+    f = {"J": J, "harm0": synth_harmonic(0, {1: 1}, {-1: 1}),
+         "harm-2": synth_harmonic(-2, {1: 1}, {-1: 2 - 1j})}[name]
+    phi = FrickePhiSW(s, w, 2 - f.weight, 1)
+    series = l_value(f, phi).value
+    assert l_value_by_vertical_integral(f, phi) == pytest.approx(series, rel=1e-9)
+
+
 def test_fricke_series_admissibility(J):
     # Fricke-side evaluation demands Re(w) above the growth threshold (8 pi)
     with pytest.raises(AdmissibilityError):

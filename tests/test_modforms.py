@@ -1,66 +1,50 @@
 """Tests for q-series arithmetic and Fourier-expansion evaluation."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maassl import modforms
-from maassl.modforms import (ExpansionError, PrecisionError, QSeries,
-                             build_delta, build_eisenstein, build_j_series,
-                             build_J, build_J_squared, synth_harmonic,
-                             xi_image)
+from maassl.modforms import (ExpansionError, build_delta, build_eisenstein,
+                             build_j_series, series_inv, series_mul,
+                             synth_harmonic, xi_image)
+
+series = st.lists(st.integers(-50, 50), max_size=8)
+lengths = st.integers(0, 12)
 
 
-def qs(d, prec=10):
-    return QSeries.from_dict({n: Fraction(c) for n, c in d.items()}, prec)
+def _add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return [x + y for x, y in zip(a, b)]
 
 
-coeff_dicts = st.dictionaries(st.integers(-3, 6),
-                              st.integers(-50, 50), max_size=6)
-
-
-@given(coeff_dicts, coeff_dicts)
+@given(series, series, lengths)
 @settings(max_examples=60, deadline=None)
-def test_qseries_add_commutes(d1, d2):
-    a, b = qs(d1), qs(d2)
-    assert a + b == b + a
+def test_series_mul_commutes(a, b, n):
+    assert series_mul(a, b, n) == series_mul(b, a, n)
 
 
-@given(coeff_dicts, coeff_dicts, coeff_dicts)
+@given(series, series, series, lengths)
+@settings(max_examples=60, deadline=None)
+def test_series_mul_distributes(a, b, c, n):
+    assert series_mul(a, _add(b, c), n) == _add(series_mul(a, b, n),
+                                                series_mul(a, c, n))
+
+
+@given(series, st.integers(1, 14))
+@settings(max_examples=60, deadline=None)
+def test_series_inv_roundtrip(tail, n):
+    a = [1] + tail
+    assert series_mul(a, series_inv(a, n), n) == [1] + [0] * (n - 1)
+
+
+@given(series.filter(lambda a: not a or a[0] != 1), lengths)
 @settings(max_examples=40, deadline=None)
-def test_qseries_mul_distributes(d1, d2, d3):
-    a, b, c = qs(d1), qs(d2), qs(d3)
-    lhs = a * (b + c)
-    rhs = a * b + a * c
-    prec = min(lhs.precision, rhs.precision)
-    for n in range(-8, prec):
-        assert lhs[n] == rhs[n]
-
-
-@given(coeff_dicts.filter(lambda d: any(v != 0 for v in d.values())))
-@settings(max_examples=40, deadline=None)
-def test_qseries_invert_roundtrip(d):
-    a = qs(d, 14)
-    inv = a.invert()
-    prod = a * inv
-    assert prod[0] == 1
-    for n in range(1, min(prod.precision, 5)):
-        assert prod[n] == 0
-
-
-def test_qseries_precision_guard():
-    a = qs({0: 1, 1: 2}, 5)
-    with pytest.raises(PrecisionError):
-        a[5]
-    assert a[4] == 0
-
-
-def test_qseries_pow_matches_repeated_mul():
-    a = qs({-1: 1, 1: 3, 2: -2}, 12)
-    assert a ** 3 == a * a * a
+def test_series_inv_needs_unit_lead(a, n):
+    with pytest.raises(ValueError):
+        series_inv(a, n)
 
 
 def test_eisenstein_series_divisor_oracle():
@@ -74,13 +58,32 @@ def test_eisenstein_series_divisor_oracle():
 def test_delta_matches_eta_product():
     # Delta = q prod (1-q^n)^24, expanded independently of E4^3 - E6^2
     prec = 12
-    eta24 = QSeries.from_dict({0: 1}, prec)
-    for n in range(1, prec + 1):
-        eta24 = eta24 * QSeries.from_dict({0: 1, n: -1}, prec) ** 24
-    eta24 = eta24.shift(1).truncate(prec)
-    delta = build_delta(prec)
-    for n in range(prec):
-        assert delta[n] == eta24[n]
+    eta24 = [1]
+    for n in range(1, prec):
+        factor = [1] + [0] * (n - 1) + [-1]
+        for _ in range(24):
+            eta24 = series_mul(eta24, factor, prec - 1)
+    assert build_delta(prec) == [0] + eta24
+
+
+def test_j_series_matches_eta_product_oracle():
+    # j = E4^3 / (q prod (1-q^n)^24) to q^199, without E6: the product
+    # prod (1-q^n) is Euler's pentagonal series sum (-1)^m q^{m(3m-1)/2}
+    n = 201  # exponents -1 .. 199
+    euler = [0] * n
+    for m in range(-n, n + 1):
+        e = m * (3 * m - 1) // 2
+        if e < n:
+            euler[e] = (-1) ** (m % 2)
+    p8 = euler
+    for _ in range(3):
+        p8 = series_mul(p8, p8, n)
+    eta24 = series_mul(p8, series_mul(p8, p8, n), n)
+    e4 = build_eisenstein(4, n)
+    qj = series_mul(series_mul(e4, series_mul(e4, e4, n), n), series_inv(eta24, n), n)
+    j = build_j_series(200)
+    assert list(j) == list(range(-1, 200))
+    assert list(j.values()) == qj
 
 
 def test_j_series_classical_coefficients():
@@ -123,6 +126,10 @@ def test_synth_validation():
         synth_harmonic(2, {}, {-1: 1})  # nonholo needs k <= 0
     with pytest.raises(ExpansionError):
         synth_harmonic(0, {}, {1: 1})  # nonholo only at negative n
+    with pytest.raises(ExpansionError):
+        synth_harmonic(0, {0.5: 1, -1: 1}, {})  # frequencies are integers
+    with pytest.raises(ExpansionError):
+        synth_harmonic(0, {1: 1}, {-0.5: 1})
 
 
 def test_xi_image_coefficients():

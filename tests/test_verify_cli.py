@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from maassl import cli, verify
+from maassl.modforms import build_j_series
 from maassl.verify import (CheckReport, CheckSpec, default_suite, load_suite,
                            report_json, resolve_form, run_check, run_suite)
 
@@ -72,6 +73,23 @@ def test_run_check_skips_on_precondition():
                               {"s": 0, "w": [1, 5], "N": 1}, 1e-6))
     assert rep.status == "skipped"
     assert "precondition" in rep.message
+
+
+def test_run_check_evaluator_failure():
+    rep = run_check(CheckSpec("bad", "thm_maincor", "nope", {"s": 0, "w": [0, 1]}, 1e-7))
+    assert rep.status == "fail"
+    assert rep.abs_err == math.inf
+    assert rep.message == "ValueError: unknown form descriptor 'nope'"
+
+
+def test_run_check_fricke_integral_form():
+    # lemma_integral_form with the Fricke-transformed test function; the
+    # values are about 3e-12, so the gap is pinned relative as well
+    rep = run_check(CheckSpec("fricke", "lemma_integral_form", "J",
+                              {"kind": "fricke_of_phi_sw", "s": 1, "w": [30, 5],
+                               "a_slash": 2, "M": 1}, 1e-20))
+    assert rep.status == "pass"
+    assert rep.rel_err < 1e-9
 
 
 def test_run_check_invalid_theorem():
@@ -190,6 +208,10 @@ def test_cli_coeffs_csv():
     assert rows[-1] == 1.0
     assert rows[1] == 196884.0
     assert rows[4] == 20245856256.0
+    assert out == ("n,re,im\n-1,1.0,0.0\n1,196884.0,0.0\n2,21493760.0,0.0\n"
+                   "3,864299970.0,0.0\n4,20245856256.0,0.0\n")
+    assert run_cli("coeffs", "Jsq", "--prec", "3")[1] == (
+        "n,re,im\n-2,1.0,0.0\n1,42987520.0,0.0\n2,40491909396.0,0.0\n")
 
 
 def test_cli_coeffs_json():
@@ -198,6 +220,21 @@ def test_cli_coeffs_json():
     data = json.loads(out)
     assert data["form"] == "J"
     assert [1, 196884.0, 0.0] in data["coefficients"]
+
+
+def test_cli_coeffs_prec_builds_to_request():
+    code, out, _ = run_cli("coeffs", "J", "--prec", "120")
+    assert code == 0
+    n, re_part, im_part = out.strip().splitlines()[-1].split(",")
+    assert int(n) == 119
+    assert float(re_part) == float(build_j_series(120)[119])
+
+
+@pytest.mark.parametrize("prec", ["0", "-3"])
+def test_cli_coeffs_prec_must_be_positive(prec):
+    code, out, err = run_cli("coeffs", "J", "--prec", prec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_cli_lvalue_star():
