@@ -7,11 +7,8 @@ import csv
 import json
 import sys
 
-from . import ltest, modforms, specfun, verify
+from . import ltest, specfun, verify
 from .verify import resolve_form
-
-# forms whose expansion is built to the requested --prec
-_BUILDERS = {"J": modforms.build_J, "Jsq": modforms.build_J_squared}
 
 
 def _parse_complex(text: str) -> complex:
@@ -64,7 +61,8 @@ def _cmd_specfun(args) -> int:
 def _cmd_coeffs(args) -> int:
     if args.prec < 1:
         raise ValueError(f"--prec must be >= 1, got {args.prec}")
-    build = _BUILDERS.get(args.form)
+    # named forms are built to the requested --prec
+    build = verify.NAMED_FORMS.get(args.form)
     form = build(args.prec) if build else resolve_form(args.form)
     rows = [(n, form.holo[n].real, form.holo[n].imag)
             for n in sorted(form.holo) if n < args.prec]

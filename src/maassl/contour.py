@@ -191,7 +191,7 @@ def bern_d_constant(k: int, m: int, el: int, j: int) -> float:
 
 def _bern_second_integral(f: FourierExpansion, m: int,
                           printed_constants: bool = False) -> complex:
-    """The xi-part of the Bernoulli formula for L_f(phi_{1+m}^0), m >= 1.
+    """The xi-part of the Bernoulli formula for L_f(phi_{1+m}^0), m >= 0.
 
     The d_{l,j} terms carry an extra phase i^r (r = 1-l+m-j, the phase of
     the Bernoulli-polynomial Fourier coefficient), which the limit oracle
@@ -221,9 +221,11 @@ def rhs_integer_value(f: FourierExpansion, m: int,
 
     Weakly holomorphic f: i^{-m} int_i^{i+1} f(z) zeta*(1-m, z) dz for every
     integer m.  With a non-holomorphic part (weight <= 0) the Bernoulli
-    correction integrals are added; that case is available for m >= 1 only.
+    correction integrals are added; that case is available for m >= 1 only,
+    and m = 1 is the same formula at mm = 0 (the integral over i..i+1 of a
+    cuspidal expansion vanishes, so the constant of B_1 drops out).
     printed_constants selects the phase-free d_{l,j} variant (see
-    _bern_second_integral) for discrepancy reporting.
+    _bern_second_integral) for discrepancy reporting, at m = 1 as at m >= 2.
     """
     if f.is_weakly_holomorphic:
         return complex(i_power(-m) * _segment_pairing(
@@ -231,19 +233,6 @@ def rhs_integer_value(f: FourierExpansion, m: int,
     if m < 1:
         raise RegimeError(
             "integer-value formula with a non-holomorphic part exists for m >= 1 only")
-    if m == 1:
-        k = f.weight
-        xi_f = xi_image(f, conjugate_first=True)
-
-        # the x-term carries the phase -i in the oracle-confirmed form
-        x_coeff = 1.0 if printed_constants else -1j
-
-        def kernel2(zs):
-            return i_power(k) * specfun.bernoulli_poly(2 - k, zs) / (2 - k) + x_coeff * zs.real
-
-        first = 1j * _segment_pairing(f, lambda zs: zs)
-        second = _segment_pairing(xi_f, kernel2) / (1 - k)
-        return complex(first - second)
     mm = m - 1  # the Bernoulli theorem is stated for s = 1 + mm
 
     first = -i_power(-mm - 1) * _segment_pairing(

@@ -3,10 +3,14 @@
 An L-value here is the pairing of a Fourier expansion with a test function:
 the holomorphic coefficients hit the Laplace transform of the test function
 at 2 pi n, and each non-holomorphic coefficient contributes an incomplete-
-gamma-weighted integral over the support.  Three kinds of test function are
-provided: the exponential-monomial family phi_s^w on [1, infinity), its
-Fricke transform supported in (0, 1/M], and compactly supported restrictions
-of holomorphic seeds.
+gamma-weighted integral.  Three kinds of test function are provided: the
+exponential-monomial family phi_s^w on [1, infinity), its Fricke transform
+supported in (0, 1/M], and compactly supported restrictions of holomorphic
+seeds.
+
+Each pairing done by quadrature integrates phi against a partner growing like
+e^{c_inf t} as t -> infinity and e^{c_0/t} as t -> 0, over phi.window(c_inf,
+c_0): the finite interval outside which the product is negligible.
 
 For phi_s^w the holomorphic sum stops where a rigorous bound on all the
 remaining stored terms falls below the sum's rounding, and the reported
@@ -22,12 +26,16 @@ import numpy as np
 
 from . import specfun
 from .modforms import FourierExpansion
-from .quadrature import integrate_decaying, integrate_segment
+from .quadrature import SegmentIntegral, integrate_decaying
 
 TWO_PI = 2.0 * math.pi
 
 # e^{-46} is comfortably below every tolerance used here
 _DECAY_BUDGET = 46.0
+
+# l_value_limit's dyadic ladder: x0 / 2^j for j < _LIMIT_LEVELS
+_LIMIT_X0 = 0.4
+_LIMIT_LEVELS = 6
 
 # the phi_s^w series stops once its remaining terms provably sum to at most
 # 2^-55 of the partial sum, under half an ulp of it
@@ -58,6 +66,16 @@ class PhiSW:
         out[mask] = np.exp(-complex(self.w) * tm) * tm ** (complex(self.s) - 1.0)
         return out
 
+    def window(self, c_inf: float, c_0: float) -> tuple[float, float]:
+        """[1, t1], with phi times e^{c_inf t} below e^{-50} of its t = 1
+        value past t1; needs Re w > c_inf."""
+        rate = complex(self.w).real - c_inf
+        if rate <= 0:
+            raise AdmissibilityError(
+                f"phi_s^w pairing needs Re(w) > {c_inf:.4g}, "
+                f"got {complex(self.w).real:.4g}")
+        return 1.0, 1.0 + (_DECAY_BUDGET + 4) / rate
+
     def laplace(self, u) -> complex:
         """(L phi_s^w)(u) = E_{1-s}(u + w)."""
         return specfun.exp_int_E(1 - complex(self.s), u + complex(self.w))
@@ -76,15 +94,15 @@ class FrickePhiSW:
         if self.M < 1:
             raise ValueError("level M must be a positive integer")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        """(lo, 1/M); below lo, |e^{-w/(Mt)}| is under e^{-46} of its value at
-        t = 1/M.  Needs Re w > 0."""
-        rw = complex(self.w).real
-        if rw <= 0:
+    def window(self, c_inf: float, c_0: float) -> tuple[float, float]:
+        """(lo, 1/M); below lo, phi times e^{c_0/t} is under e^{-46} of its
+        value at t = 1/M.  Needs r = Re w - M c_0 > 0."""
+        r = complex(self.w).real - self.M * c_0
+        if r <= 0:
             raise AdmissibilityError(
-                "Fricke-transformed phi_s^w needs Re(w) > 0 near t = 0")
-        return max(1e-12, rw / (self.M * (rw + _DECAY_BUDGET))), 1.0 / self.M
+                f"Fricke-transformed phi_s^w needs Re(w) > {self.M * c_0:.4g} "
+                f"near t = 0, got {complex(self.w).real:.4g}")
+        return max(1e-12, r / (self.M * (r + _DECAY_BUDGET))), 1.0 / self.M
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -96,12 +114,14 @@ class FrickePhiSW:
         return out
 
     def laplace(self, u) -> complex:
-        return _laplace_on_support(self, u)
+        return _laplace(self, u)
 
 
 @dataclass(frozen=True)
 class CompactAnalytic:
     """Restriction y -> seed.value(iy) to [a_lo, a_hi], zero elsewhere.
+
+    Its window is [a_lo, a_hi] whatever the partner's growth.
 
     The seed is a holomorphic function on the upper half-plane exposing
     value(z), translated_sum(z) = sum_{n>=0} value(z+n), both taking a scalar
@@ -117,8 +137,7 @@ class CompactAnalytic:
         if not (0 < self.a_lo < self.a_hi < math.inf):
             raise ValueError("need 0 < a_lo < a_hi < inf")
 
-    @property
-    def support(self) -> tuple[float, float]:
+    def window(self, c_inf: float, c_0: float) -> tuple[float, float]:
         return self.a_lo, self.a_hi
 
     def value(self, t):
@@ -129,18 +148,23 @@ class CompactAnalytic:
         return out
 
     def laplace(self, u) -> complex:
-        return _laplace_on_support(self, u)
+        return _laplace(self, u)
 
 
-def _laplace_on_support(phi, u) -> complex:
-    """int e^{-ut} phi(t) dt over the compact support of phi."""
-    u = complex(u)
-
-    def g(t):
+def _pair(phi, g, c_inf: float, c_0: float) -> SegmentIntegral:
+    """int g(t) phi(t) dt over phi.window(c_inf, c_0), for a real-argument g
+    growing like e^{c_inf t} as t -> infinity and like e^{c_0/t} as t -> 0."""
+    def integrand(t):
         tr = np.real(t)
-        return np.exp(-u * tr) * phi.value(tr)
+        return g(tr) * phi.value(tr)
 
-    return complex(integrate_segment(g, *phi.support).value)
+    return integrate_decaying(integrand, *phi.window(c_inf, c_0))
+
+
+def _laplace(phi, u) -> complex:
+    """int e^{-ut} phi(t) dt by quadrature over phi's window."""
+    u = complex(u)
+    return complex(_pair(phi, lambda t: np.exp(-u * t), -u.real, 0.0).value)
 
 
 def laplace_phi_sw(s, w, u) -> complex:
@@ -177,20 +201,16 @@ class LValue:
     error_estimate: float
 
 
-def _nonholo_integral(f: FourierExpansion, phi, n: int):
-    """int Gamma(1-k, -4 pi n y) e^{-2 pi n y} phi(y) dy over phi's support."""
+def _nonholo_integral(f: FourierExpansion, phi, n: int) -> SegmentIntegral:
+    """int Gamma(1-k, -4 pi n y) e^{-2 pi n y} phi(y) dy; the kernel behaves
+    like e^{2 pi n y} as y -> infinity."""
     k = f.weight
 
     def g(y):
-        yr = np.real(y)
-        gam = specfun.upper_gamma_int(1 - k, -4 * math.pi * n * yr)
-        return gam * np.exp(-TWO_PI * n * yr) * phi.value(yr)
+        gam = specfun.upper_gamma_int(1 - k, -4 * math.pi * n * y)
+        return gam * np.exp(-TWO_PI * n * y)
 
-    if isinstance(phi, PhiSW):
-        # g decays like e^{-rate y} on [1, inf); stop once it is below e^{-50}
-        rate = TWO_PI * (-n) + max(0.0, complex(phi.w).real)
-        return integrate_decaying(g, 1.0, 1.0 + (_DECAY_BUDGET + 4) / rate)
-    return integrate_segment(g, *phi.support)
+    return _pair(phi, g, TWO_PI * n, 0.0)
 
 
 def _phi_sw_bound_shifts(phi: PhiSW) -> tuple[float, float]:
@@ -282,32 +302,10 @@ def l_value(f: FourierExpansion, phi) -> LValue:
 
 
 def l_value_by_vertical_integral(f: FourierExpansion, phi) -> complex:
-    """L_f(phi) = int_0^infty f(iy) phi(y) dy, over the effective support."""
-
-    def g(y):
-        yr = np.real(y)
-        return f.eval_at(1j * yr) * phi.value(yr)
-
-    if isinstance(phi, PhiSW):
-        rw = complex(phi.w).real
-        growth = TWO_PI * f.n0
-        if rw <= growth:
-            raise AdmissibilityError(
-                f"vertical integral needs Re(w) > {growth:.4g} for this expansion")
-        hi = 1.0 + (_DECAY_BUDGET + 4) / (rw - growth)
-        return complex(integrate_decaying(g, 1.0, hi).value)
-    # below decay_lo the integrand is under e^{-46}: phi's decay at t = 0
-    # outweighs the growth of f(iy)
-    decay_lo = 0.0
-    if isinstance(phi, FrickePhiSW):
-        rw = complex(phi.w).real
-        growth = TWO_PI * f.n0 * phi.M
-        if rw <= growth:
-            raise AdmissibilityError(
-                f"vertical integral needs Re(w) > {growth:.4g} near t = 0")
-        decay_lo = (rw - growth) / (phi.M * _DECAY_BUDGET)
-    lo, hi = phi.support
-    return complex(integrate_segment(g, max(lo, decay_lo), hi).value)
+    """L_f(phi) = int_0^infty f(iy) phi(y) dy over phi's window; f(iy) grows at
+    most like e^{2 pi n0 y} as y -> infinity and e^{2 pi n0 / y} as y -> 0."""
+    growth = TWO_PI * f.n0
+    return complex(_pair(phi, lambda y: f.eval_at(1j * y), growth, growth).value)
 
 
 def l_star(f: FourierExpansion, s) -> complex:
@@ -322,16 +320,15 @@ def l_tilde(f: FourierExpansion, s) -> complex:
     return l_star(f, s) + (1j ** (k % 4)) * l_star(f, k - s)
 
 
-def l_value_limit(f: FourierExpansion, s, x0: float = 0.4, levels: int = 6):
-    """Richardson-extrapolated lim_{x->0+} L_f(phi_s^{ix}).
+def l_value_limit(f: FourierExpansion, s):
+    """Richardson-extrapolated lim_{x->0+} L_f(phi_s^{ix}) on the ladder
+    x = 0.4 / 2^j, j < 6.
 
     Returns (value, error_estimate); the estimate is the difference between
     the last two diagonal entries of the extrapolation table.
     """
-    if levels < 2:
-        raise ValueError("need at least two levels")
-    vals = [l_value(f, PhiSW(s, 1j * x0 / 2 ** j)).value
-            for j in range(levels)]
+    vals = [l_value(f, PhiSW(s, 1j * _LIMIT_X0 / 2 ** j)).value
+            for j in range(_LIMIT_LEVELS)]
     diag = [row[-1] for row in richardson_table(vals)]
     return diag[-1], abs(diag[-1] - diag[-2])
 

@@ -70,8 +70,9 @@ def _level_rule(order: int, level: int):
     return u, np.tile(w / (2 * n), n)
 
 
-def _doubling(g, edges: np.ndarray, cfg: QuadratureConfig) -> SegmentIntegral:
-    """Composite Gauss-Legendre over the panels between `edges`.
+def _doubling(g, edges: np.ndarray) -> SegmentIntegral:
+    """Composite Gauss-Legendre over the panels between `edges`, with the
+    settings of DEFAULT_QUAD.
 
     Returns the first level Q_L that agrees with Q_{L-1} to
     max(abs_tol, rounding floor), with est_error = |Q_L - Q_{L-1}| + floor.
@@ -81,6 +82,7 @@ def _doubling(g, edges: np.ndarray, cfg: QuadratureConfig) -> SegmentIntegral:
     """
     if edges.size < 2:
         return SegmentIntegral(0j, 0.0, 0)
+    cfg = DEFAULT_QUAD
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     prev = None
     extra = False  # the last pair agreed only within the floor
@@ -102,16 +104,16 @@ def _doubling(g, edges: np.ndarray, cfg: QuadratureConfig) -> SegmentIntegral:
         f"panel doubling reached max_depth {cfg.max_depth} (diff {diff:.3g})")
 
 
-def integrate_segment(g, z0, z1, cfg: QuadratureConfig = DEFAULT_QUAD) -> SegmentIntegral:
+def integrate_segment(g, z0, z1) -> SegmentIntegral:
     """Integrate g along the straight segment from z0 to z1 (one base panel)."""
     z0 = complex(z0)
     z1 = complex(z1)
     if z0 == z1:
         return SegmentIntegral(0j, 0.0, 0)
-    return _doubling(g, np.array([z0, z1]), cfg)
+    return _doubling(g, np.array([z0, z1]))
 
 
-def integrate_decaying(g, t0: float, t1: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> SegmentIntegral:
+def integrate_decaying(g, t0: float, t1: float) -> SegmentIntegral:
     """Integrate over [t0, t1] on base panels of widths 1, 2, 4, ...
 
     Suited to smooth integrands that decay roughly exponentially: the wide
@@ -122,4 +124,4 @@ def integrate_decaying(g, t0: float, t1: float, cfg: QuadratureConfig = DEFAULT_
     while edges[-1] < t1:
         edges.append(min(edges[-1] + width, t1))
         width *= 2
-    return _doubling(g, np.asarray(edges, dtype=complex), cfg)
+    return _doubling(g, np.asarray(edges, dtype=complex))

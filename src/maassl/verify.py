@@ -85,17 +85,20 @@ class CheckReport:
         return d
 
 
+# named forms, each built to a requested number of coefficients
+NAMED_FORMS = {"J": modforms.build_J, "Jsq": modforms.build_J_squared}
+
+
 @functools.lru_cache(maxsize=32)
 def resolve_form(desc: str) -> modforms.FourierExpansion:
-    """Resolve a form descriptor: 'J', 'Jsq', or 'synth:<inline-json>'.
+    """Resolve a form descriptor: a NAMED_FORMS key (built to 40
+    coefficients) or 'synth:<inline-json>'.
 
     The 32 most recently used forms are kept, so a stream of one-off
     synthetic descriptors does not grow memory without bound.
     """
-    if desc == "J":
-        return modforms.build_J(40)
-    if desc == "Jsq":
-        return modforms.build_J_squared(40)
+    if desc in NAMED_FORMS:
+        return NAMED_FORMS[desc](40)
     if desc.startswith("synth:"):
         data = json.loads(desc[len("synth:"):])
 
@@ -179,9 +182,10 @@ def _evaluate(spec: CheckSpec):
         rhs = contour.r_remainder(f, s, w, "double_integral")
         return lhs, rhs, 0.0, 0.0
     if th == "bfi_consistency":
+        # the contour side shares no kernel with cal_EI
         series = 2 * sum(a * specfun.cal_EI(TWO_PI * n) for n, a in f.holo.items())
         lhs = complex(series.real, 0.0)
-        rhs = complex(2 * ltest.l_star(f, 0).real, 0.0)
+        rhs = complex(2 * contour.rhs_integer_value(f, 0).real, 0.0)
         return lhs, rhs, 0.0, 0.0
     raise ValueError(f"unhandled theorem {th!r}")
 

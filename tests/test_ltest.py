@@ -144,15 +144,47 @@ def test_vertical_integral_admissibility(J):
 
 @pytest.mark.parametrize("name", ["J", "harm0", "harm-2"])
 @pytest.mark.parametrize("s", [0, 1])
-@pytest.mark.parametrize("w", [30 + 5j, 30])
+@pytest.mark.parametrize("w", [30 + 5j, 30, 40 + 2j, 60 + 1j, 80 + 3j])
 def test_vertical_integral_fricke(J, name, s, w):
     # the Fricke-transformed phi_s^w on (0, 1/M]; the harmonic forms also
-    # reach the non-holomorphic integral over the test function's support
+    # reach the non-holomorphic integral over the test function's window.
+    # At large Re w the values are tiny, so the window must be relative to
+    # phi's own size at t = 1/M, not an absolute cutoff
     f = {"J": J, "harm0": synth_harmonic(0, {1: 1}, {-1: 1}),
          "harm-2": synth_harmonic(-2, {1: 1}, {-1: 2 - 1j})}[name]
     phi = FrickePhiSW(s, w, 2 - f.weight, 1)
     series = l_value(f, phi).value
-    assert l_value_by_vertical_integral(f, phi) == pytest.approx(series, rel=1e-9)
+    assert l_value_by_vertical_integral(f, phi) == pytest.approx(series, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("w", [-5 + 1j, -3 + 0.5j, 0.5 + 1j])
+def test_nonholo_pairing_negative_re_w(w):
+    # Gamma(1, 4 pi y) e^{2 pi y} = e^{-2 pi y}, so the pairing with phi_0^w
+    # is int_1^inf e^{-(2 pi + w) y} y^{-1} dy = E_1(2 pi + w)
+    f = synth_harmonic(0, {}, {-1: 1})
+    lv = l_value(f, PhiSW(0, w))
+    expected = exp_int_E(1, TWO_PI + w)
+    assert abs(lv.value - expected) <= 1e-12 * abs(expected)
+    assert abs(lv.value - expected) <= lv.error_estimate + 1e-12 * abs(expected)
+
+
+def test_nonholo_pairing_divergent_raises():
+    # Re(2 pi + w) < 0: the integral diverges
+    f = synth_harmonic(0, {}, {-1: 1})
+    with pytest.raises(AdmissibilityError):
+        l_value(f, PhiSW(0, -7 + 1j))
+
+
+def test_windows():
+    assert PhiSW(0, 2 + 1j).window(-1.0, 0.0) == (1.0, 1.0 + 50 / 3)
+    lo, hi = FrickePhiSW(0, 30, 2, 2).window(0.0, 1.0)
+    assert hi == 0.5 and lo == pytest.approx(28 / (2 * (28 + 46)), rel=1e-15)
+    seed = InversePowerSeed(2)
+    assert CompactAnalytic(seed, 1.0, 2.5).window(10.0, 10.0) == (1.0, 2.5)
+    with pytest.raises(AdmissibilityError):
+        PhiSW(0, 1.0).window(1.0, 0.0)
+    with pytest.raises(AdmissibilityError):
+        FrickePhiSW(0, 2.0, 2, 2).window(0.0, 1.0)
 
 
 def test_fricke_series_admissibility(J):
