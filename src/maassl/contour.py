@@ -96,27 +96,36 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
 
     form = "one_dim": the coefficient-series shape
         -sum_{n<0} b_f(n) (-4 pi n)^{1-k} int_1^inf e^{4 pi n t} t^{s-k}
-        E_{1-s}((2 pi n + w) t) dt.
+        E_{1-s}((2 pi n + w) t) dt,
+    each integrand decaying like e^{-(2 pi |n| + Re w) t}, integrated with
+    one exp_int_E call on the nodes of each quadrature level.
     form = "double_integral": i^{-s} times the double integral of
-        e^{itzw} t^{s-k} R_t(z, w) over z in [i, i+1], t in [1, inf).
-    The two agree wherever both are defined.
+        e^{itzw} t^{s-k} R_t(z, w) over z in [i, i+1], t in [1, inf),
+    where the t-integral is taken in closed form:
+        int_1^inf t^{s-k} e^{-alpha t} dt = E_{k-s}(alpha),
+        alpha = 4 pi p - i(z+m)(w - 2 pi p),
+    for xi-coefficient p and Lerch index m, leaving one segment quadrature
+    over z.  The two agree wherever both are defined.  Both need
+    Re w > -2 pi min|n|, where the t-integrals converge, and raise
+    RegimeError otherwise.
     """
     if not f.nonholo:
         return 0j
     w = complex(w)
     k = f.weight
+    if w.real <= -TWO_PI * min(-n for n in f.nonholo):
+        raise RegimeError("the remainder needs Re(w) > -2 pi min|n| over the non-holomorphic part")
     if form == "one_dim":
         if w.imag < 0:
             raise RegimeError("one-dimensional remainder needs Im(w) >= 0")
         total = 0j
         for n, b in f.nonholo.items():
-            rate = TWO_PI * (-n)
-            t_hi = 1.0 + 46.0 / rate
+            t_hi = 1.0 + 46.0 / (TWO_PI * (-n) + w.real)
 
             def g(t, n=n):
-                e = np.array([specfun.exp_int_E(1 - s, (TWO_PI * n + w) * tt)
-                              for tt in np.real(t)])
-                return np.exp(4 * math.pi * n * np.real(t)) * np.real(t) ** (s - k) * e
+                tr = np.real(t)
+                return (np.exp(4 * math.pi * n * tr) * tr ** (s - k)
+                        * specfun.exp_int_E(1 - s, (TWO_PI * n + w) * tr))
 
             part = integrate_decaying(g, 1.0, t_hi)
             total += b * (-4 * math.pi * n) ** (1 - k) * part.value
@@ -125,25 +134,17 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
         if w.imag <= 0:
             raise RegimeError("double-integral remainder needs Im(w) > 0")
         xi_f = xi_image(f, conjugate_first=True)
-        nmin = min(-n for n in f.nonholo)
-        rate = TWO_PI * nmin + max(0.0, w.real)
-        t_hi = 1.0 + 46.0 / rate
         m = np.arange(int(45.0 / w.imag) + 10)
 
         # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}
         #           = sum_p c_p e^{2 pi i p t(2i - z)} sum_m (z+m)^{s-1} e^{itm(w - 2 pi p)},
-        # so the t-integrand e^{itzw} t^{s-k} R_t(z, w) at all outer nodes z
-        # is one (T, M) @ (M, Z) product per xi-coefficient p.
+        # so e^{itzw} t^{s-k} R_t(z, w) = sum_p c_p sum_m (z+m)^{s-1} t^{s-k} e^{-alpha t}.
         def integrand(zs):
-            zm = (zs[:, None] + m) ** (complex(s) - 1.0)
-
-            def inner(t):
-                tr = np.real(t)[:, None]
-                return sum(c * np.exp(tr * (1j * w * zs + 2j * math.pi * p * (2j - zs)))
-                           * ((tr ** (s - k) * np.exp(1j * tr * m * (w - TWO_PI * p))) @ zm.T)
-                           for p, c in xi_f.holo.items())
-
-            return integrate_decaying(inner, 1.0, t_hi).value
+            zm = zs[:, None] + m
+            power = zm ** (complex(s) - 1.0)
+            return sum(c * (power * specfun.exp_int_E(
+                k - s, 4 * math.pi * p - 1j * zm * (w - TWO_PI * p))).sum(axis=1)
+                for p, c in xi_f.holo.items())
 
         seg = integrate_segment(integrand, 1j, 1j + 1)
         return i_power(-s) * seg.value

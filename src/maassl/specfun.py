@@ -41,6 +41,7 @@ _SAFE_EXPONENT = 700.0
 # power series off the cut; _MAX_TERMS caps every power series here
 _SERIES_RADIUS = 12.0
 _MAX_TERMS = 500_000
+_EPS = float(np.finfo(float).eps)
 
 
 def _clean(z) -> complex:
@@ -241,17 +242,130 @@ def _exp_int_asymptotic(s: complex, z: complex) -> complex:
     return cmath.exp(-z) / z * acc
 
 
-def exp_int_E(s, z) -> complex:
+def _exp_int_series_array(s: complex, z: np.ndarray) -> np.ndarray:
+    """_exp_int_series on a batch, by Horner's rule over the terms k < K,
+    with K the first k > |z| + 4 at which |z|^k / k! < 1e-17 for the
+    batch's largest |z|."""
+    if _is_int(s) and s.real >= 1:
+        s = int(round(s.real))
+        psi_n = -EULER_GAMMA + sum(1.0 / j for j in range(1, s))
+        lead = ((-z) ** (s - 1) / math.factorial(s - 1)) * (psi_n - np.log(z))
+        skip = s - 1
+    else:
+        a = s - 1  # principal_power's rule: integer powers exactly
+        power = z ** int(a.real) if a.imag == 0 and a.real.is_integer() else np.exp(a * np.log(z))
+        lead = power * _gamma(1 - s)
+        skip = -1
+    z_max = float(np.max(np.abs(z)))
+    k, term = 0, 1.0
+    while k <= z_max + 4 or term >= 1e-17:
+        k += 1
+        term *= z_max / k
+    # acc = d_0 + (-z/1)(d_1 + (-z/2)(d_2 + ...)), d_j = 1/(1-s+j) or 0 at skip
+    acc = np.zeros_like(z)
+    minus_z = -z
+    for j in range(k, 0, -1):
+        acc = acc * (minus_z / j)
+        if j - 1 != skip:
+            acc = acc + 1.0 / (j - s)
+    return lead - acc
+
+
+def _exp_int_cf_array(s: complex, z: np.ndarray) -> np.ndarray:
+    """e^{-z} times _gamma_upper_cf(1 - s, z) on a batch: the continued
+    fraction 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with b_i = z + 2i + s,
+    a_i = -i(i - 1 + s), evaluated bottom-up at depth 8, 16, 32, ... until two
+    depths agree to 2 eps on every element."""
+    prev = None
+    depth = 8
+    while depth <= 2048:
+        f = z + (2 * depth + s)
+        for i in range(depth, 0, -1):
+            f = (z + (2 * i - 2 + s)) + (-i * (i - 1 + s)) / f
+        value = 1.0 / f
+        if prev is not None and np.all(np.abs(value - prev) <= 2 * _EPS * np.abs(value)):
+            return np.exp(-z) * value
+        prev = value
+        depth *= 2
+    raise ConvergenceError("continued fraction for Gamma(r, z) did not converge")
+
+
+def _exp_int_asymptotic_array(s: complex, z: np.ndarray) -> np.ndarray:
+    """_exp_int_asymptotic on a batch, by Horner's rule over the terms k <= K,
+    with K where the terms at the batch's smallest |z| stop falling or drop
+    below 1e-17; at every larger |z| they fall faster."""
+    z_min = float(np.min(np.abs(z)))
+    k, term = 0, 1.0
+    while k < 199:
+        nxt = term * abs(s + k) / z_min
+        if nxt > term:
+            break
+        k, term = k + 1, nxt
+        if term < 1e-17:
+            break
+    # acc = 1 - (s/z)(1 - ((s+1)/z)(1 - ...))
+    inv_z = 1.0 / z
+    acc = np.ones_like(z)
+    for j in range(k, 0, -1):
+        acc = 1.0 - (s + j - 1) * inv_z * acc
+    return np.exp(-z) * inv_z * acc
+
+
+def _exp_int_E_array(s: complex, z) -> np.ndarray:
+    """exp_int_E on an ndarray: the scalar rule as masks, each branch
+    evaluated on its whole batch at one fixed depth."""
+    z = np.asarray(z, dtype=complex) + 0j
+    if np.any(z == 0):
+        raise DomainError("E_s(0) is undefined here")
+    if np.any(-z.real > _SAFE_EXPONENT):
+        raise OverflowError("E_s(z) exceeds safe double-precision exponent range")
+    az = np.abs(z)
+    asymptotic = az >= _ASYMPTOTIC_RADIUS
+    series = ~asymptotic & np.where(
+        z.real > 0, az < _CF_RADIUS,
+        (np.abs(z.imag) <= -z.real) | (az <= 0.55 * _SERIES_RADIUS))
+    out = np.empty_like(z)
+    for mask, method in ((series, _exp_int_series_array),
+                         (~asymptotic & ~series, _exp_int_cf_array),
+                         (asymptotic, _exp_int_asymptotic_array)):
+        if mask.any():
+            out[mask] = method(s, z[mask])
+    return out
+
+
+def exp_int_E(s, z):
     """Generalized exponential integral E_s(z) on the principal branch.
 
     The negative real axis is the continuous extension from Im z > 0.  One
     rule picks the method: |z| >= 40 the asymptotic series; the power series
     for Re z > 0 with |z| < 2, and for Re z <= 0 on |Im z| <= -Re z or with
-    |z| <= 6.6; the continued fraction everywhere else.  Measured against
-    mpmath on both sides of each radius, in both half-planes and on the cut,
-    the relative error is at most 9.0e-13, near the cut just inside |z| = 40
-    where the series cancels most, and at most 1.6e-13 elsewhere.
+    |z| <= 6.6; the continued fraction everywhere else.
+
+    A scalar z (complex returned) runs each method until its own terms
+    converge.  Measured against mpmath on both sides of each radius, in both
+    half-planes and on the cut, the relative error is at most 9.0e-13, near
+    the cut just inside |z| = 40 where the series cancels most, and at most
+    1.6e-13 elsewhere.
+
+    An ndarray z (an ndarray of its shape returned) evaluates each method on
+    its whole batch at one depth: the power series by Horner's rule over as
+    many terms as its largest |z| needs, the continued fraction bottom-up at
+    depth 8, 16, 32, ... until two depths agree to 2 eps on every element
+    (ConvergenceError past 2048), and the asymptotic series by Horner's rule
+    up to where the terms at its smallest |z| stop falling or drop below
+    1e-17.  On the same mpmath grid its relative error is at most 1.6e-12
+    (s = -2, |z| = 39, arg z = 2.4, where the scalar path reads 3.0e-13),
+    both paths reading the rounding of the series' cancellation there; on
+    400 random points with |z| <= 50 it is at most 4.8e-13.  A one-element
+    array costs about ten scalar calls and a 13-element one about three
+    times the scalar loop, so callers with a few points at a time pass
+    scalars.  DomainError if any element is 0, OverflowError if any has
+    Re z < -700.
     """
+    # np.ndim(z) would build an array from a Python scalar, about 1.5 us a
+    # call; getattr reads the same number (0 for scalars) in 40 ns
+    if getattr(z, "ndim", 0):
+        return _exp_int_E_array(complex(s), z)
     s = complex(s)
     z = _clean(z)
     if z == 0:

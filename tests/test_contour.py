@@ -12,9 +12,11 @@ from maassl import (InversePowerSeed, PhiSW, compact_support_value, l_star,
                     synth_harmonic)
 from maassl.contour import RegimeError, i_power, lerch_sum
 from maassl.ltest import ZeroSeed
+from maassl.modforms import xi_image
 from maassl.quadrature import (QuadratureError, integrate_decaying,
                                integrate_segment)
 from maassl.specfun import DomainError, exp_int_E
+from maassl.verify import CheckSpec, run_check
 
 TWO_PI = 2 * math.pi
 
@@ -206,19 +208,79 @@ def test_r_remainder_empty(J):
     assert r_remainder(J, 1, 1j, "double_integral") == 0
 
 
-def test_r_remainder_forms_agree():
-    cases = [(synth_harmonic(0, {}, {-1: 1}), 1, 0.5 + 1j),
-             (synth_harmonic(-2, {}, {-1: 2 - 1j}), 2, 1j)]
-    # the suite's harmonic forms harm_a .. harm_d at the suite's s and w
+# the suite's harmonic forms harm_a .. harm_d, each at the suite's s and w
+SUITE_HARMONIC_CASES = [
+    (f, s, 0.5 + 1j)
     for f in (synth_harmonic(0, {1: 0.5}, {-1: 1}),
               synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}),
               synth_harmonic(0, {}, {-1: 1, -2: 0.3}),
-              synth_harmonic(-2, {}, {-2: 1j})):
-        cases += [(f, s, 0.5 + 1j) for s in (0.5, 1.0, 2.0)]
+              synth_harmonic(-2, {}, {-2: 1j}))
+    for s in (0.5, 1.0, 2.0)]
+
+
+def test_r_remainder_forms_agree():
+    cases = [(synth_harmonic(0, {}, {-1: 1}), 1, 0.5 + 1j),
+             (synth_harmonic(-2, {}, {-1: 2 - 1j}), 2, 1j)] + SUITE_HARMONIC_CASES
     for f, s, w in cases:
         one = r_remainder(f, s, w, "one_dim")
         two = r_remainder(f, s, w, "double_integral")
         assert abs(one - two) < 1e-12
+
+
+def _double_integral_by_quadrature(f, s, w):
+    """Reference for r_remainder(form="double_integral"): the t-integral of
+    e^{itzw} t^{s-k} R_t(z, w) taken by quadrature at every outer node z, over
+    [1, t_hi] with e^{-(2 pi min|n| + Re w)(t_hi - 1)} = e^{-46}, one
+    (T, M) @ (M, Z) product per xi-coefficient p."""
+    w = complex(w)
+    k = f.weight
+    xi_f = xi_image(f, conjugate_first=True)
+    t_hi = 1.0 + 46.0 / (TWO_PI * min(-n for n in f.nonholo) + w.real)
+    m = np.arange(int(45.0 / w.imag) + 10)
+
+    def integrand(zs):
+        zm = (zs[:, None] + m) ** (complex(s) - 1.0)
+
+        def inner(t):
+            tr = np.real(t)[:, None]
+            return sum(c * np.exp(tr * (1j * w * zs + 2j * math.pi * p * (2j - zs)))
+                       * ((tr ** (s - k) * np.exp(1j * tr * m * (w - TWO_PI * p))) @ zm.T)
+                       for p, c in xi_f.holo.items())
+
+        return integrate_decaying(inner, 1.0, t_hi).value
+
+    return i_power(-s) * integrate_segment(integrand, 1j, 1j + 1).value
+
+
+def test_r_remainder_closed_form_vs_quadrature():
+    cases = SUITE_HARMONIC_CASES + [(synth_harmonic(0, {}, {-1: 1}), 1.0, -3 + 1j)]
+    for f, s, w in cases:
+        reference = _double_integral_by_quadrature(f, s, w)
+        closed = r_remainder(f, s, w, "double_integral")
+        assert abs(closed - reference) <= 1e-13 * abs(reference), (f.label, s, w)
+
+
+def test_r_remainder_negative_re_w():
+    """The t-integrands decay like e^{-(2 pi |n| + Re w) t}: at Re w < 0 the
+    main theorem closes and the two remainder shapes agree to rounding."""
+    f = synth_harmonic(0, {}, {-1: 1})
+    form = 'synth:{"k": 0, "nonholo": {"-1": 1}}'
+    for w in (-3 + 1j, -5 + 1j):
+        rep = run_check(CheckSpec("main_neg_re_w", "thm_main", form,
+                                  {"s": 1.0, "w": [w.real, w.imag]}, 1e-6))
+        assert rep.status == "pass"
+        assert rep.abs_err <= 1e-13 * abs(rep.rhs), w
+        one = r_remainder(f, 1.0, w, "one_dim")
+        two = r_remainder(f, 1.0, w, "double_integral")
+        assert abs(one - two) <= 1e-13 * abs(two), w
+
+
+def test_r_remainder_divergent_regime_raises():
+    f = synth_harmonic(0, {1: 0.5}, {-1: 1, -2: 0.3})
+    for w in (-TWO_PI + 1j, -9 + 1j):
+        for shape in ("one_dim", "double_integral"):
+            with pytest.raises(RegimeError):
+                r_remainder(f, 1.0, w, shape)
 
 
 def test_r_remainder_unknown_form():

@@ -47,6 +47,24 @@ def test_exp_int_closed_forms():
 def test_exp_int_raises_at_zero():
     with pytest.raises(DomainError):
         exp_int_E(1, 0)
+    with pytest.raises(DomainError):
+        exp_int_E(1, np.array([1.0, 0.0, 2j]))
+
+
+def test_exp_int_array_shape_and_overflow():
+    zs = np.array([[0.5 + 1j, 3.0], [-20.0 + 0j, 50j]])
+    values = exp_int_E(0.5, zs)
+    assert isinstance(values, np.ndarray) and values.shape == zs.shape
+    assert type(exp_int_E(0.5, 3.0)) is complex
+    assert type(exp_int_E(0.5, np.complex128(3.0))) is complex
+    for z, v in zip(zs.ravel(), values.ravel()):
+        assert v == pytest.approx(exp_int_E(0.5, z), rel=1e-13)
+    # -0.0 imaginary parts sit on the upper side of the cut, as for scalars
+    assert exp_int_E(1, np.array([-1.0 - 0.0j]))[0] == pytest.approx(E1_AT_MINUS_1, abs=1e-13)
+    with pytest.raises(OverflowError):
+        exp_int_E(1, -701.0)
+    with pytest.raises(OverflowError):
+        exp_int_E(1, np.array([1.0, -701.0 + 1j]))
 
 
 def test_cal_EI_vs_E1():
@@ -268,18 +286,23 @@ def test_inc_gamma_upper_sweep_vs_mpmath():
 @needs_mpmath
 def test_exp_int_E_ladder_vs_mpmath():
     """Both sides of |z| = 2, 6.6, 12 and 40, in both half-planes and on the
-    cut, with integer orders >= 1 taking the series' log-lead branch; the
-    worst measured error is 9.0e-13 (s = 2, |z| = 39, arg z = +-2.4)."""
+    cut, with integer orders >= 1 taking the series' log-lead branch, one
+    point at a time and each order's whole grid as one ndarray.  The worst
+    measured error is 9.0e-13 for scalars (s = 2, |z| = 39, arg z = +-2.4)
+    and 1.6e-12 for the array (s = -2, same point), where the series cancels
+    most."""
     orders = (0, 1, 2, 3, -2, 0.5, -1.5, 2.5 + 1j)
     radii = (1.9, 2.1, 6.5, 6.7, 11.9, 12.1, 39.0, 41.0, 60.0)
     args = (0.0, 0.5, -0.5, 1.2, -1.2, math.pi / 2, -math.pi / 2,
             2.0, -2.0, 2.4, -2.4, 3.0, -3.0, math.pi)
+    grid = np.array([complex(-r, 0.0) if a == math.pi else cmath.rect(r, a)
+                     for r in radii for a in args])
     with mpmath.workdps(30):
         for s in orders:
-            for r in radii:
-                for a in args:
-                    z = complex(-r, 0.0) if a == math.pi else cmath.rect(r, a)
-                    assert _rel_err(exp_int_E(s, z), _mp_expint(s, z)) <= 2e-12, (s, z)
+            for z, v in zip(grid, exp_int_E(s, grid)):
+                exact = _mp_expint(s, complex(z))
+                assert _rel_err(exp_int_E(s, complex(z)), exact) <= 2e-12, (s, z)
+                assert _rel_err(v, exact) <= 2e-12, (s, z, "array")
 
 
 def _mp_expint(s, z) -> complex:
