@@ -3,16 +3,17 @@
 
     python scripts/compare_reports.py PARENT.json CHANGE.json
 
-For every check whose lhs, rhs, abs_err, error estimates or status differ,
-or that is in only one report, prints the old and the new values.  Values
-are compared bit for bit (through their exact repr).  Exits 1 if any check
-differs, else 0.
+For every check whose theorem, lhs, rhs, abs_err, rel_err, error estimates,
+status or message differ, or that is in only one report, prints the old and
+the new values.  Values are compared bit for bit (through their exact repr).
+Exits 1 if any check differs, else 0.
 """
 
 import argparse
 import json
 
-FIELDS = ("lhs", "rhs", "abs_err", "lhs_err_est", "rhs_err_est", "status")
+FIELDS = ("theorem", "lhs", "rhs", "abs_err", "rel_err", "lhs_err_est", "rhs_err_est",
+          "status", "message")
 
 
 def load(path: str) -> dict:

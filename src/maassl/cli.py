@@ -93,6 +93,8 @@ def _cmd_verify(args) -> int:
     else:
         checks = verify.default_suite()
     reports, summary = verify.run_suite(checks, args.filter)
+    if not reports:  # a run of no check certifies nothing
+        raise ValueError("no check selected")
     for r in reports:
         line = f"{r.status.upper():7s} {r.id:32s} abs_err={r.abs_err:.3e}"
         if r.message:

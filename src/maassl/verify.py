@@ -2,9 +2,18 @@
 
 Each check evaluates the same quantity through two independent pipelines
 (coefficient series vs contour quadrature) and compares at a tolerance.
-Configs are JSON with a top-level "checks" array; complex parameters are
-[re, im] pairs.  Reports are deterministic apart from runtime_ms, the wall
-time of a check in milliseconds as a float.
+IDENTITIES maps each theorem name to the parameters it accepts and to the
+evaluator of its two sides.
+
+Configs are JSON: an object whose "checks" array holds objects with "id",
+"theorem", "form" and optional "params" (an object; complex values are
+[re, im] pairs) and "tolerance".  CheckSpec raises ValueError for a
+parameter its theorem does not accept and for a tolerance that is negative,
+infinite or NaN; load_suite raises it, naming the check, for those and for
+any other shape.  A missing parameter fails its check instead.  run_suite
+accepts an empty list, but `maassl verify` refuses to run no check.
+Reports are deterministic apart from runtime_ms, the wall time of a check
+in milliseconds as a float.
 """
 
 from __future__ import annotations
@@ -18,12 +27,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import contour, ltest, modforms, specfun
-
-THEOREMS = (
-    "thm_maincor", "thm_main", "prop_zag", "cor_bernWHF", "thm_bern",
-    "cor_polyl", "cor_hurw", "prop_fe", "lemma_bend", "lemma_integral_form",
-    "sect6_compact", "r_form_equality", "bfi_consistency",
-)
 
 DEFAULT_TOL = 1e-6
 TWO_PI = 2.0 * math.pi
@@ -53,10 +56,17 @@ class CheckSpec:
     tolerance: float = 0.0  # 0 means "use the default"
 
     def __post_init__(self):
-        if self.theorem not in THEOREMS:
+        if self.theorem not in IDENTITIES:
             raise ValueError(f"unknown theorem {self.theorem!r}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be an object, got {self.params!r}")
+        accepted = IDENTITIES[self.theorem][0]
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {unknown} for {self.theorem}, "
+                             f"which takes {list(accepted)}")
+        if not 0 <= self.tolerance < math.inf:  # also rejects nan
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
     @property
     def effective_tolerance(self) -> float:
@@ -111,12 +121,8 @@ def resolve_form(desc: str) -> modforms.FourierExpansion:
     raise ValueError(f"unknown form descriptor {desc!r}")
 
 
-_SEEDS = {
-    "z^-2": lambda: ltest.InversePowerSeed(2.0),
-    "z^-3": lambda: ltest.InversePowerSeed(3.0),
-    "lorentzian": lambda: ltest.LorentzianSeed(),
-    "zero": lambda: ltest.ZeroSeed(),
-}
+_SEEDS = {"z^-2": ltest.InversePowerSeed(2.0), "z^-3": ltest.InversePowerSeed(3.0),
+          "lorentzian": ltest.LorentzianSeed(), "zero": ltest.ZeroSeed()}
 
 
 def _to_complex(v) -> complex:
@@ -125,87 +131,113 @@ def _to_complex(v) -> complex:
     return complex(v)
 
 
-def _evaluate(spec: CheckSpec):
-    """Compute (lhs, rhs, lhs_err, rhs_err) for the check."""
-    p = spec.params
-    f = resolve_form(spec.form)
-    th = spec.theorem
-
-    if th in ("thm_maincor", "thm_main"):
-        s, w = float(p["s"]), _to_complex(p["w"])
-        lv = ltest.l_value(f, ltest.PhiSW(s, w))
-        rhs = contour.rhs_main_theorem(f, s, w)
-        return lv.value, rhs, lv.error_estimate, 0.0
-    if th == "prop_zag":
-        return ltest.l_star(f, 0), contour.rhs_integer_value(f, 0), 0.0, 0.0
-    if th in ("cor_bernWHF", "thm_bern", "cor_polyl"):
-        m = int(p["m"])
-        if th == "thm_bern":
-            lhs, lhs_err = ltest.l_value_limit(f, m)
-        else:
-            lhs, lhs_err = ltest.l_star(f, m), 0.0
-        return lhs, contour.rhs_integer_value(f, m), lhs_err, 0.0
-    if th == "cor_hurw":
-        s = float(p["s"])
-        return ltest.l_star(f, s), contour.rhs_negative_s(f, s), 0.0, 0.0
-    if th == "prop_fe":
-        s, w = float(p["s"]), _to_complex(p["w"])
-        N = int(p.get("N", f.level))
-        k = f.weight
-        phi = ltest.PhiSW(s, w)
-        lhs = ltest.l_value(f, phi).value
-        g = resolve_form(p.get("g", spec.form))
-        factor = (1j ** (k % 4)) * N ** (1 - k / 2)
-        rhs = factor * ltest.l_value(
-            g, ltest.fricke_transform_testfn(phi, 2 - k, N)).value
-        return lhs, rhs, 0.0, 0.0
-    if th == "lemma_bend":
-        a, w, T = float(p["a"]), _to_complex(p["w"]), float(p.get("T", 200.0))
-        lhs = contour.ray_integral_bend(a, w, T)
-        rhs = contour.i_power(a) * specfun.exp_int_E(1 - a, w)
-        return lhs, rhs, 0.0, 0.0
-    if th == "lemma_integral_form":
-        phi = _build_testfn(p)
-        lv = ltest.l_value(f, phi)
-        rhs = ltest.l_value_by_vertical_integral(f, phi)
-        return lv.value, rhs, lv.error_estimate, 0.0
-    if th == "sect6_compact":
-        seed = _SEEDS[p["phi"]]()
-        a, b = float(p["a"]), float(p["b"])
-        lhs = contour.compact_support_value(f, seed, a, b)
-        rhs = ltest.l_value_by_vertical_integral(
-            f, ltest.CompactAnalytic(seed, a, b))
-        return lhs, rhs, 0.0, 0.0
-    if th == "r_form_equality":
-        s, w = float(p["s"]), _to_complex(p["w"])
-        lhs = contour.r_remainder(f, s, w, "one_dim")
-        rhs = contour.r_remainder(f, s, w, "double_integral")
-        return lhs, rhs, 0.0, 0.0
-    if th == "bfi_consistency":
-        # the contour side shares no kernel with cal_EI
-        series = 2 * sum(a * specfun.cal_EI(TWO_PI * n) for n, a in f.holo.items())
-        lhs = complex(series.real, 0.0)
-        rhs = complex(2 * contour.rhs_integer_value(f, 0).real, 0.0)
-        return lhs, rhs, 0.0, 0.0
-    raise ValueError(f"unhandled theorem {th!r}")
+def _main(f, p):
+    """Series L_f(phi_s^w) = i^{-s} int_i^{i+1} f(z) e^{iwz} zeta(1-s, w/2pi, z) dz + R(w, s)."""
+    s, w = float(p["s"]), _to_complex(p["w"])
+    lv = ltest.l_value(f, ltest.PhiSW(s, w))
+    return lv.value, contour.rhs_main_theorem(f, s, w), lv.error_estimate, 0.0
 
 
-def _build_testfn(p: dict):
+def _integer_value(f, p):
+    """Series L*(f, m) = the integer-point closed form; m = 0 is the central value."""
+    m = int(p["m"])
+    return ltest.l_star(f, m), contour.rhs_integer_value(f, m), 0.0, 0.0
+
+
+def _bernoulli_limit(f, p):
+    """Richardson lim_{x->0+} L_f(phi_m^{ix}) = the Bernoulli closed form at m."""
+    m = int(p["m"])
+    lhs, lhs_err = ltest.l_value_limit(f, m)
+    return lhs, contour.rhs_integer_value(f, m), lhs_err, 0.0
+
+
+def _hurwitz(f, p):
+    """Series L*(f, s) = i^{-s} int_i^{i+1} f(z) zeta(1-s, z) dz for s < 0."""
+    s = float(p["s"])
+    return ltest.l_star(f, s), contour.rhs_negative_s(f, s), 0.0, 0.0
+
+
+def _functional_equation(f, p):
+    """L_f(phi_s^w) = i^k N^{1-k/2} L_g(phi_s^w |_{2-k} W_N), g = params["g"] or f."""
+    phi = ltest.PhiSW(float(p["s"]), _to_complex(p["w"]))
+    N, k = int(p.get("N", f.level)), f.weight
+    lhs = ltest.l_value(f, phi).value
+    g = resolve_form(p["g"]) if "g" in p else f
+    rhs = ltest.l_value(g, ltest.fricke_transform_testfn(phi, 2 - k, N)).value
+    return lhs, (1j ** (k % 4)) * N ** (1 - k / 2) * rhs, 0.0, 0.0
+
+
+def _bend(f, p):
+    """int_i^{i+T} e^{iwz} z^{a-1} dz plus its tail = i^a E_{1-a}(w); f is unused."""
+    a, w, T = float(p["a"]), _to_complex(p["w"]), float(p.get("T", 200.0))
+    lhs = contour.ray_integral_bend(a, w, T)
+    return lhs, contour.i_power(a) * specfun.exp_int_E(1 - a, w), 0.0, 0.0
+
+
+def _integral_form(f, p):
+    """Series L_f(phi) = int_0^infty f(iy) phi(y) dy, with phi chosen by params["kind"]."""
     kind = p.get("kind", "phi_sw")
     if kind == "phi_sw":
-        return ltest.PhiSW(float(p["s"]), _to_complex(p["w"]))
-    if kind == "compact_analytic":
-        return ltest.CompactAnalytic(_SEEDS[p["phi"]](), float(p["a"]), float(p["b"]))
-    if kind == "fricke_of_phi_sw":
-        return ltest.FrickePhiSW(float(p["s"]), _to_complex(p["w"]),
-                                 int(p["a_slash"]), int(p["M"]))
-    raise ValueError(f"unknown test-function kind {kind!r}")
+        phi = ltest.PhiSW(float(p["s"]), _to_complex(p["w"]))
+    elif kind == "compact_analytic":
+        phi = ltest.CompactAnalytic(_SEEDS[p["phi"]], float(p["a"]), float(p["b"]))
+    elif kind == "fricke_of_phi_sw":
+        phi = ltest.FrickePhiSW(float(p["s"]), _to_complex(p["w"]),
+                                int(p["a_slash"]), int(p["M"]))
+    else:
+        raise ValueError(f"unknown test-function kind {kind!r}")
+    lv = ltest.l_value(f, phi)
+    return lv.value, ltest.l_value_by_vertical_integral(f, phi), lv.error_estimate, 0.0
+
+
+def _compact(f, p):
+    """-i (int_{ia}^{ia+1} - int_{ib}^{ib+1}) f(z) Phi~(z) dz = int_a^b f(iy) seed(iy) dy."""
+    seed, a, b = _SEEDS[p["phi"]], float(p["a"]), float(p["b"])
+    lhs = contour.compact_support_value(f, seed, a, b)
+    rhs = ltest.l_value_by_vertical_integral(f, ltest.CompactAnalytic(seed, a, b))
+    return lhs, rhs, 0.0, 0.0
+
+
+def _remainder_shapes(f, p):
+    """The remainder R(w, s) in its one-dimensional shape = its double integral."""
+    s, w = float(p["s"]), _to_complex(p["w"])
+    lhs = contour.r_remainder(f, s, w, "one_dim")
+    return lhs, contour.r_remainder(f, s, w, "double_integral"), 0.0, 0.0
+
+
+def _bfi(f, p):
+    """2 Re sum_n a(n) EI(2 pi n) = 2 Re int_i^{i+1} f(z) zeta*(1, z) dz (BFI)."""
+    # the contour side shares no kernel with cal_EI
+    series = 2 * sum(a * specfun.cal_EI(TWO_PI * n) for n, a in f.holo.items())
+    rhs = complex(2 * contour.rhs_integer_value(f, 0).real, 0.0)
+    return complex(series.real, 0.0), rhs, 0.0, 0.0
+
+
+# theorem name -> (the parameter names it accepts, its evaluator); an evaluator
+# maps the form and the params to (lhs, rhs, lhs_err, rhs_err)
+IDENTITIES = {
+    "thm_maincor": (("s", "w"), _main),
+    "thm_main": (("s", "w"), _main),
+    "prop_zag": ((), lambda f, p: _integer_value(f, {"m": 0})),
+    "cor_bernWHF": (("m",), _integer_value),
+    "thm_bern": (("m",), _bernoulli_limit),
+    "cor_polyl": (("m",), _integer_value),
+    "cor_hurw": (("s",), _hurwitz),
+    "prop_fe": (("s", "w", "N", "g"), _functional_equation),
+    "lemma_bend": (("a", "w", "T"), _bend),
+    "lemma_integral_form": (("kind", "s", "w", "phi", "a", "b", "a_slash", "M"),
+                            _integral_form),
+    "sect6_compact": (("phi", "a", "b"), _compact),
+    "r_form_equality": (("s", "w"), _remainder_shapes),
+    "bfi_consistency": ((), _bfi),
+}
 
 
 def run_check(spec: CheckSpec) -> CheckReport:
     start = time.perf_counter()
     try:
-        lhs, rhs, lhs_err, rhs_err = _evaluate(spec)
+        lhs, rhs, lhs_err, rhs_err = IDENTITIES[spec.theorem][1](
+            resolve_form(spec.form), spec.params)
     except (ltest.AdmissibilityError, contour.RegimeError) as exc:
         ms = (time.perf_counter() - start) * 1000
         return CheckReport(spec.id, spec.theorem, 0j, 0j, 0.0, 0.0, 0.0, 0.0,
@@ -284,13 +316,18 @@ def load_suite(config_path: str) -> list[CheckSpec]:
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    entries = data.get("checks", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f'{config_path}: expected an object with a "checks" array')
     checks = []
-    for i, raw in enumerate(data.get("checks", [])):
+    for i, raw in enumerate(entries):
         try:
+            if not isinstance(raw, dict):
+                raise ValueError(f"a check must be an object, got {raw!r}")
             checks.append(CheckSpec(raw["id"], raw["theorem"], raw["form"],
                                     raw.get("params", {}),
                                     float(raw.get("tolerance", 0.0))))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{config_path}: checks[{i}]: {exc}") from exc
     return checks
 

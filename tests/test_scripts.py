@@ -47,3 +47,9 @@ def test_compare_reports(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[0] == changed["id"]
     assert "1 of 4 checks differ" in proc.stdout
+    data["checks"][0]["message"] = "precondition: moved"
+    change.write_text(json.dumps(data))
+    proc = run_script("compare_reports.py", str(parent), str(change))
+    assert proc.returncode == 1
+    assert "  message: '' -> 'precondition: moved'" in proc.stdout
+    assert "2 of 4 checks differ" in proc.stdout

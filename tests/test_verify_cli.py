@@ -97,6 +97,41 @@ def test_run_check_invalid_theorem():
         CheckSpec("x", "not_a_theorem", "J")
 
 
+def test_identity_table_matches_default_suite():
+    """Every identity is exercised by the bundled suite, and no bundled check
+    names an identity outside the table."""
+    assert set(verify.IDENTITIES) == {c.theorem for c in default_suite()}
+
+
+def test_unknown_parameter_rejected(tmp_path, capsys):
+    # a misspelt "g" would otherwise be ignored, comparing J with J
+    params = {"s": 0, "w": [30, 5], "G": "Jsq"}
+    with pytest.raises(ValueError, match=r"\['G'\] for prop_fe"):
+        CheckSpec("fe", "prop_fe", "J", params)
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"checks": [
+        {"id": "fe", "theorem": "prop_fe", "form": "J", "params": params}]}))
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert "checks[0]: unknown parameter(s) ['G']" in capsys.readouterr().err
+
+
+def test_missing_parameter_fails_check(tmp_path, capsys):
+    rep = run_check(CheckSpec("fe", "prop_fe", "J", {"w": [30, 5]}, 1e-6))
+    assert rep.status == "fail"
+    assert rep.message == "KeyError: 's'"
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"checks": [
+        {"id": "fe", "theorem": "prop_fe", "form": "J", "params": {"w": [30, 5]}}]}))
+    assert cli.main(["verify", "--config", str(cfg)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_check_tolerance_must_be_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        CheckSpec("zag", "prop_zag", "J", {}, tol)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -263,6 +298,37 @@ def test_cli_verify_failing_config_exit_code(tmp_path):
     code, out, _ = run_cli("verify", "--config", str(cfg))
     assert code == 1
     assert "FAIL" in out
+
+
+ZAG = '{"id": "zag", "theorem": "prop_zag", "form": "J"'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[1, 2]', 'expected an object with a "checks" array'),
+    ('{"checks": ["x"]}', "checks[0]: a check must be an object, got 'x'"),
+    ('{"checks": [' + ZAG + ', "tolerance": null}]}', "checks[0]: float() argument"),
+    ('{"checks": [' + ZAG + ', "tolerance": 1e999}]}', "checks[0]: tolerance must be finite"),
+    ('{"checks": [' + ZAG + ', "tolerance": NaN}]}', "checks[0]: tolerance must be finite"),
+    ('{"checks": [' + ZAG + ', "params": [1]}]}', "checks[0]: params must be an object"),
+], ids=["top-level-list", "check-string", "tolerance-null", "tolerance-inf",
+        "tolerance-nan", "params-list"])
+def test_cli_malformed_config_is_usage_error(text, message, tmp_path, capsys):
+    """A malformed config is a usage error (exit 2), not a failed check (exit 1)."""
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(text)
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
+@pytest.mark.parametrize("selector", ["filter", "config"])
+def test_cli_verify_nothing_selected(selector, tmp_path, capsys):
+    """A run of no check certifies nothing: exit 2, not a pass."""
+    cfg = tmp_path / "empty.json"
+    cfg.write_text('{"checks": []}')
+    args = ["--filter", "thm_mian"] if selector == "filter" else ["--config", str(cfg)]
+    assert cli.main(["verify", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no check selected\n"
 
 
 def test_main_callable_directly(capsys):
