@@ -322,7 +322,7 @@ def l_tilde(f: FourierExpansion, s) -> complex:
 
 def l_value_limit(f: FourierExpansion, s):
     """Richardson-extrapolated lim_{x->0+} L_f(phi_s^{ix}) on the ladder
-    x = 0.4 / 2^j, j < 6.
+    x = _LIMIT_X0 / 2^j, j < _LIMIT_LEVELS.
 
     Returns (value, error_estimate); the estimate is the difference between
     the last two diagonal entries of the extrapolation table.

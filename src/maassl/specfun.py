@@ -32,14 +32,14 @@ class ConvergenceError(SpecFunError):
     """An internal series or continued fraction failed to converge."""
 
 
-# |z| beyond which the asymptotic expansion of E_s is preferred, and the
-# largest negative real part before e^{-z} overflows a double.
+# |z| beyond which the asymptotic expansion of E_s is preferred, the |z| up
+# to which E_s uses its power series for Re z > 0 and for Re z <= 0 off the
+# cut, and the largest negative real part before e^{-z} overflows a double
 _ASYMPTOTIC_RADIUS = 40.0
 _CF_RADIUS = 2.0
+_OFF_CUT_SERIES_RADIUS = 6.6
 _SAFE_EXPONENT = 700.0
-# 0.55 of _SERIES_RADIUS is the |z| up to which E_s with Re z <= 0 uses its
-# power series off the cut; _MAX_TERMS caps every power series here
-_SERIES_RADIUS = 12.0
+# caps _ein's power series
 _MAX_TERMS = 500_000
 _EPS = float(np.finfo(float).eps)
 
@@ -83,7 +83,7 @@ def _is_int(x, tol: float = 1e-12) -> bool:
     return abs(x.imag) < tol and abs(x.real - round(x.real)) < tol
 
 
-def _as_array(z):
+def _as_complex(z):
     """(z as complex numpy values with _clean's -0.0 rule, whether z is a scalar)."""
     za = np.asarray(z, dtype=complex)
     return za + 0j, za.ndim == 0
@@ -128,7 +128,7 @@ def bernoulli_poly(n: int, z):
     scalar (complex returned) or an ndarray."""
     if n < 0:
         raise DomainError("Bernoulli index must be non-negative")
-    z, scalar = _as_array(z)
+    z, scalar = _as_complex(z)
     out = np.polyval([float(c) for c in bernoulli_poly_coeffs(n)], z)
     return complex(out) if scalar else out
 
@@ -168,101 +168,40 @@ def _gamma(z: complex) -> complex:
 # Incomplete gamma and the generalized exponential integral
 # ---------------------------------------------------------------------------
 
-def _gamma_upper_cf(r: complex, z: complex) -> complex:
-    """Continued fraction for Gamma(r, z) * e^z * z^{-r}; needs Re z > 0-ish."""
-    tiny = 1e-300
-    b = z + 1.0 - r
-    c = 1.0 / tiny
-    d = 1.0 / b if abs(b) >= tiny else 1.0 / tiny
-    h = d
-    for i in range(1, 2000):
-        an = -i * (i - r)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = complex(tiny)
-        c = b + an / c
-        if abs(c) < tiny:
-            c = complex(tiny)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return h
-    raise ConvergenceError("continued fraction for Gamma(r, z) did not converge")
+def _lib(z):
+    """cmath for a Python complex, numpy for an ndarray: the same exp and log,
+    each at its own speed."""
+    return cmath if isinstance(z, complex) else np
 
 
-def _exp_int_series(s: complex, z: complex) -> complex:
+def _exp_int_series(s: complex, z):
     """E_s(z) by the everywhere-convergent continuation formula
-    lead - sum_{k != skip} (-z)^k / (k! (1-s+k)).
+    lead - sum_{k != skip} (-z)^k / (k! (1-s+k)), by Horner's rule over the
+    terms k < K, with K the first k > |z| + 4 at which |z|^k / k! < 1e-17
+    for the largest |z|.
 
     Non-integer s: lead = z^{s-1} Gamma(1-s), and no term is skipped.
     Integer s = n >= 1: lead = (-z)^{n-1}/(n-1)! (psi(n) - Log z), the term
     k = n-1 is skipped, and s stays the int n so that 1-s+k is exact.
     """
+    lib = _lib(z)
     if _is_int(s) and s.real >= 1:
         s = int(round(s.real))
         psi_n = -EULER_GAMMA + sum(1.0 / j for j in range(1, s))
-        lead = ((-z) ** (s - 1) / math.factorial(s - 1)) * (psi_n - principal_log(z))
-        skip = s - 1
-    else:
-        lead = principal_power(z, s - 1) * _gamma(1 - s)
-        skip = -1
-    k_min, abs_lead, minus_z = abs(z) + 4, abs(lead), -z
-    acc = 0j
-    term = 1.0 + 0j  # (-z)^k / k!
-    k = 0
-    while True:
-        if k != skip:
-            contrib = term / (1 - s + k)
-            acc += contrib
-            if k > k_min and abs(contrib) < (abs(acc) + abs_lead) * 1e-17 + 1e-300:
-                break
-        k += 1
-        if k > _MAX_TERMS:
-            raise ConvergenceError("E_s series did not converge")
-        term *= minus_z / k
-    return lead - acc
-
-
-def _exp_int_asymptotic(s: complex, z: complex) -> complex:
-    """E_s(z) ~ e^{-z}/z sum_k (-1)^k (s)_k / z^k, for large |z|."""
-    acc = 1.0 + 0j
-    term = 1.0 + 0j
-    best = abs(term)
-    for k in range(1, 200):
-        term *= -(s + k - 1) / z
-        abs_term = abs(term)
-        if abs_term > best:
-            break
-        best = abs_term
-        acc += term
-        if abs_term < abs(acc) * 1e-17:
-            break
-    return cmath.exp(-z) / z * acc
-
-
-def _exp_int_series_array(s: complex, z: np.ndarray) -> np.ndarray:
-    """_exp_int_series on a batch, by Horner's rule over the terms k < K,
-    with K the first k > |z| + 4 at which |z|^k / k! < 1e-17 for the
-    batch's largest |z|."""
-    if _is_int(s) and s.real >= 1:
-        s = int(round(s.real))
-        psi_n = -EULER_GAMMA + sum(1.0 / j for j in range(1, s))
-        lead = ((-z) ** (s - 1) / math.factorial(s - 1)) * (psi_n - np.log(z))
+        lead = ((-z) ** (s - 1) / math.factorial(s - 1)) * (psi_n - lib.log(z))
         skip = s - 1
     else:
         a = s - 1  # principal_power's rule: integer powers exactly
-        power = z ** int(a.real) if a.imag == 0 and a.real.is_integer() else np.exp(a * np.log(z))
+        power = z ** int(a.real) if a.imag == 0 and a.real.is_integer() else lib.exp(a * lib.log(z))
         lead = power * _gamma(1 - s)
         skip = -1
-    z_max = float(np.max(np.abs(z)))
+    z_max = abs(z) if lib is cmath else float(np.abs(z).max())
     k, term = 0, 1.0
     while k <= z_max + 4 or term >= 1e-17:
         k += 1
         term *= z_max / k
     # acc = d_0 + (-z/1)(d_1 + (-z/2)(d_2 + ...)), d_j = 1/(1-s+j) or 0 at skip
-    acc = np.zeros_like(z)
+    acc = 0.0
     minus_z = -z
     for j in range(k, 0, -1):
         acc = acc * (minus_z / j)
@@ -271,121 +210,103 @@ def _exp_int_series_array(s: complex, z: np.ndarray) -> np.ndarray:
     return lead - acc
 
 
-def _exp_int_cf_array(s: complex, z: np.ndarray) -> np.ndarray:
-    """e^{-z} times _gamma_upper_cf(1 - s, z) on a batch: the continued
-    fraction 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with b_i = z + 2i + s,
-    a_i = -i(i - 1 + s), evaluated bottom-up at depth 8, 16, 32, ... until two
-    depths agree to 2 eps on every element."""
-    prev = None
-    depth = 8
-    while depth <= 2048:
-        f = z + (2 * depth + s)
-        for i in range(depth, 0, -1):
-            f = (z + (2 * i - 2 + s)) + (-i * (i - 1 + s)) / f
-        value = 1.0 / f
-        if prev is not None and np.all(np.abs(value - prev) <= 2 * _EPS * np.abs(value)):
-            return np.exp(-z) * value
-        prev = value
-        depth *= 2
+def _exp_int_cf(s: complex, z):
+    """e^{-z} / (b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_i = z + s + 2i,
+    a_i = -i(i - 1 + s): E_s(z) by the continued fraction for
+    Gamma(1-s, z) e^z z^{s-1}, in Lentz's form, until every step factor is
+    within 2 eps of 1.  Each divisor gets 1e-300 added, which keeps it off
+    zero (b_0 = 0 does occur) and changes no bit of one above about 1e-284."""
+    lib = _lib(z)
+    scalar, tiny, tol = lib is cmath, 1e-300, 2 * _EPS
+    b = z + s
+    c = 1.0 / tiny
+    d = 1.0 / (b + tiny)
+    h = d
+    for i in range(1, 2000):
+        a = -i * (i - 1 + s)
+        b = b + 2.0
+        d = 1.0 / (a * d + b + tiny)
+        c = b + a / c + tiny
+        delta = d * c
+        h = h * delta
+        err = abs(delta - 1.0)
+        if (err if scalar else err.max()) <= tol:
+            return lib.exp(-z) * h
     raise ConvergenceError("continued fraction for Gamma(r, z) did not converge")
 
 
-def _exp_int_asymptotic_array(s: complex, z: np.ndarray) -> np.ndarray:
-    """_exp_int_asymptotic on a batch, by Horner's rule over the terms k <= K,
-    with K where the terms at the batch's smallest |z| stop falling or drop
-    below 1e-17; at every larger |z| they fall faster."""
-    z_min = float(np.min(np.abs(z)))
+def _exp_int_asymptotic(s: complex, z):
+    """E_s(z) ~ e^{-z}/z sum_k (-1)^k (s)_k / z^k, for large |z|, by Horner's
+    rule over the terms k <= K, with K where the terms at the smallest |z|
+    stop falling or drop below 1e-17; at every larger |z| they fall faster."""
+    lib = _lib(z)
+    z_min = abs(z) if lib is cmath else float(np.abs(z).min())
     k, term = 0, 1.0
-    while k < 199:
-        nxt = term * abs(s + k) / z_min
-        if nxt > term:
+    while term >= 1e-17 and k < 199:
+        ratio = abs(s + k) / z_min
+        if ratio > 1.0:
             break
-        k, term = k + 1, nxt
-        if term < 1e-17:
-            break
+        k, term = k + 1, term * ratio
     # acc = 1 - (s/z)(1 - ((s+1)/z)(1 - ...))
     inv_z = 1.0 / z
-    acc = np.ones_like(z)
-    for j in range(k, 0, -1):
-        acc = 1.0 - (s + j - 1) * inv_z * acc
-    return np.exp(-z) * inv_z * acc
-
-
-def _exp_int_E_array(s: complex, z) -> np.ndarray:
-    """exp_int_E on an ndarray: the scalar rule as masks, each branch
-    evaluated on its whole batch at one fixed depth."""
-    z = np.asarray(z, dtype=complex) + 0j
-    if np.any(z == 0):
-        raise DomainError("E_s(0) is undefined here")
-    if np.any(-z.real > _SAFE_EXPONENT):
-        raise OverflowError("E_s(z) exceeds safe double-precision exponent range")
-    az = np.abs(z)
-    asymptotic = az >= _ASYMPTOTIC_RADIUS
-    series = ~asymptotic & np.where(
-        z.real > 0, az < _CF_RADIUS,
-        (np.abs(z.imag) <= -z.real) | (az <= 0.55 * _SERIES_RADIUS))
-    out = np.empty_like(z)
-    for mask, method in ((series, _exp_int_series_array),
-                         (~asymptotic & ~series, _exp_int_cf_array),
-                         (asymptotic, _exp_int_asymptotic_array)):
-        if mask.any():
-            out[mask] = method(s, z[mask])
-    return out
+    acc = 1.0
+    for j in range(k - 1, -1, -1):
+        acc = 1.0 - (s + j) * inv_z * acc
+    return lib.exp(-z) * inv_z * acc
 
 
 def exp_int_E(s, z):
-    """Generalized exponential integral E_s(z) on the principal branch.
+    """Generalized exponential integral E_s(z) on the principal branch; z is
+    a scalar (complex returned) or an ndarray (an ndarray of its shape).
 
     The negative real axis is the continuous extension from Im z > 0.  One
-    rule picks the method: |z| >= 40 the asymptotic series; the power series
-    for Re z > 0 with |z| < 2, and for Re z <= 0 on |Im z| <= -Re z or with
-    |z| <= 6.6; the continued fraction everywhere else.
+    rule picks the method for each point: |z| >= 40 the asymptotic series;
+    the power series for Re z > 0 with |z| < 2, and for Re z <= 0 on
+    |Im z| <= -Re z or with |z| <= 6.6; the continued fraction everywhere
+    else.  Each method runs once on all the points it takes (a scalar is one
+    point): the two series by Horner's rule over as many terms as the
+    largest (power) or smallest (asymptotic) |z| needs, the continued
+    fraction until its step factor is within 2 eps of 1 at every point
+    (ConvergenceError past 2000 steps).
 
-    A scalar z (complex returned) runs each method until its own terms
-    converge.  Measured against mpmath on both sides of each radius, in both
-    half-planes and on the cut, the relative error is at most 9.0e-13, near
-    the cut just inside |z| = 40 where the series cancels most, and at most
-    1.6e-13 elsewhere.
-
-    An ndarray z (an ndarray of its shape returned) evaluates each method on
-    its whole batch at one depth: the power series by Horner's rule over as
-    many terms as its largest |z| needs, the continued fraction bottom-up at
-    depth 8, 16, 32, ... until two depths agree to 2 eps on every element
-    (ConvergenceError past 2048), and the asymptotic series by Horner's rule
-    up to where the terms at its smallest |z| stop falling or drop below
-    1e-17.  On the same mpmath grid its relative error is at most 1.6e-12
-    (s = -2, |z| = 39, arg z = 2.4, where the scalar path reads 3.0e-13),
-    both paths reading the rounding of the series' cancellation there; on
-    400 random points with |z| <= 50 it is at most 4.8e-13.  A one-element
-    array costs about ten scalar calls and a 13-element one about three
-    times the scalar loop, so callers with a few points at a time pass
-    scalars.  DomainError if any element is 0, OverflowError if any has
-    Re z < -700.
+    Measured against mpmath on both sides of each radius, in both
+    half-planes and on the cut, the relative error is at most 1.5e-12 for a
+    scalar (s = 2.5 + i, z = -28.8 + 26.3i) and 1.6e-12 for an ndarray
+    (s = -2, z = -28.8 - 26.3i), both just inside |z| = 40 near the cut,
+    where the power series cancels most; elsewhere on that grid it is at
+    most 1.6e-13, and on 400 random points with |z| <= 50, Re s in [-3, 3]
+    and |Im s| <= 1 at most 1.5e-13.  DomainError if any element is 0,
+    OverflowError if any has Re z < -700.
     """
+    s = complex(s)
     # np.ndim(z) would build an array from a Python scalar, about 1.5 us a
     # call; getattr reads the same number (0 for scalars) in 40 ns
-    if getattr(z, "ndim", 0):
-        return _exp_int_E_array(complex(s), z)
-    s = complex(s)
-    z = _clean(z)
-    if z == 0:
-        raise DomainError("E_s(0) is undefined here")
-    if -z.real > _SAFE_EXPONENT:
-        raise OverflowError("E_s(z) exceeds safe double-precision exponent range")
+    scalar = not getattr(z, "ndim", 0)
+    z = _clean(z) if scalar else np.asarray(z, dtype=complex) + 0j
     az = abs(z)
-    if az >= _ASYMPTOTIC_RADIUS:
-        return _exp_int_asymptotic(s, z)
-    if z.real > 0:
-        # the series loses absolute digits to cancellation beyond |z| ~ 2,
-        # where the continued fraction keeps full relative accuracy
-        series = az < _CF_RADIUS
-    else:
-        # near the cut the series terms do not alternate and the continued
-        # fraction degrades; off it the series cancels badly beyond ~6.6
-        series = abs(z.imag) <= -z.real or az <= 0.55 * _SERIES_RADIUS
-    if series:
-        return _exp_int_series(s, z)
-    return cmath.exp(-z) * _gamma_upper_cf(1 - s, z)
+    if (az if scalar else az.min(initial=1.0)) == 0:
+        raise DomainError("E_s(0) is undefined here")
+    if -(z.real if scalar else z.real.min(initial=0.0)) > _SAFE_EXPONENT:
+        raise OverflowError("E_s(z) exceeds safe double-precision exponent range")
+    asymptotic = az >= _ASYMPTOTIC_RADIUS
+    # for Re z > 0 the series loses absolute digits to cancellation beyond
+    # |z| ~ 2, where the continued fraction keeps full relative accuracy; for
+    # Re z <= 0 near the cut the series terms do not alternate and the
+    # continued fraction degrades, and off it the series cancels badly
+    series = (az < _ASYMPTOTIC_RADIUS) & (
+        (z.real > 0) & (az < _CF_RADIUS)
+        | (z.real <= 0) & ((abs(z.imag) <= -z.real) | (az <= _OFF_CUT_SERIES_RADIUS)))
+    if scalar:
+        method = (_exp_int_asymptotic if asymptotic else
+                  _exp_int_series if series else _exp_int_cf)
+        return method(s, z)
+    out = np.empty_like(z)
+    for mask, method in ((series, _exp_int_series),
+                         (~(series | asymptotic), _exp_int_cf),
+                         (asymptotic, _exp_int_asymptotic)):
+        if mask.any():
+            out[mask] = method(s, z[mask])
+    return out
 
 
 def inc_gamma_upper(r, z) -> complex:
@@ -457,7 +378,7 @@ def hurwitz_zeta(s, z):
     """Hurwitz zeta(s, z), s != 1, by Euler-Maclaurin after one shift taken
     from the smallest Re z; z is a scalar (complex returned) or an ndarray."""
     s = complex(s)
-    z, scalar = _as_array(z)
+    z, scalar = _as_complex(z)
     if abs(s - 1) < 1e-13:
         raise DomainError("Hurwitz zeta has a pole at s = 1")
     _reject_poles(z, "Hurwitz zeta undefined at non-positive integers")
@@ -541,7 +462,7 @@ def hurwitz_zeta_star(a, z):
 def digamma(z):
     """psi(z) by recurrence plus the Bernoulli asymptotic series; z is a
     scalar (complex returned) or an ndarray."""
-    z, scalar = _as_array(z)
+    z, scalar = _as_complex(z)
     _reject_poles(z, "digamma pole at non-positive integer")
     shift = max(0, math.ceil(_EM_SHIFT_TARGET - np.min(z.real, initial=_EM_SHIFT_TARGET)))
     acc = -sum(1.0 / (z + k) for k in range(shift))

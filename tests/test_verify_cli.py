@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,23 @@ def test_identity_table_matches_default_suite():
     """Every identity is exercised by the bundled suite, and no bundled check
     names an identity outside the table."""
     assert set(verify.IDENTITIES) == {c.theorem for c in default_suite()}
+
+
+BASELINE = Path(__file__).parent / "data" / "verify_baseline.json"
+
+
+def test_default_suite_no_worse_than_baseline():
+    """Baseline gate: the bundled suite keeps its check ids, passes every
+    check, and no check's rel_err grows past max(2 * baseline, 1e-14).  The
+    baseline is a `maassl verify --report` reduced to {id: rel_err}; it may
+    only ever be tightened."""
+    baseline = json.loads(BASELINE.read_text())
+    reports, summary = run_suite(default_suite())
+    assert {r.id for r in reports} == set(baseline)
+    assert summary["fail"] == summary["skipped"] == 0
+    worse = {r.id: (r.rel_err, baseline[r.id]) for r in reports
+             if r.rel_err > max(2 * baseline[r.id], 1e-14)}
+    assert not worse, worse
 
 
 def test_unknown_parameter_rejected(tmp_path, capsys):
