@@ -100,6 +100,7 @@ class FourierExpansion:
     modular: bool = False
     label: str = ""
     _arrays: tuple | None = field(default=None, repr=False, compare=False)
+    _tail_log_weights: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if any(int(n) != n for n in (*self.holo, *self.nonholo)):
@@ -125,6 +126,17 @@ class FourierExpansion:
             nb = np.array([self.nonholo[int(n)] for n in sorted(self.nonholo)], dtype=complex)
             object.__setattr__(self, "_arrays", (hn, ha, nn, nb))
         return self._arrays
+
+    def tail_log_weights(self) -> list[float]:
+        """log G_i, G_i = sum_{m >= i} |a(n_m)| e^{-2 pi (n_m - n_i)}, over the
+        sorted holomorphic indices n_i; cached like arrays(), +inf on overflow."""
+        if self._tail_log_weights is None:
+            hn, ha, _, _ = self.arrays()
+            with np.errstate(over="ignore"):
+                log_b = np.log(np.abs(ha)) - 2 * math.pi * hn
+            tails = np.logaddexp.accumulate(log_b[::-1])[::-1] + 2 * math.pi * hn
+            self._tail_log_weights = tails.tolist()  # a list indexes faster
+        return self._tail_log_weights
 
     def eval_at(self, z):
         """Value of the truncated expansion; z scalar or ndarray with Im > 0."""

@@ -12,8 +12,14 @@ from maassl import (CompactAnalytic, FrickePhiSW, InversePowerSeed, PhiSW,
                     fricke_transform_testfn, l_star, l_tilde, l_value,
                     l_value_by_vertical_integral, l_value_limit,
                     laplace_phi_sw, specfun, synth_harmonic)
-from maassl.ltest import AdmissibilityError, _phi_sw_tail_bounds
+from maassl import ltest
+from maassl.ltest import AdmissibilityError
 from maassl.specfun import exp_int_E
+
+try:
+    import mpmath
+except ImportError:  # the oracle is optional
+    mpmath = None
 
 TWO_PI = 2 * math.pi
 EPS = np.finfo(float).eps
@@ -202,9 +208,19 @@ def test_functional_equation(J):
         assert abs(lhs - rhs) / abs(lhs) < 1e-6  # values are ~1e-12; check rel
 
 
-def test_richardson_limit_matches_direct():
+def test_richardson_limit_matches_direct(monkeypatch):
     f = synth_harmonic(0, {1: 0.5}, {-1: 1})
+    levels = []
+    integral = ltest._nonholo_integral
+
+    def counting(f, phi, n):
+        levels.append(phi.w)
+        return integral(f, phi, n)
+
+    monkeypatch.setattr(ltest, "_nonholo_integral", counting)
     lim, err = l_value_limit(f, 1)
+    # the non-holomorphic part keeps one quadrature per level
+    assert levels == [1j * ltest._LIMIT_X0 / 2 ** j for j in range(ltest._LIMIT_LEVELS)]
     direct = l_star(f, 1)
     assert abs(lim - direct) < 1e-9
     assert err < 1e-9
@@ -229,7 +245,7 @@ def _terms(f, phi):
 def test_phi_sw_tail_bound_covers_terms(J, Jsq, name, s, re_w, im_w):
     f = _cut_form(name, J, Jsq)
     phi = PhiSW(s, complex(re_w, im_w))
-    tail = _phi_sw_tail_bounds(f, phi)
+    log_g = f.tail_log_weights()
     p = max(0.0, s - 1.0)
     bounds = []
     for n, term in _terms(f, phi):
@@ -243,8 +259,10 @@ def test_phi_sw_tail_bound_covers_terms(J, Jsq, name, s, re_w, im_w):
         assert abs(term) <= b * (1 + 1e-10)
         bounds.append(b)
     for i, n in enumerate(sorted(f.holo)):
-        if n > 0:
-            assert tail[i] >= sum(bounds[i:]) * (1 - 1e-12)
+        x = TWO_PI * n + re_w
+        if n > 0 and x > p:  # the bound the cut in l_value tests
+            tail = math.exp(log_g[i] - x - math.log(x - p))
+            assert tail >= sum(bounds[i:]) * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("name", CUT_FORMS)
@@ -280,3 +298,68 @@ def test_cut_skips_kernel_calls(J, monkeypatch):
     monkeypatch.setattr(specfun, "exp_int_E", counting)
     l_value(J, PhiSW(0.5, 0.3 + 0.9j))
     assert 0 < len(calls) <= 16  # all 40 stored coefficients without the cut
+
+
+def test_overflowed_tail_weight_never_cuts():
+    # |a(12)| overflows, so every tail weight up to n = 12 reads +inf
+    f = synth_harmonic(0, {-1: 1, **{n: 2.0 ** -n for n in range(1, 12)},
+                           12: 1.5e308 * (1 + 1j)}, {})
+    assert f.tail_log_weights()[1] == math.inf
+    phi = PhiSW(0.5, 0.3 + 0.9j)
+    full = sum((t for _, t in _terms(f, phi)), 0j)
+    assert abs(l_value(f, phi).holo_part - full) <= 1e-14 * abs(full)
+
+
+LADDER = ltest._LIMIT_X0 / 2.0 ** np.arange(ltest._LIMIT_LEVELS)
+SYNTH_KM2 = synth_harmonic(-2, {-1: 1, **{n: (0.7 + 0.2j) * (-2.0) ** n
+                                          for n in range(1, 16)}}, {})
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("n", [-1, 1])
+def test_shifted_exp_int_vs_mpmath(n):
+    """The ladder's Taylor-shifted E_{1-m}, from the kernel's value at level 0,
+    at n = -1 (z0 = -2 pi + 0.4i, near the cut) and n = 1; measured at most
+    1.5e-15 relative."""
+    z0 = np.array([TWO_PI * n + 1j * LADDER[0]])
+    with mpmath.workdps(30):
+        for m in range(-1, 4):
+            shifted = ltest._shifted_sums(1 - m, z0, exp_int_E(1 - m, z0), np.ones(1),
+                                          1j * (LADDER - LADDER[0]))
+            for x, v in zip(LADDER, shifted):
+                exact = complex(mpmath.expint(1 - m, mpmath.mpc(TWO_PI * n, x)))
+                assert abs(v - exact) <= 1e-14 * abs(exact), (m, x)
+
+
+@pytest.mark.parametrize("name", ["J", "Jsq", "km2"])
+@pytest.mark.parametrize("m", range(-1, 4))
+def test_ladder_levels_match_direct_l_value(J, Jsq, name, m):
+    f = {"J": J, "Jsq": Jsq, "km2": SYNTH_KM2}[name]
+    xs, holo = ltest._ladder_holo(f, m)
+    assert np.array_equal(xs, LADDER)
+    for x, h in zip(xs, holo):
+        direct = l_value(f, PhiSW(m, 1j * x)).holo_part
+        assert abs(h - direct) <= 2e-13 * abs(direct), x
+
+
+@pytest.mark.parametrize("m", range(-1, 4))
+def test_limit_makes_one_kernel_call_per_n(J, monkeypatch, m):
+    calls = []
+    kernel = specfun.exp_int_E
+
+    def counting(s, z, *args, **kwargs):
+        calls.append(z)
+        return kernel(s, z, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "exp_int_E", counting)
+    l_value(J, PhiSW(m, 1j * ltest._LIMIT_X0))
+    direct = len(calls)
+    calls.clear()
+    l_value_limit(J, m)
+    assert 0 < len(calls) == direct
+
+
+def test_limit_divergence_check_survives_the_shift():
+    f = synth_harmonic(0, {-1: 1, **{n: 10.0 ** (3 * n) for n in range(1, 9)}}, {})
+    with pytest.raises(AdmissibilityError, match="stopped decreasing"):
+        l_value_limit(f, 1)
