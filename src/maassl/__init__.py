@@ -11,7 +11,7 @@ from .modforms import (FourierExpansion, build_J, build_J_squared,
 from .ltest import (CompactAnalytic, FrickePhiSW, InversePowerSeed, LValue,
                     LorentzianSeed, PhiSW, fricke_transform_testfn,
                     l_star, l_tilde, l_value, l_value_by_vertical_integral,
-                    l_value_limit, laplace_phi_sw)
+                    l_value_limit)
 from .contour import (compact_support_value, r_remainder, ray_integral_bend,
                       rhs_integer_value, rhs_main_theorem, rhs_negative_s)
 
@@ -20,9 +20,9 @@ __all__ = [
     "xi_image", "CompactAnalytic", "FrickePhiSW", "InversePowerSeed",
     "LValue", "LorentzianSeed", "PhiSW", "fricke_transform_testfn",
     "l_star", "l_tilde", "l_value", "l_value_by_vertical_integral",
-    "l_value_limit", "laplace_phi_sw", "compact_support_value",
-    "r_remainder", "ray_integral_bend", "rhs_integer_value",
-    "rhs_main_theorem", "rhs_negative_s",
+    "l_value_limit", "compact_support_value", "r_remainder",
+    "ray_integral_bend", "rhs_integer_value", "rhs_main_theorem",
+    "rhs_negative_s",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -176,9 +175,10 @@ def bern_c_constant(k: int, m: int) -> complex:
     """c_{k,m} = -sum_l m! (l-k)! i^{k+m+2l} / ((1+m-k)! l!)."""
     acc = 0j
     for el in range(m + 1):
-        ratio = Fraction(math.factorial(m) * math.factorial(el - k),
-                         math.factorial(1 + m - k) * math.factorial(el))
-        acc += float(ratio) * i_power(k + m + 2 * el)
+        # int / int true division is correctly rounded, even for large ints
+        ratio = (math.factorial(m) * math.factorial(el - k)
+                 / (math.factorial(1 + m - k) * math.factorial(el)))
+        acc += ratio * i_power(k + m + 2 * el)
     return -acc
 
 

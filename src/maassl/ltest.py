@@ -77,7 +77,7 @@ class PhiSW:
         return 1.0, 1.0 + (_DECAY_BUDGET + 4) / rate
 
     def laplace(self, u) -> complex:
-        """(L phi_s^w)(u) = E_{1-s}(u + w)."""
+        """(L phi_s^w)(u) = E_{1-s}(u + w), continuous from above on the cut."""
         return specfun.exp_int_E(1 - complex(self.s), u + complex(self.w))
 
 
@@ -167,11 +167,6 @@ def _laplace(phi, u) -> complex:
     return complex(_pair(phi, lambda t: np.exp(-u * t), -u.real, 0.0).value)
 
 
-def laplace_phi_sw(s, w, u) -> complex:
-    """(L phi_s^w)(u) = E_{1-s}(u + w), continuous from above on the cut."""
-    return PhiSW(s, w).laplace(u)
-
-
 def fricke_transform_testfn(phi, a: int, M: int):
     """(phi |_a W_M)(x) = (Mx)^{-a} phi(1/(Mx)) as a new descriptor."""
     if isinstance(phi, PhiSW):
@@ -223,7 +218,7 @@ def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
 
 def _holo_terms(f: FourierExpansion, phi):
     """(kernels, holo, err): the kernel values (L phi)(2 pi n), one call each,
-    of the summed n, the first len(kernels) of f.arrays()'s sorted indices;
+    of the summed n, the first len(kernels) of the sorted indices in f.arrays;
     their sum against a(n); and its error estimate (see LValue).
 
     For phi_s^w the sum stops at the first n_i > 0 whose tail bound
@@ -246,7 +241,7 @@ def _holo_terms(f: FourierExpansion, phi):
             # the weights are read once the term's own bound (part of the
             # tail's; hypot, unlike abs, overflows to inf) is below the cut
             if x > p and math.hypot(a.real, a.imag) * math.exp(-x) / (x - p) <= limit:
-                log_tail = f.tail_log_weights()[i] - x - math.log(x - p)
+                log_tail = f.tail_log_weights[i] - x - math.log(x - p)
                 if log_tail <= math.log(limit):
                     prev = math.exp(log_tail)
                     break
@@ -323,7 +318,7 @@ def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     """The ladder x_j and the holomorphic part of L_f(phi_s^{i x_j}) on it."""
     xs = _LIMIT_X0 / 2.0 ** np.arange(_LIMIT_LEVELS)
     kernels, _, _ = _holo_terms(f, PhiSW(s, 1j * xs[0]))
-    hn, ha, _, _ = f.arrays()
+    hn, ha, _, _ = f.arrays
     z0 = TWO_PI * hn[:len(kernels)] + 1j * xs[0]
     return xs, _shifted_sums(1 - complex(s), z0, np.array(kernels, dtype=complex),
                              ha[:len(kernels)], 1j * (xs - xs[0]))

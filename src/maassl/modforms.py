@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,19 +89,19 @@ class FourierExpansion:
     """Finite coefficient table in the harmonic-Maass-cusp-form shape.
 
     holo maps n (n >= -n0, n != 0) to a_f(n); nonholo maps n < 0 to b_f(n),
-    attached to the incomplete-gamma factor Gamma(1-k, -4 pi n y).
+    attached to the incomplete-gamma factor Gamma(1-k, -4 pi n y).  n0, the
+    pole order at the cusp, is read off the stored (nonzero) coefficients:
+    the deepest negative frequency, at least 1.
     """
 
     weight: int
     level: int
     holo: dict[int, complex]
     nonholo: dict[int, complex]
-    n0: int
     growth_const: float
     modular: bool = False
     label: str = ""
-    _arrays: tuple | None = field(default=None, repr=False, compare=False)
-    _tail_log_weights: list | None = field(default=None, repr=False, compare=False)
+    n0: int = field(init=False)
 
     def __post_init__(self):
         if any(int(n) != n for n in (*self.holo, *self.nonholo)):
@@ -113,34 +114,34 @@ class FourierExpansion:
         self.nonholo = {n: complex(c) for n, c in self.nonholo.items() if c != 0}
         if self.nonholo and self.weight > 0:
             raise ExpansionError("non-holomorphic part requires weight <= 0")
+        self.n0 = int(max(1, -min((*self.holo, *self.nonholo), default=0)))
 
     @property
     def is_weakly_holomorphic(self) -> bool:
         return not self.nonholo
 
+    @cached_property
     def arrays(self):
-        if self._arrays is None:
-            hn = np.array(sorted(self.holo), dtype=float)
-            ha = np.array([self.holo[int(n)] for n in sorted(self.holo)], dtype=complex)
-            nn = np.array(sorted(self.nonholo), dtype=float)
-            nb = np.array([self.nonholo[int(n)] for n in sorted(self.nonholo)], dtype=complex)
-            object.__setattr__(self, "_arrays", (hn, ha, nn, nb))
-        return self._arrays
+        """(holo n, a(n), nonholo n, b(n)) as numpy arrays, sorted by n."""
+        hn = np.array(sorted(self.holo), dtype=float)
+        ha = np.array([self.holo[int(n)] for n in sorted(self.holo)], dtype=complex)
+        nn = np.array(sorted(self.nonholo), dtype=float)
+        nb = np.array([self.nonholo[int(n)] for n in sorted(self.nonholo)], dtype=complex)
+        return hn, ha, nn, nb
 
+    @cached_property
     def tail_log_weights(self) -> list[float]:
         """log G_i, G_i = sum_{m >= i} |a(n_m)| e^{-2 pi (n_m - n_i)}, over the
-        sorted holomorphic indices n_i; cached like arrays(), +inf on overflow."""
-        if self._tail_log_weights is None:
-            hn, ha, _, _ = self.arrays()
-            with np.errstate(over="ignore"):
-                log_b = np.log(np.abs(ha)) - 2 * math.pi * hn
-            tails = np.logaddexp.accumulate(log_b[::-1])[::-1] + 2 * math.pi * hn
-            self._tail_log_weights = tails.tolist()  # a list indexes faster
-        return self._tail_log_weights
+        sorted holomorphic indices n_i; +inf on overflow."""
+        hn, ha, _, _ = self.arrays
+        with np.errstate(over="ignore"):
+            log_b = np.log(np.abs(ha)) - 2 * math.pi * hn
+        tails = np.logaddexp.accumulate(log_b[::-1])[::-1] + 2 * math.pi * hn
+        return tails.tolist()  # a list indexes faster
 
     def eval_at(self, z):
         """Value of the truncated expansion; z scalar or ndarray with Im > 0."""
-        hn, ha, nn, nb = self.arrays()
+        hn, ha, nn, nb = self.arrays
         za = np.asarray(z, dtype=complex)
         scalar = za.ndim == 0
         za = np.atleast_1d(za)
@@ -154,34 +155,11 @@ class FourierExpansion:
                 out += b * gam * np.exp(2j * math.pi * n * za)
         return complex(out[0]) if scalar else out
 
-    def scaled(self, c: complex) -> "FourierExpansion":
-        return FourierExpansion(self.weight, self.level,
-                                {n: c * a for n, a in self.holo.items()},
-                                {n: c * b for n, b in self.nonholo.items()},
-                                self.n0, self.growth_const, self.modular,
-                                f"{c}*{self.label}")
-
-    def plus(self, other: "FourierExpansion") -> "FourierExpansion":
-        if self.weight != other.weight or self.level != other.level:
-            raise ExpansionError("can only add expansions of equal weight and level")
-        holo = dict(self.holo)
-        for n, a in other.holo.items():
-            holo[n] = holo.get(n, 0) + a
-        nonholo = dict(self.nonholo)
-        for n, b in other.nonholo.items():
-            nonholo[n] = nonholo.get(n, 0) + b
-        return FourierExpansion(self.weight, self.level, holo, nonholo,
-                                max(self.n0, other.n0),
-                                max(self.growth_const, other.growth_const),
-                                False, f"{self.label}+{other.label}")
-
 
 def synth_harmonic(k: int, holo: dict[int, complex], nonholo: dict[int, complex],
                    level: int = 1) -> FourierExpansion:
     """A synthetic expansion of the harmonic shape; flagged non-modular."""
-    n0 = max((-n for n in holo if n < 0), default=0)
-    n0 = max(n0, max((-n for n in nonholo), default=0), 1)
-    return FourierExpansion(k, level, dict(holo), dict(nonholo), n0,
+    return FourierExpansion(k, level, dict(holo), dict(nonholo),
                             growth_const=1.0, modular=False, label="synth")
 
 
@@ -197,7 +175,7 @@ def xi_image(f: FourierExpansion, conjugate_first: bool = False) -> FourierExpan
     for n, b in f.nonholo.items():
         coeff = b if conjugate_first else b.conjugate()
         holo[-n] = -((-4 * math.pi * n) ** (1 - k)) * coeff
-    return FourierExpansion(2 - k, f.level, holo, {}, 0, f.growth_const,
+    return FourierExpansion(2 - k, f.level, holo, {}, f.growth_const,
                             f.modular, f"xi({f.label})")
 
 
@@ -206,7 +184,7 @@ def build_J(prec: int = 40) -> FourierExpansion:
     series = build_j_series(prec)
     holo = {n: complex(c) for n, c in series.items() if n != 0}
     assert series[0] == 744
-    return FourierExpansion(0, 1, holo, {}, 1, growth_const=4 * math.pi,
+    return FourierExpansion(0, 1, holo, {}, growth_const=4 * math.pi,
                             modular=True, label="J")
 
 
@@ -218,7 +196,7 @@ def build_J_squared(prec: int = 40) -> FourierExpansion:
     q2J2 = series_mul(qJ, qJ, prec + 2)  # index i holds the q^(i-2) coefficient of J^2
     const = q2J2[2]
     holo = {i - 2: complex(c) for i, c in enumerate(q2J2) if i != 2}
-    fe = FourierExpansion(0, 1, holo, {}, 2, growth_const=4 * math.pi,
+    fe = FourierExpansion(0, 1, holo, {}, growth_const=4 * math.pi,
                           modular=True, label="Jsq")
     fe.constant_removed = float(const)  # 393768, derived not hard-coded
     return fe

@@ -56,13 +56,6 @@ def _clean(z) -> complex:
     return z
 
 
-def principal_log(z) -> complex:
-    z = _clean(z)
-    if z == 0:
-        raise DomainError("log(0) undefined")
-    return cmath.log(z)
-
-
 def principal_power(z, a) -> complex:
     """z**a on the principal branch, negative axis approached from above."""
     z = _clean(z)
@@ -75,7 +68,7 @@ def principal_power(z, a) -> complex:
         raise DomainError("0 raised to a power with non-positive real part")
     if a.imag == 0 and float(a.real).is_integer():
         return z ** int(a.real)
-    return cmath.exp(a * principal_log(z))
+    return cmath.exp(a * cmath.log(z))
 
 
 def _is_int(x, tol: float = 1e-12) -> bool:
@@ -370,30 +363,23 @@ def cal_EI(w: float) -> complex:
 # Hurwitz and Lerch zeta, digamma, polygamma
 # ---------------------------------------------------------------------------
 
-_EM_ORDER = 8
-_EM_SHIFT_TARGET = 16.0
-
-
-def hurwitz_zeta(s, z):
-    """Hurwitz zeta(s, z), s != 1, by Euler-Maclaurin after one shift taken
-    from the smallest Re z; z is a scalar (complex returned) or an ndarray."""
-    s = complex(s)
+def _hurwitz_em(s: complex, z):
+    """Euler-Maclaurin for zeta(s, z) after one shift N taken from the
+    smallest Re z; z is a scalar (complex returned) or an ndarray.  At s = 1
+    the pole term (z+N)^{1-s}/(s-1) becomes -Log(z+N), which gives the
+    constant Laurent term zeta*(1, z) = -psi(z)."""
     z, scalar = _as_complex(z)
-    if abs(s - 1) < 1e-13:
-        raise DomainError("Hurwitz zeta has a pole at s = 1")
-    _reject_poles(z, "Hurwitz zeta undefined at non-positive integers")
+    _reject_poles(z, "Hurwitz zeta and digamma undefined at non-positive integers")
     # For Re(s) < 0 the direct sum grows like shift^{|s|} while the result
     # stays O(1); a short shift with a longer tail expansion avoids the
     # cancellation (for integer s < 0 the tail terminates exactly).
-    if s.real < -0.5:
-        target, order = 6.0, 12
-    else:
-        target, order = _EM_SHIFT_TARGET, _EM_ORDER
+    target, order = (6.0, 12) if s.real < -0.5 else (16.0, 8)
     shift = int(max(0.0, target - np.min(z.real, initial=target))) + 1
     acc = sum((z + n) ** -s for n in range(shift))
     zM = z + shift
     base = zM ** -s
-    acc = acc + zM ** (1 - s) / (s - 1) + base / 2
+    pole = -np.log(zM) if s == 1 else zM ** (1 - s) / (s - 1)
+    acc = acc + pole + base / 2
     poch = s  # rising factorial (s)(s+1)...(s+2j-2)
     zM2 = zM * zM
     fac = base / zM  # zM^{-s-1}
@@ -402,6 +388,15 @@ def hurwitz_zeta(s, z):
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         fac = fac / zM2
     return complex(acc) if scalar else acc
+
+
+def hurwitz_zeta(s, z):
+    """Hurwitz zeta(s, z), s != 1 (``_hurwitz_em``); z is a scalar (complex
+    returned) or an ndarray."""
+    s = complex(s)
+    if abs(s - 1) < 1e-13:
+        raise DomainError("Hurwitz zeta has a pole at s = 1")
+    return _hurwitz_em(s, z)
 
 
 def _lerch_terms(exponent_real: float, im_w: float) -> int:
@@ -455,21 +450,13 @@ def hurwitz_zeta_star(a, z):
     """Constant Laurent term of zeta(s, z) at s = a; equals -psi(z) at a = 1."""
     a = complex(a)
     if abs(a - 1) < 1e-13:
-        return -digamma(z)
+        return _hurwitz_em(1 + 0j, z)
     return hurwitz_zeta(a, z)
 
 
 def digamma(z):
-    """psi(z) by recurrence plus the Bernoulli asymptotic series; z is a
-    scalar (complex returned) or an ndarray."""
-    z, scalar = _as_complex(z)
-    _reject_poles(z, "digamma pole at non-positive integer")
-    shift = max(0, math.ceil(_EM_SHIFT_TARGET - np.min(z.real, initial=_EM_SHIFT_TARGET)))
-    acc = -sum(1.0 / (z + k) for k in range(shift))
-    z = z + shift
-    tail = sum(_B2J[j] / (2 * j) / z ** (2 * j) for j in range(1, _EM_ORDER + 1))
-    acc = acc + np.log(z) - 1.0 / (2 * z) - tail
-    return complex(acc) if scalar else acc
+    """psi(z) = -zeta*(1, z); z is a scalar (complex returned) or an ndarray."""
+    return -hurwitz_zeta_star(1, z)
 
 
 def polygamma(m: int, z):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maassl import (CompactAnalytic, FrickePhiSW, InversePowerSeed, PhiSW,
-                    fricke_transform_testfn, l_star, l_tilde, l_value,
-                    l_value_by_vertical_integral, l_value_limit,
-                    laplace_phi_sw, specfun, synth_harmonic)
+from maassl import (CompactAnalytic, FourierExpansion, FrickePhiSW,
+                    InversePowerSeed, PhiSW, fricke_transform_testfn, l_star,
+                    l_tilde, l_value, l_value_by_vertical_integral,
+                    l_value_limit, specfun, synth_harmonic)
 from maassl import ltest
 from maassl.ltest import AdmissibilityError
 from maassl.specfun import exp_int_E
@@ -37,11 +37,11 @@ def _cut_form(name, J, Jsq):
 
 def test_laplace_phi_sw_closed_forms():
     # s=1, w=0: L phi(u) = int_1^inf e^{-ut} dt = e^{-u}/u = E_0(u)
-    assert laplace_phi_sw(1, 0, 1.0) == pytest.approx(math.exp(-1), rel=1e-13)
-    assert laplace_phi_sw(0, 0, TWO_PI) == pytest.approx(
+    assert PhiSW(1, 0).laplace(1.0) == pytest.approx(math.exp(-1), rel=1e-13)
+    assert PhiSW(0, 0).laplace(TWO_PI) == pytest.approx(
         exp_int_E(1, TWO_PI), rel=1e-13)
     # continuous extension on the negative axis
-    v = laplace_phi_sw(0, 0, -TWO_PI)
+    v = PhiSW(0, 0).laplace(-TWO_PI)
     assert v.imag == pytest.approx(-math.pi, abs=1e-12)
 
 
@@ -97,7 +97,9 @@ def test_l_value_linearity(J):
     f = synth_harmonic(0, {1: 1, 2: -1j}, {-1: 0.5})
     g = synth_harmonic(0, {1: 2}, {-2: 1})
     phi = PhiSW(0.5, 1j)
-    combo = f.scaled(2 - 1j).plus(g.scaled(3))
+    # (2 - i) f + 3 g, coefficient by coefficient
+    combo = synth_harmonic(0, {1: (2 - 1j) * 1 + 3 * 2, 2: (2 - 1j) * -1j},
+                           {-1: (2 - 1j) * 0.5, -2: 3 * 1})
     lhs = l_value(combo, phi).value
     rhs = (2 - 1j) * l_value(f, phi).value + 3 * l_value(g, phi).value
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -146,6 +148,16 @@ def test_vertical_integral_empty_form():
 def test_vertical_integral_admissibility(J):
     with pytest.raises(AdmissibilityError):
         l_value_by_vertical_integral(J, PhiSW(0, 1.0))  # Re w < 2 pi n0
+
+
+def test_vertical_integral_reads_the_pole_order_off_the_coefficients():
+    # a q^-2 pole: the pairing needs Re w > 4 pi, not the 2 pi of a q^-1
+    f = FourierExpansion(0, 1, {-2: 1, 1: 1}, {}, 1.0)
+    with pytest.raises(AdmissibilityError):
+        l_value_by_vertical_integral(f, PhiSW(0.5, 10))
+    phi = PhiSW(0.5, 14)
+    assert l_value_by_vertical_integral(f, phi) == pytest.approx(
+        l_value(f, phi).value, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["J", "harm0", "harm-2"])
@@ -245,7 +257,7 @@ def _terms(f, phi):
 def test_phi_sw_tail_bound_covers_terms(J, Jsq, name, s, re_w, im_w):
     f = _cut_form(name, J, Jsq)
     phi = PhiSW(s, complex(re_w, im_w))
-    log_g = f.tail_log_weights()
+    log_g = f.tail_log_weights
     p = max(0.0, s - 1.0)
     bounds = []
     for n, term in _terms(f, phi):
@@ -304,7 +316,7 @@ def test_overflowed_tail_weight_never_cuts():
     # |a(12)| overflows, so every tail weight up to n = 12 reads +inf
     f = synth_harmonic(0, {-1: 1, **{n: 2.0 ** -n for n in range(1, 12)},
                            12: 1.5e308 * (1 + 1j)}, {})
-    assert f.tail_log_weights()[1] == math.inf
+    assert f.tail_log_weights[1] == math.inf
     phi = PhiSW(0.5, 0.3 + 0.9j)
     full = sum((t for _, t in _terms(f, phi)), 0j)
     assert abs(l_value(f, phi).holo_part - full) <= 1e-14 * abs(full)

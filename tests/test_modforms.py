@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maassl.modforms import (ExpansionError, build_delta, build_eisenstein,
-                             build_j_series, series_inv, series_mul,
-                             synth_harmonic, xi_image)
+from maassl.modforms import (ExpansionError, FourierExpansion, build_delta,
+                             build_eisenstein, build_j_series, series_inv,
+                             series_mul, synth_harmonic, xi_image)
 
 series = st.lists(st.integers(-50, 50), max_size=8)
 lengths = st.integers(0, 12)
@@ -141,10 +141,30 @@ def test_xi_image_coefficients():
     assert gc.holo[1] == pytest.approx(-(4 * math.pi) * (2 + 1j))
 
 
+def test_n0_is_the_deepest_stored_pole(J, Jsq):
+    delta = FourierExpansion(12, 1, dict(enumerate(build_delta(10))), {}, 1.0)
+    xi = xi_image(synth_harmonic(0, {}, {-1: 2 + 1j}))
+    # a zero coefficient is dropped, so its q^-2 is no pole
+    zero_pole = synth_harmonic(0, {-2: 0, 1: 1}, {})
+    assert (J.n0, Jsq.n0, delta.n0, xi.n0, zero_pole.n0) == (1, 2, 1, 1, 1)
+    assert synth_harmonic(-2, {-1: 1}, {-3: 1}).n0 == 3
+    with pytest.raises(TypeError):
+        FourierExpansion(0, 1, {-2: 1, 1: 1}, {}, 1.0, n0=1)
+
+
+def test_arrays_and_tail_weights_are_cached():
+    f = synth_harmonic(0, {-1: 1, 2: 0.5}, {-1: 1})
+    assert f.arrays is f.arrays
+    assert f.tail_log_weights is f.tail_log_weights
+    hn, ha, nn, nb = f.arrays
+    assert hn.tolist() == [-1, 2] and ha.tolist() == [1, 0.5]
+    assert nn.tolist() == [-1] and nb.tolist() == [1]
+
+
 def test_expansion_linearity():
     f = synth_harmonic(0, {1: 1}, {-1: 1})
     g = synth_harmonic(0, {2: 1j}, {})
-    h = f.scaled(2).plus(g)
+    h = synth_harmonic(0, {1: 2 * 1, 2: 1j}, {-1: 2 * 1})  # 2 f + g
     z = 0.2 + 1j
     assert h.eval_at(z) == pytest.approx(2 * f.eval_at(z) + g.eval_at(z),
                                          rel=1e-12)
