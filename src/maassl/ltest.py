@@ -10,11 +10,14 @@ seeds.
 
 Each pairing done by quadrature integrates phi against a partner growing like
 e^{c_inf t} as t -> infinity and e^{c_0/t} as t -> 0, over phi.window(c_inf,
-c_0): the finite interval outside which the product is negligible.
+c_0): the finite interval outside which the product is negligible.  The
+partner may be vector-valued: the Laplace transform of a test function
+without a closed form takes every requested u in one quadrature.
 
 For phi_s^w the holomorphic sum stops where a rigorous bound on all the
 remaining stored terms falls below the sum's rounding, and the reported
-error estimate includes that bound.
+error estimate includes that bound.  The other test functions have no such
+bound; their kernels at every stored 2 pi n come from one vector integral.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ class FrickePhiSW:
         out[mask] = np.exp(-complex(self.w) / mt) * mt ** expo
         return out
 
-    def laplace(self, u) -> complex:
+    def laplace(self, u):
         return _laplace(self, u)
 
 
@@ -147,24 +150,32 @@ class CompactAnalytic:
         out[mask] = self.seed.value(1j * t[mask])
         return out
 
-    def laplace(self, u) -> complex:
+    def laplace(self, u):
         return _laplace(self, u)
 
 
 def _pair(phi, g, c_inf: float, c_0: float) -> SegmentIntegral:
     """int g(t) phi(t) dt over phi.window(c_inf, c_0), for a real-argument g
-    growing like e^{c_inf t} as t -> infinity and like e^{c_0/t} as t -> 0."""
+    growing like e^{c_inf t} as t -> infinity and like e^{c_0/t} as t -> 0.
+    g returns N values or an (N, K) array, which gives K integrals."""
     def integrand(t):
         tr = np.real(t)
-        return g(tr) * phi.value(tr)
+        gv = g(tr)
+        return gv * phi.value(tr).reshape((-1,) + (1,) * (gv.ndim - 1))
 
     return integrate_decaying(integrand, *phi.window(c_inf, c_0))
 
 
-def _laplace(phi, u) -> complex:
-    """int e^{-ut} phi(t) dt by quadrature over phi's window."""
-    u = complex(u)
-    return complex(_pair(phi, lambda t: np.exp(-u * t), -u.real, 0.0).value)
+def _laplace(phi, u):
+    """int e^{-u t} phi(t) dt over phi's window, for a scalar u (complex
+    returned) or for every element of an ndarray u in one vector-valued
+    quadrature, its partner growing like e^{max(-Re u) t}."""
+    ua = np.asarray(u, dtype=complex)
+    flat = ua.ravel()
+    if not flat.size:
+        return np.zeros(ua.shape, dtype=complex)
+    seg = _pair(phi, lambda t: np.exp(-np.outer(t, flat)), float(np.max(-flat.real)), 0.0)
+    return complex(seg.value[0]) if ua.ndim == 0 else seg.value.reshape(ua.shape)
 
 
 def fricke_transform_testfn(phi, a: int, M: int):
@@ -217,9 +228,14 @@ def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
 
 
 def _holo_terms(f: FourierExpansion, phi):
-    """(kernels, holo, err): the kernel values (L phi)(2 pi n), one call each,
-    of the summed n, the first len(kernels) of the sorted indices in f.arrays;
-    their sum against a(n); and its error estimate (see LValue).
+    """(kernels, holo, err): the kernel values (L phi)(2 pi n) of the summed
+    n, the first len(kernels) of the sorted indices in f.arrays; their sum
+    against a(n); and its error estimate (see LValue).
+
+    For phi_s^w each kernel is one E_{1-s} call, made only for the n summed.
+    Any other test function gets every stored n's kernel from one
+    ``phi.laplace`` call on the array 2 pi n, then runs the same sum and
+    divergence check over those values.
 
     For phi_s^w the sum stops at the first n_i > 0 whose tail bound
     e^{-x_i}/(x_i - p) G_i (``FourierExpansion.tail_log_weights``) is at most
@@ -232,6 +248,8 @@ def _holo_terms(f: FourierExpansion, phi):
     can_cut = isinstance(phi, PhiSW)
     if can_cut:
         re_w, p = complex(phi.w).real, max(0.0, complex(phi.s).real - 1.0)
+    else:
+        batch = phi.laplace(TWO_PI * f.arrays[0])
     kernels, holo, prev, growing = [], 0j, math.inf, 0
     for i, n in enumerate(sorted(f.holo)):
         a = f.holo[n]
@@ -245,7 +263,7 @@ def _holo_terms(f: FourierExpansion, phi):
                 if log_tail <= math.log(limit):
                     prev = math.exp(log_tail)
                     break
-        kernels.append(phi.laplace(TWO_PI * n))
+        kernels.append(phi.laplace(TWO_PI * n) if can_cut else batch[i])
         term = a * kernels[-1]
         holo += term
         if n > 0:

@@ -375,10 +375,13 @@ def _hurwitz_em(s: complex, z):
     # cancellation (for integer s < 0 the tail terminates exactly).
     target, order = (6.0, 12) if s.real < -0.5 else (16.0, 8)
     shift = int(max(0.0, target - np.min(z.real, initial=target))) + 1
-    acc = sum((z + n) ** -s for n in range(shift))
+    # principal_power's rule: a real integer s gives an int exponent, and
+    # numpy takes z ** -1 (digamma's every term) as a reciprocal
+    e = -int(s.real) if s.imag == 0 and s.real.is_integer() else -s
+    acc = sum((z + n) ** e for n in range(shift))
     zM = z + shift
-    base = zM ** -s
-    pole = -np.log(zM) if s == 1 else zM ** (1 - s) / (s - 1)
+    base = zM ** e
+    pole = -np.log(zM) if s == 1 else zM ** (e + 1) / (s - 1)
     acc = acc + pole + base / 2
     poch = s  # rising factorial (s)(s+1)...(s+2j-2)
     zM2 = zM * zM

@@ -3,7 +3,8 @@
 Each check evaluates the same quantity through two independent pipelines
 (coefficient series vs contour quadrature) and compares at a tolerance.
 IDENTITIES maps each theorem name to the parameters it accepts and to the
-evaluator of its two sides.
+evaluator of its two sides; lemma_integral_form accepts only the
+parameters of the test-function kind it names.
 
 Configs are JSON: an object whose "checks" array holds objects with "id",
 "theorem", "form" and optional "params" (an object; complex values are
@@ -61,6 +62,8 @@ class CheckSpec:
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be an object, got {self.params!r}")
         accepted = IDENTITIES[self.theorem][0]
+        if callable(accepted):
+            accepted = accepted(self.params)
         unknown = sorted(set(self.params) - set(accepted))
         if unknown:
             raise ValueError(f"unknown parameter(s) {unknown} for {self.theorem}, "
@@ -174,18 +177,27 @@ def _bend(f, p):
     return lhs, contour.i_power(a) * specfun.exp_int_E(1 - a, w), 0.0, 0.0
 
 
+# lemma_integral_form's test functions: kind -> (the parameters it uses, builder)
+_TEST_FUNCTIONS = {
+    "phi_sw": (("s", "w"), lambda p: ltest.PhiSW(float(p["s"]), _to_complex(p["w"]))),
+    "compact_analytic": (("phi", "a", "b"), lambda p: ltest.CompactAnalytic(
+        _SEEDS[p["phi"]], float(p["a"]), float(p["b"]))),
+    "fricke_of_phi_sw": (("s", "w", "a_slash", "M"), lambda p: ltest.FrickePhiSW(
+        float(p["s"]), _to_complex(p["w"]), int(p["a_slash"]), int(p["M"]))),
+}
+
+
+def _integral_form_params(params) -> tuple:
+    kind = params.get("kind", "phi_sw")
+    if kind not in _TEST_FUNCTIONS:
+        raise ValueError(f"unknown test-function kind {kind!r}, "
+                         f"expected one of {list(_TEST_FUNCTIONS)}")
+    return ("kind",) + _TEST_FUNCTIONS[kind][0]
+
+
 def _integral_form(f, p):
     """Series L_f(phi) = int_0^infty f(iy) phi(y) dy, with phi chosen by params["kind"]."""
-    kind = p.get("kind", "phi_sw")
-    if kind == "phi_sw":
-        phi = ltest.PhiSW(float(p["s"]), _to_complex(p["w"]))
-    elif kind == "compact_analytic":
-        phi = ltest.CompactAnalytic(_SEEDS[p["phi"]], float(p["a"]), float(p["b"]))
-    elif kind == "fricke_of_phi_sw":
-        phi = ltest.FrickePhiSW(float(p["s"]), _to_complex(p["w"]),
-                                int(p["a_slash"]), int(p["M"]))
-    else:
-        raise ValueError(f"unknown test-function kind {kind!r}")
+    phi = _TEST_FUNCTIONS[p.get("kind", "phi_sw")][1](p)
     lv = ltest.l_value(f, phi)
     return lv.value, ltest.l_value_by_vertical_integral(f, phi), lv.error_estimate, 0.0
 
@@ -213,8 +225,9 @@ def _bfi(f, p):
     return complex(series.real, 0.0), rhs, 0.0, 0.0
 
 
-# theorem name -> (the parameter names it accepts, its evaluator); an evaluator
-# maps the form and the params to (lhs, rhs, lhs_err, rhs_err)
+# theorem name -> (the parameter names it accepts, or a function of the params
+# giving them, and its evaluator); an evaluator maps the form and the params
+# to (lhs, rhs, lhs_err, rhs_err)
 IDENTITIES = {
     "thm_maincor": (("s", "w"), _main),
     "thm_main": (("s", "w"), _main),
@@ -225,8 +238,7 @@ IDENTITIES = {
     "cor_hurw": (("s",), _hurwitz),
     "prop_fe": (("s", "w", "N", "g"), _functional_equation),
     "lemma_bend": (("a", "w", "T"), _bend),
-    "lemma_integral_form": (("kind", "s", "w", "phi", "a", "b", "a_slash", "M"),
-                            _integral_form),
+    "lemma_integral_form": (_integral_form_params, _integral_form),
     "sect6_compact": (("phi", "a", "b"), _compact),
     "r_form_equality": (("s", "w"), _remainder_shapes),
     "bfi_consistency": ((), _bfi),

@@ -13,6 +13,7 @@ from maassl import (InversePowerSeed, PhiSW, compact_support_value, l_star,
 from maassl.contour import RegimeError, i_power, lerch_sum
 from maassl.ltest import ZeroSeed
 from maassl.modforms import xi_image
+from maassl import quadrature
 from maassl.quadrature import (QuadratureError, integrate_decaying,
                                integrate_segment)
 from maassl.specfun import DomainError, exp_int_E
@@ -65,6 +66,76 @@ def test_vector_valued_integrand_matches_columns():
         assert abs(vec.value[j] - col.value) < 1e-13
     dec = integrate_decaying(lambda t: np.exp(-np.outer(np.real(t), ks)), 0.0, 30.0)
     assert np.allclose(dec.value, (1 - np.exp(-30 * ks)) / ks, rtol=1e-12, atol=0)
+
+
+def _counted(g):
+    """g, and the sizes of the node arrays it was called with."""
+    sizes = []
+
+    def wrapped(z):
+        sizes.append(z.size)
+        return g(z)
+
+    return wrapped, sizes
+
+
+def _level_by_hand(g, edges, level):
+    """Level `level` of the composite rule over `edges`, in its own integrand
+    call: (value, rounding floor), with _doubling's arithmetic."""
+    u, w = quadrature._level_rule(quadrature.DEFAULT_QUAD.base_nodes, level)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    vals = np.asarray(g((lo + width * u).ravel()))
+    terms = (width * w).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+    return (terms.sum(axis=0),
+            quadrature._ROUNDING * float(np.max(np.abs(terms).sum(axis=0))))
+
+
+# integrate_decaying(g, 0, 5) runs on the base panels [0, 1], [1, 3], [3, 5]
+DECAY_EDGES = np.array([0, 1, 3, 5], dtype=complex)
+
+
+def test_levels_0_and_1_share_one_call():
+    def g(t):
+        return np.exp(-(1 + 0.5j) * t)
+
+    wrapped, sizes = _counted(g)
+    seg = integrate_decaying(wrapped, 0.0, 5.0)
+    base = quadrature.DEFAULT_QUAD.base_nodes
+    assert sizes == [3 * base * 3]  # 16 P level-0 plus 32 P level-1 nodes, P = 3
+    assert seg.panels_used == 6
+    q0, _ = _level_by_hand(g, DECAY_EDGES, 0)
+    q1, floor = _level_by_hand(g, DECAY_EDGES, 1)
+    # bitwise: the fused call changes nothing but the number of calls
+    assert seg.value == complex(q1)
+    assert seg.est_error == abs(q1 - q0) + floor
+
+
+def test_fused_call_splits_vector_integrands_by_rows():
+    ks = np.array([0.5, 1.0, 2.0])
+
+    def g(t):
+        return np.exp(-np.outer(np.real(t), ks)) * (1 + np.real(t)[:, None])
+
+    wrapped, sizes = _counted(g)
+    seg = integrate_decaying(wrapped, 0.0, 5.0)
+    assert len(sizes) == 1 and seg.value.shape == ks.shape
+    q0, _ = _level_by_hand(g, DECAY_EDGES, 0)
+    q1, floor = _level_by_hand(g, DECAY_EDGES, 1)
+    assert np.array_equal(seg.value, q1)
+    assert seg.est_error == float(np.max(np.abs(q1 - q0))) + floor
+    exact = (1 + 1 / ks - (6 + 1 / ks) * np.exp(-5 * ks)) / ks
+    assert np.allclose(seg.value, exact, rtol=1e-13, atol=0)
+
+
+def test_each_level_after_the_first_is_one_call():
+    # a pole 0.1 off the segment: levels 1 and 2 disagree, 2 and 3 agree
+    wrapped, sizes = _counted(lambda z: 1 / (z - 0.5 - 0.1j))
+    seg = integrate_segment(wrapped, 0, 1)
+    base = quadrature.DEFAULT_QUAD.base_nodes
+    assert sizes == [3 * base, 4 * base, 8 * base]
+    assert seg.panels_used == 8
+    exact = cmath.log((0.5 - 0.1j) / (-0.5 - 0.1j))
+    assert abs(seg.value - exact) < 1e-13
 
 
 def test_decaying_exponential():

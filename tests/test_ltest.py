@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maassl import (CompactAnalytic, FourierExpansion, FrickePhiSW,
-                    InversePowerSeed, PhiSW, fricke_transform_testfn, l_star,
+                    InversePowerSeed, LorentzianSeed, PhiSW, fricke_transform_testfn, l_star,
                     l_tilde, l_value, l_value_by_vertical_integral,
                     l_value_limit, specfun, synth_harmonic)
 from maassl import ltest
@@ -209,6 +209,71 @@ def test_fricke_series_admissibility(J):
     # Fricke-side evaluation demands Re(w) above the growth threshold (8 pi)
     with pytest.raises(AdmissibilityError):
         l_value(J, FrickePhiSW(0, 1.0 + 1j, 2, 1))
+
+
+BATCHED_PHIS = {
+    "fricke_s0": FrickePhiSW(0, 30 + 5j, 2, 1),
+    "fricke_s1": FrickePhiSW(1, 40 + 2j, 2, 1),
+    "compact_z^-2": CompactAnalytic(InversePowerSeed(2), 1.0, 2.0),
+    "compact_lorentzian": CompactAnalytic(LorentzianSeed(), 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_PHIS))
+def test_batched_laplace_matches_scalar(J, name):
+    # one vector-valued quadrature for every 2 pi n of J against one
+    # quadrature per n; both meet the absolute tolerance of the largest
+    # kernel, so the gap is measured relative to it
+    phi = BATCHED_PHIS[name]
+    u = TWO_PI * J.arrays[0]
+    batch = phi.laplace(u)
+    assert batch.shape == u.shape
+    scalar = np.array([phi.laplace(x) for x in u])
+    assert isinstance(phi.laplace(u[0]), complex)
+    assert np.max(np.abs(batch - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+    if name.startswith("fricke"):
+        assert np.all(np.abs(batch - scalar) <= 1e-13 * np.abs(scalar))
+
+
+def test_batched_laplace_closed_form(J):
+    # -int_1^2 e^{-ut} t^{-2} dt = E_2(2u)/2 - E_2(u) for the z^-2 seed
+    u = TWO_PI * J.arrays[0]
+    batch = BATCHED_PHIS["compact_z^-2"].laplace(u)
+    exact = np.array([exp_int_E(2, 2 * x) / 2 - exp_int_E(2, x) for x in u])
+    assert np.max(np.abs(batch - exact)) <= 1e-13 * np.max(np.abs(exact))
+    assert BATCHED_PHIS["compact_z^-2"].laplace(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_PHIS))
+def test_holo_part_is_one_quadrature(J, harm_k0, monkeypatch, name):
+    calls = []
+    decaying = ltest.integrate_decaying
+
+    def counting(g, t0, t1):
+        calls.append((t0, t1))
+        return decaying(g, t0, t1)
+
+    monkeypatch.setattr(ltest, "integrate_decaying", counting)
+    phi = BATCHED_PHIS[name]
+    lv = l_value(J, phi)
+    assert len(calls) == 1
+    terms = [J.holo[n] * phi.laplace(TWO_PI * n) for n in sorted(J.holo)]
+    assert abs(lv.value - sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
+    if name.startswith("fricke"):
+        # one more quadrature for the form's one non-holomorphic coefficient
+        calls.clear()
+        l_value(harm_k0, FrickePhiSW(phi.s, phi.w, 2 - harm_k0.weight, 1))
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("phi", [CompactAnalytic(InversePowerSeed(2), 1.0, 2.0),
+                                 FrickePhiSW(0, 30 + 5j, 2, 1)])
+def test_batched_kernels_keep_the_divergence_check(phi):
+    # coefficients 10^{3n} outgrow both kernels, which the growth constant
+    # of a synthetic form does not declare
+    f = synth_harmonic(0, {-1: 1, **{n: 10.0 ** (3 * n) for n in range(1, 12)}}, {})
+    with pytest.raises(AdmissibilityError, match="stopped decreasing"):
+        l_value(f, phi)
 
 
 def test_functional_equation(J):

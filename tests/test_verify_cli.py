@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from maassl import cli, verify
+from maassl import cli, quadrature, verify
 from maassl.modforms import build_j_series
 from maassl.verify import (CheckReport, CheckSpec, default_suite, load_suite,
                            report_json, resolve_form, run_check, run_suite)
@@ -121,6 +122,34 @@ def test_default_suite_no_worse_than_baseline():
     assert not worse, worse
 
 
+# integrand calls and nodes of one default-suite pass: levels 0 and 1 share a
+# call, and each non-phi_s^w test function pairs with all its kernels in one
+# quadrature (621 calls and 24,912 nodes without either)
+SUITE_INTEGRAND_CALLS = 174
+SUITE_NODES = 17_424
+
+
+def test_default_suite_integrand_budget(monkeypatch):
+    """The counts are deterministic: a change that splits the fused first
+    call, or goes back to one quadrature per kernel, fails here."""
+    counts = {"calls": 0, "nodes": 0}
+    doubling = quadrature._doubling
+
+    def counting(g, edges):
+        def wrapped(z):
+            counts["calls"] += 1
+            counts["nodes"] += z.size
+            return g(z)
+
+        return doubling(wrapped, edges)
+
+    monkeypatch.setattr(quadrature, "_doubling", counting)
+    _, summary = run_suite(default_suite())
+    assert summary["pass"] == len(default_suite())
+    assert counts["calls"] <= SUITE_INTEGRAND_CALLS
+    assert counts["nodes"] <= SUITE_NODES
+
+
 def test_unknown_parameter_rejected(tmp_path, capsys):
     # a misspelt "g" would otherwise be ignored, comparing J with J
     params = {"s": 0, "w": [30, 5], "G": "Jsq"}
@@ -131,6 +160,32 @@ def test_unknown_parameter_rejected(tmp_path, capsys):
         {"id": "fe", "theorem": "prop_fe", "form": "J", "params": params}]}))
     assert cli.main(["verify", "--config", str(cfg)]) == 2
     assert "checks[0]: unknown parameter(s) ['G']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, extra", [
+    ({"kind": "phi_sw", "s": 0, "w": [30, 0], "phi": "z^-2", "a_slash": 3},
+     ["a_slash", "phi"]),
+    ({"kind": "compact_analytic", "phi": "z^-2", "a": 1, "b": 2, "s": 0}, ["s"]),
+    ({"kind": "fricke_of_phi_sw", "s": 1, "w": [30, 5], "a_slash": 2, "M": 1, "b": 2},
+     ["b"]),
+])
+def test_integral_form_refuses_other_kinds_parameters(tmp_path, capsys, params, extra):
+    # a parameter of another kind would be ignored, not used
+    with pytest.raises(ValueError, match=re.escape(f"{extra} for lemma_integral_form")):
+        CheckSpec("i", "lemma_integral_form", "J", params)
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"checks": [
+        {"id": "i", "theorem": "lemma_integral_form", "form": "J", "params": params}]}))
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert f"checks[0]: unknown parameter(s) {extra}" in capsys.readouterr().err
+    # without them the kind's own parameters are accepted
+    CheckSpec("i", "lemma_integral_form", "J",
+              {k: v for k, v in params.items() if k not in extra})
+
+
+def test_integral_form_refuses_unknown_kind():
+    with pytest.raises(ValueError, match="unknown test-function kind 'phi'"):
+        CheckSpec("i", "lemma_integral_form", "J", {"kind": "phi", "s": 0})
 
 
 def test_missing_parameter_fails_check(tmp_path, capsys):
