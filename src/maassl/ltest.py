@@ -232,7 +232,8 @@ def _holo_terms(f: FourierExpansion, phi):
     n, the first len(kernels) of the sorted indices in f.arrays; their sum
     against a(n); and its error estimate (see LValue).
 
-    For phi_s^w each kernel is one E_{1-s} call, made only for the n summed.
+    For phi_s^w each kernel is one E_{1-s}(2 pi n + w) call, made only for
+    the n summed, with 1 - s and w converted once.
     Any other test function gets every stored n's kernel from one
     ``phi.laplace`` call on the array 2 pi n, then runs the same sum and
     divergence check over those values.
@@ -247,7 +248,8 @@ def _holo_terms(f: FourierExpansion, phi):
         _check_fricke_admissibility(f, phi)
     can_cut = isinstance(phi, PhiSW)
     if can_cut:
-        re_w, p = complex(phi.w).real, max(0.0, complex(phi.s).real - 1.0)
+        order, w = 1 - complex(phi.s), complex(phi.w)
+        re_w, p = w.real, max(0.0, complex(phi.s).real - 1.0)
     else:
         batch = phi.laplace(TWO_PI * f.arrays[0])
     kernels, holo, prev, growing = [], 0j, math.inf, 0
@@ -263,7 +265,7 @@ def _holo_terms(f: FourierExpansion, phi):
                 if log_tail <= math.log(limit):
                     prev = math.exp(log_tail)
                     break
-        kernels.append(phi.laplace(TWO_PI * n) if can_cut else batch[i])
+        kernels.append(specfun.exp_int_E(order, TWO_PI * n + w) if can_cut else batch[i])
         term = a * kernels[-1]
         holo += term
         if n > 0:

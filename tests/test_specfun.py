@@ -67,10 +67,28 @@ def test_exp_int_array_shape_and_overflow():
     assert np.all(np.isfinite(values))
     for z, v in zip(zs, values):
         assert v == pytest.approx(exp_int_E(-2.5, complex(z)), rel=1e-13)
+    # one continued-fraction batch runs at its deepest point's depth: a
+    # shallow point (|z| = 38) beside a deep one (|z| = 2.1, arg 1.5)
+    zs = np.array([cmath.rect(38.0, 0.3), cmath.rect(2.1, 1.5), cmath.rect(38.0, -2.0)])
+    assert specfun._cf_depth(0.5 + 0j, zs) == specfun._cf_depth(0.5 + 0j, complex(zs[1]))
+    for z, v in zip(zs, exp_int_E(0.5, zs)):
+        assert v == pytest.approx(exp_int_E(0.5, complex(z)), rel=1e-13)
     with pytest.raises(OverflowError):
         exp_int_E(1, -701.0)
     with pytest.raises(OverflowError):
         exp_int_E(1, np.array([1.0, -701.0 + 1j]))
+
+
+def test_exp_int_rejects_non_finite():
+    nan, inf = math.nan, math.inf
+    for s, z in ((nan, 3.0), (complex(1.0, nan), 3.0), (inf, 3.0), (0.5, nan),
+                 (0.5, complex(3.0, nan)), (0.5, complex(inf, 1.0)), (0.5, -inf)):
+        with pytest.raises(DomainError):
+            exp_int_E(s, z)
+    for s, z in ((0.5, np.array([3.0, nan])), (nan, np.array([3.0, 4.0])),
+                 (0.5, np.array([[3.0, 50.0], [1.0, complex(inf, 0.0)]]))):
+        with pytest.raises(DomainError):
+            exp_int_E(s, z)
 
 
 def test_cal_EI_vs_E1():
@@ -296,8 +314,13 @@ def test_exp_int_E_ladder_vs_mpmath():
     point at a time and each order's whole grid as one ndarray.  The worst
     measured error is 1.5e-12 for scalars (s = 2.5 + i, |z| = 39,
     arg z = 2.4) and 1.6e-12 for the array (s = -2, arg z = -2.4), where the
-    series cancels most."""
-    orders = (0, 1, 2, 3, -2, 0.5, -1.5, 2.5 + 1j)
+    series cancels most.  The continued fraction's depth depends on |s|:
+    s = -6.5 reaches its |s| <= 8 row (worst 8.1e-13) and s = 3i its
+    |s| <= 3 row (9.3e-13).  This bound does not hold for every order: at
+    s = -1.5 + 4i the series reads 2.2e-12 at |z| = 39, and past |s| ~ 5
+    the asymptotic series at z = -41 (2.1e-11 at s = 5) and, for Re s < -8,
+    the continued fraction at |z| ~ 2 (1e-11 at s = -8.5) lose digits."""
+    orders = (0, 1, 2, 3, -2, 0.5, -1.5, 2.5 + 1j, -6.5, 3j)
     radii = (1.9, 2.1, 6.5, 6.7, 11.9, 12.1, 39.0, 41.0, 60.0)
     args = (0.0, 0.5, -0.5, 1.2, -1.2, math.pi / 2, -math.pi / 2,
             2.0, -2.0, 2.4, -2.4, 3.0, -3.0, math.pi)
@@ -309,6 +332,65 @@ def test_exp_int_E_ladder_vs_mpmath():
                 exact = _mp_expint(s, complex(z))
                 assert _rel_err(exp_int_E(s, complex(z)), exact) <= 2e-12, (s, z)
                 assert _rel_err(v, exact) <= 2e-12, (s, z, "array")
+
+
+def _lentz_steps(s: complex, z: complex) -> int:
+    """Steps of the modified Lentz iteration for exp_int_E's continued fraction
+    until a step factor is within 2 eps of 1, with 1e-300 added to each
+    divisor: the evaluation exp_int_E used before its depth table."""
+    tiny, tol = 1e-300, 2 * np.finfo(float).eps
+    b = z + s
+    c, d = 1.0 / tiny, 1.0 / (b + tiny)
+    for i in range(1, 5000):
+        a = -i * (i - 1 + s)
+        b = b + 2.0
+        d = 1.0 / (a * d + b + tiny)
+        c = b + a / c + tiny
+        if abs(d * c - 1.0) <= tol:
+            return i
+    raise AssertionError(f"Lentz did not converge at s = {s}, z = {z}")
+
+
+def _in_cf_region(z: complex) -> bool:
+    """exp_int_E's rule for the points its continued fraction takes."""
+    if abs(z) >= 40.0:
+        return False
+    if z.real > 0:
+        return abs(z) >= 2.0
+    return abs(z.imag) > -z.real and abs(z) > 6.6
+
+
+def test_cf_depth_covers_lentz():
+    """The tabled depth is at least Lentz's step count over the continued
+    fraction's region: |z| from 2 to 40, both edges (|z| = 2 and 2.1 with
+    Re z > 0, |z| just above 6.6 with |Im z| just above -Re z), real orders
+    from -30 to 30 with the terminating negative integers, and complex orders
+    up to |Im s| = 10.  The 20 points with the least margin match mpmath."""
+    tiny = 1e-9
+    radii = (2.0, 2.1, 2.5, 3.0, 4.0, 5.0, 6.6 + tiny, 6.7, 8.0, 10.0, 13.0,
+             16.0, 20.0, 25.0, 30.0, 35.0, 40.0 - tiny)
+    args = [0.0] + [sign * a for a in (0.4, 0.8, 1.2, 1.5, math.pi / 2 - tiny,
+                                       math.pi / 2 + tiny, 1.8, 2.1, 2.3,
+                                       3 * math.pi / 4 - tiny)
+                    for sign in (1, -1)]
+    zs = [z for z in (cmath.rect(r, a) for r in radii for a in args) if _in_cf_region(z)]
+    orders = [-30, -29.5, -25, -20.5, -15, -12.5, -10, -7.5, -5, -3, -2.5, -2,
+              -1, -0.5, 0, 0.5, 1, 1.5, 2, 3, 5, 7.5, 10, 15, 20.5, 25, 30,
+              10j, -10j, 3 + 10j, -3 - 10j, 10 + 10j, -10 + 10j, 30 + 10j,
+              -30 + 10j, 30 - 10j, -30 - 10j, 2 + 5j, -2 + 5j, 1 + 1j, -5 + 3j,
+              0.5 - 7j, -20 - 4j, 15 + 8j]
+    margins = []
+    for s in map(complex, orders):
+        for z in zs:
+            margin = specfun._cf_depth(s, z) - _lentz_steps(s, z)
+            assert margin >= 0, (s, z, margin)
+            margins.append((margin, s, z))
+    if mpmath is None:
+        pytest.skip("mpmath oracle not installed")
+    margins.sort(key=lambda m: m[0])
+    with mpmath.workdps(30):
+        for _, s, z in margins[:20]:
+            assert _rel_err(exp_int_E(s, z), complex(mpmath.expint(s, z))) <= 2e-12, (s, z)
 
 
 def _mp_expint(s, z) -> complex:
