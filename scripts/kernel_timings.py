@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Microseconds per call of the kernels under the contour and series sides.
+
+    python scripts/kernel_timings.py [--number 200] [--repeat 5]
+
+Prints one row per (kernel, case, N) with the best of --repeat rounds of
+--number calls each:
+
+- specfun.lerch_sum(a, w, z) at w = 0.3 + 0.7i, on the nodes of one
+  integrand call on [i, i+1]: quadrature levels 0 and 1 (48 nodes), level 2
+  (64) and level 3 (128), for a in {-2.5, -0.5, -1, 0, 1, 0.5};
+- FourierExpansion.eval_at on the same nodes, for J, Jsq and a 4-term
+  synthetic form;
+- exp_int_E(0.5, z) on a scalar z and on a 1k vector spread over
+  |z| in [0.5, 63] and arg z in (-2.5, 2.5).
+
+BLAS is pinned to one thread, as in perfbench.  Run it from the root of a
+checkout with PYTHONPATH=src, or point PYTHONPATH at another checkout's
+src/ to time that one on the same machine.
+"""
+
+import argparse
+import math
+import os
+import timeit
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from maassl import build_J, build_J_squared, specfun, synth_harmonic  # noqa: E402
+from maassl.quadrature import _level_rule  # noqa: E402
+
+LERCH_W = 0.3 + 0.7j
+LERCH_A = (-2.5, -0.5, -1.0, 0.0, 1.0, 0.5)
+
+
+def segment_nodes() -> dict[int, np.ndarray]:
+    """The nodes one integrand call gets on [i, i+1], by node count."""
+    levels = [_level_rule(16, level)[0] for level in range(4)]
+    return {48: 1j + np.concatenate(levels[:2]), 64: 1j + levels[2], 128: 1j + levels[3]}
+
+
+def cases():
+    """(kernel, case, N, thunk) for every row of the table."""
+    nodes = segment_nodes()
+    for n, z in nodes.items():
+        for a in LERCH_A:
+            yield "lerch_sum", f"a={a:g}", n, lambda a=a, z=z: specfun.lerch_sum(a, LERCH_W, z)
+    forms = {"J": build_J(), "Jsq": build_J_squared(),
+             "synth4": synth_harmonic(0, {-1: 1, 1: 0.5 + 0.25j, 2: -0.3, 3: 0.1j}, {})}
+    for n, z in nodes.items():
+        for name, f in forms.items():
+            yield "eval_at", name, n, lambda f=f, z=z: f.eval_at(z)
+    z1 = 2 * math.pi + 0.3 + 0.7j
+    yield "exp_int_E", "scalar", 1, lambda: specfun.exp_int_E(0.5, z1)
+    rng = np.random.default_rng(1)
+    zv = np.exp(rng.uniform(math.log(0.5), math.log(63.0), 1000)
+                + 1j * rng.uniform(-2.5, 2.5, 1000))
+    yield "exp_int_E", "vector", 1000, lambda: specfun.exp_int_E(0.5, zv)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--number", type=int, default=200, help="calls per round")
+    ap.add_argument("--repeat", type=int, default=5, help="rounds; the best is kept")
+    args = ap.parse_args()
+    print(f"{'kernel':<10} {'case':<8} {'N':>5} {'us/call':>9}")
+    for kernel, case, n, thunk in cases():
+        thunk()  # warm caches (binomials, term counts, form arrays)
+        best = min(timeit.repeat(thunk, number=args.number, repeat=args.repeat))
+        print(f"{kernel:<10} {case:<8} {n:>5} {best / args.number * 1e6:>9.1f}")
+
+
+if __name__ == "__main__":
+    main()

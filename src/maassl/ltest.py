@@ -44,6 +44,9 @@ _SHIFT_TERMS = 16  # Taylor terms that shift E_s from level 0 to the others
 # the phi_s^w series stops once its remaining terms provably sum to at most
 # 2^-55 of the partial sum, under half an ulp of it
 _TAIL_CUT = 2.0 ** -55
+# exp_int_E's relative accuracy on the orders and arguments the series uses
+# (its docstring; test_exp_int_E_ladder_vs_mpmath)
+_KERNEL_ACCURACY = 2e-12
 
 
 class AdmissibilityError(ValueError):
@@ -196,9 +199,11 @@ class LValue:
     """A series-side L-value and its parts.
 
     error_estimate adds the non-holomorphic quadrature estimates to the
-    holomorphic part's: for phi_s^w the bound on the stored terms the sum
-    skipped, once it stopped at that bound, and otherwise the magnitude of
-    the last term summed.
+    holomorphic part's.  For phi_s^w that is the bound on the stored terms
+    the sum skipped, once it stopped at that bound, and the kernel's
+    accuracy 2e-12 sum |a(n) E_{1-s}(2 pi n + w)| when it summed every
+    stored term; for any other test function the magnitude of the last
+    term summed.
     """
 
     value: complex
@@ -242,7 +247,8 @@ def _holo_terms(f: FourierExpansion, phi):
     e^{-x_i}/(x_i - p) G_i (``FourierExpansion.tail_log_weights``) is at most
     2^-55 of the partial sum, with x = 2 pi n + Re w, p = max(0, Re s - 1):
     |E_{1-s}(z)| <= e^{-x}/(x - p) for x > p, as t^p <= e^{p(t-1)} on
-    [1, inf), and every later x_m exceeds x_i.
+    [1, inf), and every later x_m exceeds x_i.  A sum that uses every
+    stored term skipped nothing, so its estimate is the kernels' accuracy.
     """
     if isinstance(phi, FrickePhiSW):
         _check_fricke_admissibility(f, phi)
@@ -252,7 +258,7 @@ def _holo_terms(f: FourierExpansion, phi):
         re_w, p = w.real, max(0.0, complex(phi.s).real - 1.0)
     else:
         batch = phi.laplace(TWO_PI * f.arrays[0])
-    kernels, holo, prev, growing = [], 0j, math.inf, 0
+    kernels, holo, prev, growing, size = [], 0j, math.inf, 0, 0.0
     for i, n in enumerate(sorted(f.holo)):
         a = f.holo[n]
         if can_cut and n > 0 and holo:
@@ -263,11 +269,11 @@ def _holo_terms(f: FourierExpansion, phi):
             if x > p and math.hypot(a.real, a.imag) * math.exp(-x) / (x - p) <= limit:
                 log_tail = f.tail_log_weights[i] - x - math.log(x - p)
                 if log_tail <= math.log(limit):
-                    prev = math.exp(log_tail)
-                    break
+                    return kernels, holo, math.exp(log_tail)
         kernels.append(specfun.exp_int_E(order, TWO_PI * n + w) if can_cut else batch[i])
         term = a * kernels[-1]
         holo += term
+        size += abs(term)
         if n > 0:
             mag = abs(term)
             # coefficient growth may dominate for a few small n; only a
@@ -280,6 +286,8 @@ def _holo_terms(f: FourierExpansion, phi):
             else:
                 growing = 0
             prev = mag
+    if can_cut:
+        return kernels, holo, _KERNEL_ACCURACY * size
     return kernels, holo, (prev if math.isfinite(prev) else 0.0)
 
 

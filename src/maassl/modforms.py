@@ -140,14 +140,21 @@ class FourierExpansion:
         return tails.tolist()  # a list indexes faster
 
     def eval_at(self, z):
-        """Value of the truncated expansion; z scalar or ndarray with Im > 0."""
+        """Value of the truncated expansion; z scalar or ndarray with Im > 0.
+
+        The holomorphic part is (q^n) @ a(n) with q = e^{2 pi i z}: one
+        exponential per point, and numpy raises a complex number to an
+        integer power |n| < 100 by repeated squaring, so the N x K table
+        costs products instead of N K exponentials.  It agrees with the
+        exponential form to rounding, and overflows where that does.
+        """
         hn, ha, nn, nb = self.arrays
         za = np.asarray(z, dtype=complex)
         scalar = za.ndim == 0
         za = np.atleast_1d(za)
         out = np.zeros_like(za)
         if hn.size:
-            out += np.exp(2j * math.pi * np.outer(za, hn)) @ ha
+            out += (np.exp(2j * math.pi * za)[:, None] ** hn) @ ha
         if nn.size:
             y = za.imag
             for n, b in zip(nn, nb):

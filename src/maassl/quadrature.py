@@ -28,7 +28,8 @@ import numpy as np
 
 
 class QuadratureError(RuntimeError):
-    """Panel doubling reached max_depth without two agreeing levels."""
+    """Panel doubling met a non-finite level sum, or reached max_depth
+    without two agreeing levels."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,9 @@ def _doubling(g, edges: np.ndarray) -> SegmentIntegral:
     max(abs_tol, rounding floor), with est_error = |Q_L - Q_{L-1}| + floor.
     When the floor decided the agreement, truncation error may still hide
     under it, so one more level is evaluated and returned instead.  Raises
-    QuadratureError when the level to return would exceed max_depth.
+    QuadratureError at the first level whose sum is not finite, since no
+    finer level can repair an overflow or a NaN of the integrand, and when
+    the level to return would exceed max_depth.
 
     The first call gets level 0's nodes followed by level 1's and its values
     are split between them, so an integral that stops at level 1 costs one
@@ -99,15 +102,20 @@ def _doubling(g, edges: np.ndarray) -> SegmentIntegral:
         terms = (width * w).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
         return terms.sum(axis=0), _ROUNDING * float(np.max(np.abs(terms).sum(axis=0)))
 
+    def finite(level, est):
+        if not np.isfinite(est).all():
+            raise QuadratureError(f"panel doubling: level {level} sum is not finite")
+        return est
+
     first = nodes(0)
     fused = np.asarray(g(np.concatenate([first, nodes(1)])))
-    prev, _ = level_sum(0, fused[:first.size])
+    prev = finite(0, level_sum(0, fused[:first.size])[0])
     extra = False  # the last pair agreed only within the floor
     diff = np.inf
     for level in range(1, cfg.max_depth + 1):
         vals = fused[first.size:] if level == 1 else np.asarray(g(nodes(level)))
         est, floor = level_sum(level, vals)
-        diff = float(np.max(np.abs(est - prev)))
+        diff = float(np.max(np.abs(finite(level, est) - prev)))
         if extra or max(diff, floor) <= cfg.abs_tol:
             return SegmentIntegral(est if est.ndim else complex(est), diff + floor,
                                    (edges.size - 1) << level)

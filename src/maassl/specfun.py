@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -446,6 +447,7 @@ def hurwitz_zeta(s, z):
     return _hurwitz_em(s, z)
 
 
+@lru_cache(maxsize=256)
 def _lerch_terms(exponent_real: float, im_w: float) -> int:
     """Terms needed so e^{-m Im w} m^{sigma} drops below ~1e-19."""
     if im_w <= 0:
@@ -456,21 +458,95 @@ def _lerch_terms(exponent_real: float, im_w: float) -> int:
     return int(m) + 30
 
 
+# lerch_sum's Taylor tail: |z - c| <= 1/2 and |c + m| >= 4 keep every
+# (z - c)/(c + m) within 1/8, and the series stops below 1e-18 of its lead
+_LERCH_RADIUS = 4.0
+_LERCH_CUT = 1e-18
+
+
+@lru_cache(maxsize=64)
+def _binomials(a: complex) -> np.ndarray:
+    """C(a, j) for j < J: J is the first j with |C(a, j)| 8^-j < 1e-18, and
+    a + 1 for an integer a >= 0, whose coefficients end at C(a, a)."""
+    out, c, j = [], 1.0 + 0j, 0
+    while abs(c) * (0.5 / _LERCH_RADIUS) ** j >= _LERCH_CUT:
+        out.append(c)
+        c = c * (a - j) / (j + 1)
+        j += 1
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^j for j < n as the rows of an (n, x.size) array, by doubling: each
+    column from its own element alone, in O(log n) array products."""
+    out = np.empty((n, x.size), dtype=x.dtype)
+    out[0] = 1.0
+    k = 1
+    while True:
+        step = min(k, n - k)
+        if step <= 0:
+            return out
+        np.multiply(out[:step], x, out=out[k:k + step])
+        k += step
+        x = x * x
+
+
 def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     """sum_{m>=0} e^{imw} (z+m)^{s_exponent}, vectorized over z.
 
     This is zeta(-s_exponent, w/(2 pi), z) in Lerch normalization; it needs
-    Im(w) > 0.
+    Im(w) > 0, and sums the terms m < M of ``_lerch_terms``.
+
+    Each z gets the centre c = floor(Re z) + 1/2 + i Im z, so z - c is real
+    with |z - c| <= 1/2, and every node of a segment [ih, ih+1] shares one
+    centre.  With a = s_exponent, the rows of one centre sum the head
+    m < M0 directly, M0 the first m with Re(c+m) > 0 and |c+m| >= 4, and
+    the tail by the binomial re-expansion (DLMF 25.14, 4.6.7)
+        (z+m)^a = sum_j C(a, j) (c+m)^{a-j} (z-c)^j,
+    whose ratio |z-c|/|c+m| is at most 1/8 there, truncated at the first
+    j with |C(a, j)| 8^-j < 1e-18 (about 20 terms; a+1 for an integer
+    a >= 0, where it ends).  The tail coefficients
+        T_j = C(a, j) sum_{m>=M0} e^{imw} (c+m)^{a-j}
+    take one (J, M) table of powers of 1/(c+m) and one matrix-vector
+    product per centre, and each row adds sum_j T_j (z-c)^j.  A row's value
+    depends only on its z, so splitting a batch leaves its bits unchanged.
+
+    Cost: M + N M0 complex powers for N nodes of one centre (M0 = 4 at
+    Im z = 1, none from Im z = 4), against N M for the direct sum.  The
+    truncation is below 1e-18 of the tail's terms, so the error is the
+    rounding of the terms and their phases, as for the direct sum: against
+    an extended-precision sum of the same terms on the 48 nodes of
+    quadrature levels 0 and 1 on [ih, ih+1], h in {0.5, 1, 1.3, 2}, for
+    a in [-3.5, 2.5] and 0.5 + 2i and Im w in {0.05, 0.7, 1.5}, it stays
+    within 1e-13 relative plus 5% of eps sum_m (1 + m|w|) |term_m|.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    mmax = _lerch_terms(complex(s_exponent).real, complex(w).imag)
-    out = np.zeros_like(z)
-    for start in range(0, mmax, 4096):
-        m = np.arange(start, min(start + 4096, mmax))
-        phase = np.exp(1j * complex(w) * m)
-        rows = max(1, 2 ** 16 // m.size)  # one block holds at most 2^16 elements
-        for r in range(0, z.size, rows):
-            out[r:r + rows] += ((z[r:r + rows, None] + m) ** s_exponent * phase).sum(axis=1)
+    w = complex(w)
+    mmax = _lerch_terms(complex(s_exponent).real, w.imag)
+    m = np.arange(mmax)
+    phase = np.exp(1j * w * m)
+    binom = _binomials(complex(s_exponent))
+    centres = np.floor(z.real) + 0.5 + 1j * z.imag
+    single = bool((centres == centres[:1]).all())
+    out = np.empty_like(z)
+    for c in centres[:1] if single else np.unique(centres):
+        rows = slice(None) if single else centres == c
+        zc = z[rows]
+        x, y = float(c.real), float(c.imag)
+        m0 = min(mmax, max(0, math.ceil(-x),
+                           math.ceil(math.sqrt(max(0.0, _LERCH_RADIUS ** 2 - y * y)) - x)))
+        acc = ((zc[:, None] + m[:m0]) ** s_exponent * phase[:m0]).sum(axis=1)
+        if m0 < mmax:
+            cm = c + m[m0:]
+            # one table holds the powers of 1/(c+m) and of each row's z - c;
+            # a row's sum runs along its own contiguous row, in one order
+            # whatever the batch
+            table = _powers(np.concatenate([1.0 / cm, zc.real - x]), binom.size)
+            taylor = binom * (table[:, :cm.size] @ (cm ** s_exponent * phase[m0:]))
+            acc = acc + (np.ascontiguousarray(table[:, cm.size:].T) * taylor).sum(axis=1)
+        out[rows] = acc
     return out
 
 

@@ -11,7 +11,7 @@ from maassl import (InversePowerSeed, PhiSW, compact_support_value, l_star,
                     rhs_integer_value, rhs_main_theorem, rhs_negative_s,
                     synth_harmonic)
 from maassl.contour import RegimeError, i_power, lerch_sum
-from maassl.ltest import ZeroSeed
+from maassl.ltest import ZeroSeed, l_value_by_vertical_integral
 from maassl.modforms import xi_image
 from maassl import quadrature
 from maassl.quadrature import (QuadratureError, integrate_decaying,
@@ -51,6 +51,25 @@ def test_segment_stall_raises():
     # a kink defeats uniform panel doubling; the doubling cap must raise
     with pytest.raises(QuadratureError, match="max_depth 14"):
         integrate_segment(lambda z: np.abs(np.real(z) - 1 / 3) ** 0.1, 0, 1)
+
+
+def test_non_finite_level_raises_at_once(monkeypatch, J):
+    """J(iy) overflows past y ~ 113 while phi_s^w underflows, so the first
+    call's level sums are NaN; doubling further cannot repair that."""
+    calls = []
+    doubling = quadrature._doubling
+
+    def counting(g, edges):
+        def wrapped(z):
+            calls.append(z.size)
+            return g(z)
+
+        return doubling(wrapped, edges)
+
+    monkeypatch.setattr(quadrature, "_doubling", counting)
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite"):
+        l_value_by_vertical_integral(J, PhiSW(0.5, 6.4))
+    assert len(calls) <= 2
 
 
 def test_vector_valued_integrand_matches_columns():
@@ -198,6 +217,18 @@ def test_lerch_sum_row_chunks_bitwise():
         parts = np.concatenate([lerch_sum(s_exp, w, z[i:i + 100])
                                 for i in range(0, z.size, 100)])
         assert np.array_equal(whole, parts)
+
+
+def test_lerch_sum_batch_equals_single_rows():
+    """Rows from two unit cells at two heights, shuffled, have four centres;
+    each row's bits do not depend on the rest of its batch."""
+    u = np.linspace(0.02, 0.98, 9)
+    z = np.concatenate([1j * h + cell + u for h in (1.0, 1.3) for cell in (0, 1)])
+    z = z[np.random.default_rng(3).permutation(z.size)]
+    for s_exp, w in ((-2.5, 0.3 + 0.7j), (0.5 + 2j, 1j), (1.0, -0.7 + 0.05j)):
+        batch = lerch_sum(s_exp, w, z)
+        single = np.concatenate([lerch_sum(s_exp, w, z[i:i + 1]) for i in range(z.size)])
+        assert np.array_equal(batch, single)
 
 
 def test_lerch_unfolding_identity(J):

@@ -440,3 +440,28 @@ def test_limit_divergence_check_survives_the_shift():
     f = synth_harmonic(0, {-1: 1, **{n: 10.0 ** (3 * n) for n in range(1, 9)}}, {})
     with pytest.raises(AdmissibilityError, match="stopped decreasing"):
         l_value_limit(f, 1)
+
+
+# hA and hB of the default suite, and its synthetic weakly holomorphic form
+_SUITE_FORMS = {"hA": ({1: 0.5}, {-1: 1}, 0), "hB": ({1: 1}, {-1: 2 - 1j}, -2),
+                "synth": ({-1: 1, 1: 2, 3: -1}, {}, 0)}
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("name, s, w", [
+    (name, s, 0.5 + 1j) for name in ("hA", "hB") for s in (0.5, 1.0, 2.0)] + [
+    ("synth", s, w) for s in (-1.5, 0.0, 0.5, 2.0) for w in (1j, 0.3 + 0.7j)])
+def test_full_sum_estimate_is_the_kernel_accuracy(name, s, w):
+    """A phi_s^w sum that uses every stored term reports the kernels'
+    accuracy 2e-12 sum |a(n) E_{1-s}(2 pi n + w)|, not the last term's size
+    (a third of hA's value); it still bounds the gap to the same terms
+    summed by mpmath."""
+    holo, nonholo, k = _SUITE_FORMS[name]
+    f = synth_harmonic(k, holo, nonholo)
+    kernels, value, err = ltest._holo_terms(f, PhiSW(s, w))
+    assert len(kernels) == len(holo)
+    with mpmath.workdps(30):
+        exact = complex(mpmath.fsum(
+            mpmath.mpc(a) * mpmath.expint(1 - s, mpmath.mpc(TWO_PI * n + w))
+            for n, a in holo.items()))
+    assert abs(value - exact) <= err <= 1e-10 * abs(value)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,23 @@ def test_nonholo_term_value():
     import cmath
     expected = math.exp(-4 * math.pi) * cmath.exp(-2j * math.pi * z)
     assert f.eval_at(z) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["J", "Jsq", "synth"])
+def test_eval_at_matches_exponential_form(J, Jsq, name):
+    """(q^n) @ a(n) against sum_n a(n) e^{2 pi i n z}, to 1e-13 of the terms'
+    magnitudes (near the real axis J's truncated sum cancels, so that is the
+    scale both forms round to); non-finite at exactly the same points."""
+    f = {"J": J, "Jsq": Jsq,
+         "synth": synth_harmonic(0, {-1: 1, 1: 0.5 + 0.25j, 2: -0.3, 3: 0.1j}, {})}[name]
+    hn, ha, _, _ = f.arrays
+    ys = np.concatenate([np.logspace(-3, 2, 41), [56.3, 56.4, 56.5, 56.6, 59.2, 59.3]])
+    z = (np.linspace(0, 1, 11)[:, None] + 1j * ys).ravel()
+    with np.errstate(all="ignore"):
+        terms = np.exp(2j * math.pi * np.outer(z, hn))
+        expected = terms @ ha
+        scale = np.abs(terms) @ np.abs(ha)
+        got = f.eval_at(z)
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert (np.abs(got - expected)[finite] <= 1e-13 * scale[finite]).all()

@@ -53,3 +53,14 @@ def test_compare_reports(tmp_path):
     assert proc.returncode == 1
     assert "  message: '' -> 'precondition: moved'" in proc.stdout
     assert "2 of 4 checks differ" in proc.stdout
+
+
+def test_kernel_timings():
+    proc = run_script("kernel_timings.py", "--number", "1", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["kernel", "case", "N", "us/call"]
+    kernels = [row.split()[0] for row in rows]
+    assert (kernels.count("lerch_sum"), kernels.count("eval_at"),
+            kernels.count("exp_int_E")) == (18, 9, 2)
+    assert all(0 < float(row.split()[-1]) < math.inf for row in rows)

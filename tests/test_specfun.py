@@ -405,13 +405,16 @@ def _mp_expint(s, z) -> complex:
     return complex(e)
 
 
-def _lerch_rounding(s, a, z) -> float:
+def _lerch_rounding(s, a, z):
     """eps sum_m (1 + m |2 pi a|) |e^{2 pi i m a} (z+m)^{-s}|: the rounding of
-    the terms and of their phases, the error left where the terms cancel."""
+    the terms and of their phases, the error left where the terms cancel;
+    a float for a scalar z, an ndarray for an ndarray z."""
     w = 2 * math.pi * complex(a)
     m = np.arange(specfun._lerch_terms(-complex(s).real, w.imag))
-    terms = np.abs(np.exp(1j * w * m) * (complex(z) + m) ** -complex(s))
-    return float(np.finfo(float).eps * np.sum((1 + m * abs(w)) * terms))
+    terms = np.abs(np.exp(1j * w * m) * (np.asarray(z, dtype=complex)[..., None] + m)
+                   ** -complex(s))
+    out = np.finfo(float).eps * np.sum((1 + m * abs(w)) * terms, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @needs_mpmath
@@ -432,3 +435,51 @@ def test_lerch_zeta_vs_mpmath():
             for z in zs:
                 exact = complex(mpmath.zeta(s, z))
                 assert abs(lerch_zeta(s, 0, z) - exact) <= 1e-12 * max(1.0, abs(exact)), (s, z)
+
+
+# the 48 nodes of quadrature levels 0 and 1 on [0, 1]: one integrand call
+_GL16 = (1 + np.polynomial.legendre.leggauss(16)[0]) / 2
+_LEVEL01 = np.concatenate([_GL16, _GL16 / 2, (1 + _GL16) / 2])
+_LERCH_A = (-3.5, -2.5, -1, -0.5, 0, 0.5, 1, 2.5, 0.5 + 2j)
+_LERCH_W = [complex(re, im) for im in (0.05, 0.7, 1.5) for re in (-0.7, 0, 0.3)]
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
+def _lerch_extended(a, w, z):
+    """sum_{m < M} e^{imw} (z+m)^a over lerch_sum's M terms, each in
+    extended precision (about 1e-19): the term-by-term oracle for every
+    node, itself anchored to mpmath.lerchphi below."""
+    m = np.arange(specfun._lerch_terms(complex(a).real, w.imag)).astype(np.longdouble)
+    zl = z.astype(np.clongdouble)
+    phase = np.exp(np.clongdouble(1j) * np.clongdouble(w) * m)
+    return ((zl[:, None] + m) ** np.clongdouble(a) * phase).sum(axis=1).astype(complex)
+
+
+@pytest.mark.skipif(not _EXTENDED, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("h", [0.5, 1.0, 1.3, 2.0])
+def test_lerch_sum_vs_extended_sum(h):
+    """The head and Taylor tail of lerch_sum against the direct sum of the
+    same terms, on the nodes a segment's first integrand call takes:
+    1e-13 relative plus the rounding of the terms and their phases."""
+    z = 1j * h + _LEVEL01
+    for a in _LERCH_A:
+        for w in _LERCH_W:
+            exact = _lerch_extended(a, w, z)
+            err = np.abs(specfun.lerch_sum(a, w, z) - exact)
+            bound = 1e-13 * np.abs(exact) + _lerch_rounding(-a, w / (2 * math.pi), z)
+            assert (err <= bound).all(), (h, a, w, float(np.max(err / bound)))
+
+
+@needs_mpmath
+@pytest.mark.skipif(not _EXTENDED, reason="needs an extended-precision long double")
+def test_lerch_sum_and_its_oracle_vs_mpmath():
+    """One node per a (cycling through heights, w and nodes): lerch_sum and
+    the extended-precision oracle against mpmath.lerchphi(e^{iw}, -a, z)."""
+    with mpmath.workdps(25):
+        for i, a in enumerate(_LERCH_A):
+            h, w = (0.5, 1.0, 1.3, 2.0)[i % 4], _LERCH_W[i]
+            z = 1j * h + _LEVEL01[5 * i % 48: 5 * i % 48 + 1]
+            exact = complex(mpmath.lerchphi(mpmath.expj(mpmath.mpc(w)), -a, mpmath.mpc(z[0])))
+            bound = 1e-13 * abs(exact) + _lerch_rounding(-a, w / (2 * math.pi), z[0])
+            assert abs(complex(_lerch_extended(a, w, z)[0]) - exact) <= 1e-15 * abs(exact), a
+            assert abs(complex(specfun.lerch_sum(a, w, z)[0]) - exact) <= bound, a
