@@ -497,7 +497,8 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     """sum_{m>=0} e^{imw} (z+m)^{s_exponent}, vectorized over z.
 
     This is zeta(-s_exponent, w/(2 pi), z) in Lerch normalization; it needs
-    Im(w) > 0, and sums the terms m < M of ``_lerch_terms``.
+    Im(w) > 0 and finite z (DomainError otherwise), and sums the terms
+    m < M of ``_lerch_terms``.
 
     Each z gets the centre c = floor(Re z) + 1/2 + i Im z, so z - c is real
     with |z - c| <= 1/2, and every node of a segment [ih, ih+1] shares one
@@ -523,6 +524,8 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     within 1e-13 relative plus 5% of eps sum_m (1 + m|w|) |term_m|.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.isfinite(z).all():
+        raise DomainError("lerch_sum needs finite z")
     w = complex(w)
     mmax = _lerch_terms(complex(s_exponent).real, w.imag)
     m = np.arange(mmax)

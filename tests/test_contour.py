@@ -258,6 +258,14 @@ def test_lerch_sum_needs_decay():
         lerch_sum(0.5, 1.0, np.array([1j]))
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 1), complex(math.inf, 1),
+                                 complex(0.3, math.inf)])
+def test_lerch_sum_rejects_non_finite_z(bad):
+    # a non-finite node has no centre; it must not leave its row unset
+    with pytest.raises(DomainError, match="finite z"):
+        lerch_sum(0.5, 0.3 + 0.7j, np.array([bad, 0.3 + 1j]))
+
+
 # ---------------------------------------------------------------------------
 # main-theorem right-hand side
 # ---------------------------------------------------------------------------
