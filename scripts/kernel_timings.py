@@ -12,7 +12,12 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
 - FourierExpansion.eval_at on the same nodes, for J, Jsq and a 4-term
   synthetic form;
 - exp_int_E(0.5, z) on a scalar z and on a 1k vector spread over
-  |z| in [0.5, 63] and arg z in (-2.5, 2.5).
+  |z| in [0.5, 63] and arg z in (-2.5, 2.5);
+- contour.r_remainder(f, 1, 0.5 + i) in both shapes, one_dim and
+  double_integral, on the default suite's harmonic forms hB (weight -2,
+  one non-holomorphic term) and hC (weight 0, two);
+- ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
+  series side with its non-holomorphic part.
 
 BLAS is pinned to one thread, as in perfbench.  Run it from the root of a
 checkout with PYTHONPATH=src, or point PYTHONPATH at another checkout's
@@ -29,7 +34,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from maassl import build_J, build_J_squared, specfun, synth_harmonic  # noqa: E402
+from maassl import (PhiSW, build_J, build_J_squared, l_value, l_value_limit,  # noqa: E402
+                    r_remainder, specfun, synth_harmonic)
 from maassl.quadrature import _level_rule  # noqa: E402
 
 LERCH_W = 0.3 + 0.7j
@@ -59,6 +65,15 @@ def cases():
     zv = np.exp(rng.uniform(math.log(0.5), math.log(63.0), 1000)
                 + 1j * rng.uniform(-2.5, 2.5, 1000))
     yield "exp_int_E", "vector", 1000, lambda: specfun.exp_int_E(0.5, zv)
+    harmonic = {"hB": synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}),
+                "hC": synth_harmonic(0, {}, {-1: 1, -2: 0.3})}
+    for name, f in harmonic.items():
+        for shape in ("one_dim", "double_integral"):
+            yield ("r_remainder", f"{name}/{shape}", 1,
+                   lambda f=f, shape=shape: r_remainder(f, 1.0, 0.5 + 1j, shape))
+    hb = harmonic["hB"]
+    yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
+    yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)
 
 
 def main():
@@ -67,11 +82,11 @@ def main():
     ap.add_argument("--number", type=int, default=200, help="calls per round")
     ap.add_argument("--repeat", type=int, default=5, help="rounds; the best is kept")
     args = ap.parse_args()
-    print(f"{'kernel':<10} {'case':<8} {'N':>5} {'us/call':>9}")
+    print(f"{'kernel':<13} {'case':<18} {'N':>5} {'us/call':>9}")
     for kernel, case, n, thunk in cases():
         thunk()  # warm caches (binomials, term counts, form arrays)
         best = min(timeit.repeat(thunk, number=args.number, repeat=args.repeat))
-        print(f"{kernel:<10} {case:<8} {n:>5} {best / args.number * 1e6:>9.1f}")
+        print(f"{kernel:<13} {case:<18} {n:>5} {best / args.number * 1e6:>9.1f}")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,13 @@ from maassl.modforms import xi_image
 from maassl import quadrature
 from maassl.quadrature import (QuadratureError, integrate_decaying,
                                integrate_segment)
-from maassl.specfun import DomainError, exp_int_E
+from maassl.specfun import DomainError, exp_int_E, upper_gamma_int
 from maassl.verify import CheckSpec, run_check
+
+try:
+    import mpmath
+except ImportError:  # the oracle is optional
+    mpmath = None
 
 TWO_PI = 2 * math.pi
 
@@ -397,6 +402,90 @@ def test_r_remainder_unknown_form():
     f = synth_harmonic(0, {}, {-1: 1})
     with pytest.raises(ValueError):
         r_remainder(f, 1, 1j, "nope")
+
+
+# the closed-form oracle tests' grid, at the weights k = 0, -2, -4 and -10
+ONE_DIM_S = (-1.5, 0.5, 2.5)
+ONE_DIM_W = (0, 0.0125j, 0.4j, 0.5 + 1j, 2 + 0.2j)
+ONE_DIM_FORM = {-1: 1, -2: 0.3 - 0.2j}
+
+
+def _one_dim_by_mpmath(f, s, w) -> complex:
+    """-sum_n b(n) sum_{j<=m} (m!/j!) beta^j (e^{-beta} E_{1-s}(alpha)
+    - E_{1-s-j}(alpha + beta)), m = -k, beta = 4 pi |n|, alpha = 2 pi n + w,
+    with mpmath's E_s."""
+    m, pi, w = -f.weight, mpmath.pi, mpmath.mpc(w)
+    total = 0
+    for n, b in f.nonholo.items():
+        beta, alpha = -4 * pi * n, 2 * pi * n + w
+        head = mpmath.exp(-beta) * mpmath.expint(1 - s, alpha)
+        total += mpmath.mpc(b) * mpmath.fsum(
+            mpmath.factorial(m) / mpmath.factorial(j) * beta ** j
+            * (head - mpmath.expint(1 - s - j, alpha + beta)) for j in range(m + 1))
+    return -complex(total)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("k, s, w", [(0, 0.5, 0.4j), (-4, 2.5, 2 + 0.2j)])
+def test_one_dim_sum_is_the_integral(k, s, w):
+    """The finite sum equals the one-dimensional shape it replaces,
+    -sum_n b(n) beta^{1-k} int_1^inf e^{-beta t} t^{s-k} E_{1-s}(alpha t) dt,
+    both by mpmath."""
+    f = synth_harmonic(k, {}, {-1: 1})
+    pi, w = mpmath.pi, mpmath.mpc(w)
+    beta, alpha = 4 * pi, -2 * pi + w
+
+    def g(t):
+        return mpmath.exp(-beta * t) * t ** (s - k) * mpmath.expint(1 - s, alpha * t)
+
+    with mpmath.workdps(20):
+        integral = -complex(beta ** (1 - k) * mpmath.quad(g, [1, 2, 4, 8, 16, mpmath.inf]))
+        assert abs(_one_dim_by_mpmath(f, s, w) - integral) <= 1e-15 * abs(integral)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("k", [0, -2, -4, -10])
+def test_one_dim_remainder_vs_mpmath(k, no_quadrature):
+    """r_remainder(form="one_dim") against the same finite sum by mpmath,
+    within 1e-13 relative (worst measured 5.9e-16), and against the series
+    side: it is the series' non-holomorphic part less
+    sum_n b(n) Gamma(1-k, 4 pi |n|) E_{1-s}(2 pi n + w) (measured 4.3e-16)."""
+    f = synth_harmonic(k, {1: 0.5}, ONE_DIM_FORM)
+    with mpmath.workdps(30):
+        for s in ONE_DIM_S:
+            for w in ONE_DIM_W:
+                value = r_remainder(f, s, w, "one_dim")
+                exact = _one_dim_by_mpmath(f, s, w)
+                assert abs(value - exact) <= 1e-13 * abs(exact), (s, w)
+                series = l_value(f, PhiSW(s, w)).nonholo_part
+                head = sum(b * upper_gamma_int(1 - k, -4 * math.pi * n)
+                           * exp_int_E(1 - s, TWO_PI * n + w) for n, b in f.nonholo.items())
+                assert abs(value - (series - head)) <= 1e-14 * abs(value), (s, w)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("n", [-80, -110])
+def test_one_dim_remainder_far_coefficient(n):
+    """e^{-4 pi |n|} underflows a double from |n| = 57 while
+    e^{-4 pi |n|} E_{1-s}(2 pi n + w) does not: measured 2e-14 relative."""
+    f = synth_harmonic(-2, {}, {n: 1})
+    with mpmath.workdps(30):
+        for w in (0.5 + 1j, 3 + 0.1j):
+            exact = _one_dim_by_mpmath(f, 1.3, w)
+            assert abs(r_remainder(f, 1.3, w, "one_dim") - exact) <= 1e-13 * abs(exact), w
+
+
+@pytest.mark.parametrize("w", [-5.9 + 1j, -6 + 1j, -6.2 + 1j])
+def test_one_dim_remainder_near_the_convergence_edge(w):
+    """Re w just above -2 pi, where the integral converges but its
+    integrand's factor E_{1-s}((2 pi n + w) t) alone overflows a double at
+    large t: the finite sum agrees with the double-integral shape."""
+    f = synth_harmonic(0, {}, {-1: 1})
+    one = r_remainder(f, 1.0, w, "one_dim")
+    two = r_remainder(f, 1.0, w, "double_integral")
+    assert abs(one - two) <= 1e-13 * abs(two)
+    if w == -6 + 1j:
+        assert one == pytest.approx(-0.44307 - 0.59162j, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

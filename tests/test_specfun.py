@@ -334,6 +334,27 @@ def test_exp_int_E_ladder_vs_mpmath():
                 assert _rel_err(v, exact) <= 2e-12, (s, z, "array")
 
 
+@needs_mpmath
+def test_exp_int_E_orders_vs_mpmath():
+    """Ten orders below s by the downward recurrence, at |arg z| < 1.5, the
+    arguments the phi_s^w non-holomorphic sums use, for a scalar and for an
+    ndarray: within the kernel's 2e-12 (measured at most 3.2e-13)."""
+    zs = np.array([0.05 + 0.02j, 0.3 + 1j, 2 + 0.2j, 2 * math.pi + 0.0125j, 6.8 + 1j,
+                   13 - 3j, 30 + 2j])
+    with mpmath.workdps(30):
+        for s in (1.0, 0.5, -1.5, 2.5 + 1j, 3.4):
+            rows = specfun.exp_int_E_orders(s, zs, 11)
+            for i, z in enumerate(zs):
+                scalar = specfun.exp_int_E_orders(s, complex(z), 11)
+                for j in range(11):
+                    exact = complex(mpmath.expint(s - j, complex(z)))
+                    assert _rel_err(scalar[j], exact) <= 2e-12, (s, z, j)
+                    assert _rel_err(rows[j][i], exact) <= 2e-12, (s, z, j, "array")
+    e0 = exp_int_E(0.5, zs)
+    given = specfun.exp_int_E_orders(0.5, zs, 3, first=e0)
+    assert given[0] is e0 and np.array_equal(given[2], specfun.exp_int_E_orders(0.5, zs, 3)[2])
+
+
 def _lentz_steps(s: complex, z: complex) -> int:
     """Steps of the modified Lentz iteration for exp_int_E's continued fraction
     until a step factor is within 2 eps of 1, with 1e-300 added to each

@@ -123,10 +123,12 @@ def test_default_suite_no_worse_than_baseline():
 
 
 # integrand calls and nodes of one default-suite pass: levels 0 and 1 share a
-# call, and each non-phi_s^w test function pairs with all its kernels in one
-# quadrature (621 calls and 24,912 nodes without either)
-SUITE_INTEGRAND_CALLS = 174
-SUITE_NODES = 17_424
+# call, each non-phi_s^w test function pairs with all its kernels in one
+# quadrature (621 calls and 24,912 nodes without either), and the phi_s^w
+# non-holomorphic integrals of both pipelines are closed forms (174 calls
+# and 17,424 nodes by quadrature)
+SUITE_INTEGRAND_CALLS = 129
+SUITE_NODES = 9_840
 
 
 def test_default_suite_integrand_budget(monkeypatch):
