@@ -16,6 +16,9 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
 - contour.r_remainder(f, 1, 0.5 + i) in both shapes, one_dim and
   double_integral, on the default suite's harmonic forms hB (weight -2,
   one non-holomorphic term) and hC (weight 0, two);
+- the double integral's integrand on the 48 nodes of one integrand call,
+  each node against the Lerch terms m < M (M = 39 at s = 1, Im w = 1): the
+  48 x M grid of exp_int_E_scaled values, for hB and hC;
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
   series side with its non-holomorphic part.
 
@@ -34,8 +37,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from maassl import (PhiSW, build_J, build_J_squared, l_value, l_value_limit,  # noqa: E402
-                    r_remainder, specfun, synth_harmonic)
+from maassl import (PhiSW, build_J, build_J_squared, contour, l_value,  # noqa: E402
+                    l_value_limit, r_remainder, specfun, synth_harmonic)
 from maassl.quadrature import _level_rule  # noqa: E402
 
 LERCH_W = 0.3 + 0.7j
@@ -71,6 +74,11 @@ def cases():
         for shape in ("one_dim", "double_integral"):
             yield ("r_remainder", f"{name}/{shape}", 1,
                    lambda f=f, shape=shape: r_remainder(f, 1.0, 0.5 + 1j, shape))
+    count = contour._remainder_terms(1.0, 1.0)
+    for name, f in harmonic.items():
+        integrand = contour._remainder_integrand(f, 1.0, 0.5 + 1j)
+        yield ("remainder_grid", f"{name}/48x{count}", 48,
+               lambda integrand=integrand: integrand(nodes[48]))
     hb = harmonic["hB"]
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)
@@ -82,11 +90,11 @@ def main():
     ap.add_argument("--number", type=int, default=200, help="calls per round")
     ap.add_argument("--repeat", type=int, default=5, help="rounds; the best is kept")
     args = ap.parse_args()
-    print(f"{'kernel':<13} {'case':<18} {'N':>5} {'us/call':>9}")
+    print(f"{'kernel':<14} {'case':<18} {'N':>5} {'us/call':>9}")
     for kernel, case, n, thunk in cases():
         thunk()  # warm caches (binomials, term counts, form arrays)
         best = min(timeit.repeat(thunk, number=args.number, repeat=args.repeat))
-        print(f"{kernel:<13} {case:<18} {n:>5} {best / args.number * 1e6:>9.1f}")
+        print(f"{kernel:<14} {case:<18} {n:>5} {best / args.number * 1e6:>9.1f}")
 
 
 if __name__ == "__main__":

@@ -475,6 +475,17 @@ def test_one_dim_remainder_far_coefficient(n):
             assert abs(r_remainder(f, 1.3, w, "one_dim") - exact) <= 1e-13 * abs(exact), w
 
 
+def test_one_dim_remainder_far_coefficient_reads_as_zero():
+    """At n = -120, Re(2 pi n + w) < -700, where E_{1-s}(2 pi n + w) alone
+    overflows a double; e^{-4 pi |n|} times it does not, and the term is
+    below a double's range, so the sum reads as the n = -1 term alone."""
+    near = synth_harmonic(-2, {}, {-1: 1})
+    both = synth_harmonic(-2, {}, {-1: 1, -120: 1})
+    for s, w in ((1.0, 0.5 + 1j), (0.5, 3 + 0.1j), (2.5, 0j)):
+        value = r_remainder(near, s, w, "one_dim")
+        assert abs(r_remainder(both, s, w, "one_dim") - value) <= 1e-15 * abs(value), (s, w)
+
+
 @pytest.mark.parametrize("w", [-5.9 + 1j, -6 + 1j, -6.2 + 1j])
 def test_one_dim_remainder_near_the_convergence_edge(w):
     """Re w just above -2 pi, where the integral converges but its

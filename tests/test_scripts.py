@@ -62,5 +62,8 @@ def test_kernel_timings():
     assert header.split() == ["kernel", "case", "N", "us/call"]
     kernels = [row.split()[0] for row in rows]
     assert [kernels.count(k) for k in ("lerch_sum", "eval_at", "exp_int_E", "r_remainder",
-                                       "l_value", "l_value_limit")] == [18, 9, 2, 4, 1, 1]
+                                       "remainder_grid", "l_value", "l_value_limit")] == [
+        18, 9, 2, 4, 2, 1, 1]
+    assert [row.split()[1] for row in rows if row.startswith("remainder_grid")] == [
+        "hB/48x39", "hC/48x39"]
     assert all(0 < float(row.split()[-1]) < math.inf for row in rows)
