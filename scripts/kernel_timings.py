@@ -13,6 +13,8 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   synthetic form;
 - exp_int_E(0.5, z) on a scalar z and on a 1k vector spread over
   |z| in [0.5, 63] and arg z in (-2.5, 2.5);
+- hurwitz_zeta(s, z) for s = 2 and 1.5, and digamma(z), on the 48 nodes
+  of quadrature levels 0 and 1 on [i, i+1];
 - contour.r_remainder(f, 1, 0.5 + i) in both shapes, one_dim and
   double_integral, on the default suite's harmonic forms hB (weight -2,
   one non-holomorphic term) and hC (weight 0, two);
@@ -20,7 +22,8 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   each node against the Lerch terms m < M (M = 39 at s = 1, Im w = 1): the
   48 x M grid of exp_int_E_scaled values, for hB and hC;
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
-  series side with its non-holomorphic part.
+  series side with its non-holomorphic part, and l_value_limit(f, 0) on J
+  and on the 4-term synthetic form, weakly holomorphic.
 
 BLAS is pinned to one thread, as in perfbench.  Run it from the root of a
 checkout with PYTHONPATH=src, or point PYTHONPATH at another checkout's
@@ -68,6 +71,9 @@ def cases():
     zv = np.exp(rng.uniform(math.log(0.5), math.log(63.0), 1000)
                 + 1j * rng.uniform(-2.5, 2.5, 1000))
     yield "exp_int_E", "vector", 1000, lambda: specfun.exp_int_E(0.5, zv)
+    for s in (2.0, 1.5):
+        yield "hurwitz_zeta", f"s={s:g}", 48, lambda s=s: specfun.hurwitz_zeta(s, nodes[48])
+    yield "digamma", "z", 48, lambda: specfun.digamma(nodes[48])
     harmonic = {"hB": synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}),
                 "hC": synth_harmonic(0, {}, {-1: 1, -2: 0.3})}
     for name, f in harmonic.items():
@@ -82,6 +88,8 @@ def cases():
     hb = harmonic["hB"]
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)
+    for name in ("J", "synth4"):
+        yield "l_value_limit", f"{name}/m=0", 1, lambda f=forms[name]: l_value_limit(f, 0)
 
 
 def main():

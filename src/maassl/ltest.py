@@ -22,6 +22,7 @@ bound; their kernels at every stored 2 pi n come from one vector integral.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,12 @@ _DECAY_BUDGET = 46.0
 # l_value_limit's dyadic ladder: x0 / 2^j for j < _LIMIT_LEVELS
 _LIMIT_X0 = 0.4
 _LIMIT_LEVELS = 6
+_LIMIT_XS = _LIMIT_X0 / 2.0 ** np.arange(_LIMIT_LEVELS)
 _SHIFT_TERMS = 16  # Taylor terms that shift E_s from level 0 to the others
+# row j: (-h_j)^k / k! for k < _SHIFT_TERMS, the shift h_j = i (x_j - x_0)
+_TAYLOR = np.ones((_LIMIT_LEVELS, _SHIFT_TERMS), dtype=complex)
+_TAYLOR[:, 1:] = 1j * (_LIMIT_X0 - _LIMIT_XS)[:, None] / np.arange(1, _SHIFT_TERMS)
+_TAYLOR = np.cumprod(_TAYLOR, axis=1)
 
 # the phi_s^w series stops once its remaining terms provably sum to at most
 # 2^-55 of the partial sum, under half an ulp of it
@@ -360,26 +366,37 @@ def l_tilde(f: FourierExpansion, s) -> complex:
     return l_star(f, s) + (1j ** (k % 4)) * l_star(f, k - s)
 
 
-def _shifted_sums(p, z0: np.ndarray, e0: np.ndarray, a: np.ndarray,
-                  h: np.ndarray) -> np.ndarray:
-    """sum_n a_n E_p(z0_n + h_j) for each shift h_j, from e0 = E_p(z0) alone:
-    E_p(z0 + h) = sum_{k < _SHIFT_TERMS} (-h)^k/k! E_{p-k}(z0), the rows from
-    ``specfun.exp_int_E_orders``, their k!/|z|^k growth cancelled by h^k/k!.
-    No matrix product: it touches 0.4 MB more BLAS memory."""
-    rows = np.array(specfun.exp_int_E_orders(p, z0, _SHIFT_TERMS, first=e0))
-    taylor = np.ones((h.size, _SHIFT_TERMS), dtype=complex)
-    taylor[:, 1:] = -h[:, None] / np.arange(1, _SHIFT_TERMS)
-    return np.cumprod(taylor, axis=1) @ (rows @ a)
-
-
 def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
-    """The ladder x_j and the holomorphic part of L_f(phi_s^{i x_j}) on it."""
-    xs = _LIMIT_X0 / 2.0 ** np.arange(_LIMIT_LEVELS)
-    kernels, _, _ = _holo_terms(f, PhiSW(s, 1j * xs[0]))
-    hn, ha, _, _ = f.arrays
-    z0 = TWO_PI * hn[:len(kernels)] + 1j * xs[0]
-    return xs, _shifted_sums(1 - complex(s), z0, np.array(kernels, dtype=complex),
-                             ha[:len(kernels)], 1j * (xs - xs[0]))
+    """The ladder x_j and the holomorphic part of L_f(phi_s^{i x_j}) on it.
+
+    With p = 1 - s and z_n = 2 pi n + i x_0, level j's sum is
+    sum_n a(n) E_p(z_n + h_j), h_j = i (x_j - x_0), and
+    E_p(z + h) = sum_{k < 16} (-h)^k/k! E_{p-k}(z) (E_p' = -E_{p-1}), the
+    k!/|z|^k growth of E_{p-k} cancelled by h^k/k!: |h|/|z_n| <= 0.3875/6.27
+    for every n != 0 (FourierExpansion drops n = 0).  One pass over the
+    summed n builds v_k = sum_n a(n) E_{p-k}(z_n): E_p(z_n) is
+    ``_holo_terms``' kernel value, and the lower orders follow by 15 scalar
+    steps of E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  The levels
+    are then one (6 x 16) @ 16 product with ``_TAYLOR``.
+
+    Cost per summed n: the kernel call, one exponential and 15 complex
+    steps, about 3.7 us on a 2-vCPU x86 host (Python 3.11), near the kernel
+    call's own cost.  Against mpmath for m = -1..3 at n = -2, -1, 1, 2, 5
+    the levels are within 8.1e-16 relative, the direct kernel 1.5e-12."""
+    w = 1j * _LIMIT_X0
+    p = 1 - complex(s)
+    kernels, _, _ = _holo_terms(f, PhiSW(s, w))
+    v = [0j] * _SHIFT_TERMS
+    for n, e in zip(sorted(f.holo), kernels):
+        z = TWO_PI * n + w
+        a = f.holo[n]
+        # a(n) E_q runs the recurrence as well as E_q does: it is linear
+        term, a_exp = a * e, a * cmath.exp(-z)
+        v[0] += term
+        for k in range(1, _SHIFT_TERMS):
+            term = (a_exp - (p - k) * term) / z
+            v[k] += term
+    return _LIMIT_XS, _TAYLOR @ np.array(v)
 
 
 def l_value_limit(f: FourierExpansion, s):
@@ -390,19 +407,21 @@ def l_value_limit(f: FourierExpansion, s):
     the last two diagonal entries of the extrapolation table.
 
     The holomorphic part calls the E_{1-s} kernel once per summed n, at x_0
-    (``_holo_terms``, with its cut and divergence check), and Taylor-shifts
-    the values to the other levels with K = 16 terms (``_shifted_sums``):
-    |h|/|z_0| <= 0.3875/6.27 for every n != 0 (FourierExpansion drops n = 0).
-    Against mpmath, for m = -1..3 at n = -2, -1, 1, 2, 5, the shifted values
-    are within 1.5e-15 relative (K = 14: 2.7e-14), the direct kernel 1.5e-12.
+    (``_holo_terms``, with its cut and divergence check), and reaches every
+    level by one scalar pass of the order recurrence and one matrix-vector
+    product (``_ladder_holo``), within 8.1e-16 of mpmath; on J and J^2 the
+    limit costs about two l_value calls.
     The cut tests level 0's partial sum, but its tail bound depends on w only
     through Re w = 0: it bounds every level's skipped tail by 2^-55 of that
     sum, below rounding as sum_j |c_j| = prod_i (2^i+1)/(2^i-1) < 9 for the
-    tableau's weights.  The non-holomorphic part is the closed form of
-    ``_nonholo_part`` at each level, one kernel call per n and level.
+    tableau's weights.  A non-holomorphic part is the closed form of
+    ``_nonholo_part`` at each level, one kernel call per n and level; a
+    weakly holomorphic form makes no such call.
     """
-    xs, holo = _ladder_holo(f, s)
-    vals = [complex(h) + _nonholo_part(f, PhiSW(s, 1j * x))[0] for h, x in zip(holo, xs)]
+    xs, vals = _ladder_holo(f, s)
+    vals = vals.tolist()
+    if f.nonholo:
+        vals = [h + _nonholo_part(f, PhiSW(s, 1j * x))[0] for h, x in zip(vals, xs)]
     diag = [row[-1] for row in richardson_table(vals)]
     return diag[-1], abs(diag[-1] - diag[-2])
 

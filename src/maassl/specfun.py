@@ -449,20 +449,19 @@ def exp_int_E(s, z):
     return _exp_int(s, z, False)
 
 
-def exp_int_E_orders(s, z, count: int, first=None) -> list:
+def exp_int_E_orders(s, z, count: int) -> list:
     """[E_s(z), E_{s-1}(z), ..., E_{s-count+1}(z)]; z is a scalar or an
     ndarray, as for exp_int_E, and so is each entry.
 
-    E_s(z) is one exp_int_E call, or ``first`` where the caller already has
-    it; each lower order comes from the one above by the recurrence
-    E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  Against mpmath on
-    600 random points with |arg z| < 1.5, |z| in [0.02, 45], Re s in
-    [-3, 4] and |Im s| <= 2, the ten orders below s are within 3.2e-13
-    relative, twice the worst of E_s itself there (1.7e-13)."""
+    E_s(z) is one exp_int_E call; each lower order comes from the one above
+    by the recurrence E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).
+    Against mpmath on 600 random points with |arg z| < 1.5, |z| in
+    [0.02, 45], Re s in [-3, 4] and |Im s| <= 2, the ten orders below s are
+    within 3.2e-13 relative, twice the worst of E_s itself there (1.7e-13)."""
     s = complex(s)
     if not getattr(z, "ndim", 0):
         z = complex(z)
-    rows = [exp_int_E(s, z) if first is None else first]
+    rows = [exp_int_E(s, z)]
     ez = _lib(z).exp(-z)
     for j in range(1, count):
         rows.append((ez - (s - j) * rows[-1]) / z)
@@ -545,7 +544,11 @@ def _hurwitz_em(s: complex, z):
     # principal_power's rule: a real integer s gives an int exponent, and
     # numpy takes z ** -1 (digamma's every term) as a reciprocal
     e = -int(s.real) if s.imag == 0 and s.real.is_integer() else -s
-    acc = sum((z + n) ** e for n in range(shift))
+    if scalar:
+        acc = sum((z + n) ** e for n in range(shift))
+    else:
+        # one grid power, summed row by row as the scalar loop adds
+        acc = ((z + np.arange(shift).reshape((-1,) + (1,) * z.ndim)) ** e).sum(axis=0)
     zM = z + shift
     base = zM ** e
     pole = -np.log(zM) if s == 1 else zM ** (e + 1) / (s - 1)

@@ -387,14 +387,13 @@ SYNTH_KM2 = synth_harmonic(-2, {-1: 1, **{n: (0.7 + 0.2j) * (-2.0) ** n
 @pytest.mark.parametrize("n", [-1, 1])
 def test_shifted_exp_int_vs_mpmath(n):
     """The ladder's Taylor-shifted E_{1-m}, from the kernel's value at level 0,
-    at n = -1 (z0 = -2 pi + 0.4i, near the cut) and n = 1; measured at most
-    1.5e-15 relative."""
-    z0 = np.array([TWO_PI * n + 1j * LADDER[0]])
+    on a one-term form a(n) = 1 at n = -1 (z0 = -2 pi + 0.4i, near the cut)
+    and n = 1; measured at most 8.1e-16 relative."""
+    f = synth_harmonic(0, {n: 1}, {})
     with mpmath.workdps(30):
         for m in range(-1, 4):
-            shifted = ltest._shifted_sums(1 - m, z0, exp_int_E(1 - m, z0), np.ones(1),
-                                          1j * (LADDER - LADDER[0]))
-            for x, v in zip(LADDER, shifted):
+            xs, shifted = ltest._ladder_holo(f, m)
+            for x, v in zip(xs, shifted):
                 exact = complex(mpmath.expint(1 - m, mpmath.mpc(TWO_PI * n, x)))
                 assert abs(v - exact) <= 1e-14 * abs(exact), (m, x)
 
@@ -411,7 +410,7 @@ def test_ladder_levels_match_direct_l_value(J, Jsq, name, m):
 
 
 @pytest.mark.parametrize("m", range(-1, 4))
-def test_limit_makes_one_kernel_call_per_n(J, monkeypatch, m):
+def test_limit_makes_one_kernel_call_per_n(J, Jsq, monkeypatch, m):
     calls = []
     kernel = specfun.exp_int_E
 
@@ -420,11 +419,30 @@ def test_limit_makes_one_kernel_call_per_n(J, monkeypatch, m):
         return kernel(s, z, *args, **kwargs)
 
     monkeypatch.setattr(specfun, "exp_int_E", counting)
-    l_value(J, PhiSW(m, 1j * ltest._LIMIT_X0))
-    direct = len(calls)
-    calls.clear()
-    l_value_limit(J, m)
-    assert 0 < len(calls) == direct
+    for f in (J, Jsq, SYNTH_KM2):
+        calls.clear()
+        l_value(f, PhiSW(m, 1j * ltest._LIMIT_X0))
+        direct = len(calls)
+        calls.clear()
+        l_value_limit(f, m)
+        assert 0 < len(calls) == direct, f.label
+
+
+@pytest.mark.parametrize("name", ["J", "km2"])
+def test_weakly_holomorphic_limit_skips_nonholo_part(J, monkeypatch, name):
+    f = {"J": J, "km2": SYNTH_KM2}[name]
+    calls = []
+    part = ltest._nonholo_part
+
+    def counting(*args):
+        calls.append(args)
+        return part(*args)
+
+    monkeypatch.setattr(ltest, "_nonholo_part", counting)
+    value, _ = l_value_limit(f, 2)
+    assert math.isfinite(abs(value)) and calls == []
+    l_value_limit(synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}), 2)
+    assert len(calls) == ltest._LIMIT_LEVELS
 
 
 def test_limit_divergence_check_survives_the_shift():

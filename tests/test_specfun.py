@@ -352,9 +352,6 @@ def test_exp_int_E_orders_vs_mpmath():
                     exact = complex(mpmath.expint(s - j, complex(z)))
                     assert _rel_err(scalar[j], exact) <= 2e-12, (s, z, j)
                     assert _rel_err(rows[j][i], exact) <= 2e-12, (s, z, j, "array")
-    e0 = exp_int_E(0.5, zs)
-    given = specfun.exp_int_E_orders(0.5, zs, 3, first=e0)
-    assert given[0] is e0 and np.array_equal(given[2], specfun.exp_int_E_orders(0.5, zs, 3)[2])
 
 
 # the orders the moved band is held to, from the asymptotic series' worst
