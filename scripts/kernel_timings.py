@@ -11,6 +11,13 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   (64) and level 3 (128), for a in {-2.5, -0.5, -1, 0, 1, 0.5};
 - FourierExpansion.eval_at on the same nodes, for J, Jsq and a 4-term
   synthetic form;
+- quadrature.integrate_segment of the trivial integrand g(z) = z on
+  [i, i+1], which stops after its first call (48 nodes): the quadrature's
+  own cost;
+- contour._segment_pairing(J, e^{iwz} lerch_sum(-0.5, w, z)) at
+  w = 0.3 + 0.7i (levels 0 to 2, 112 nodes), cold, with J's kept segment
+  values dropped before every call, and warm, the cost of a pairing that
+  reuses them;
 - exp_int_E(0.5, z) on a scalar z and on a 1k vector spread over
   |z| in [0.5, 63] and arg z in (-2.5, 2.5);
 - hurwitz_zeta(s, z) for s = 2 and 1.5, and digamma(z), on the 48 nodes
@@ -42,7 +49,7 @@ import numpy as np  # noqa: E402
 
 from maassl import (PhiSW, build_J, build_J_squared, contour, l_value,  # noqa: E402
                     l_value_limit, r_remainder, specfun, synth_harmonic)
-from maassl.quadrature import _level_rule  # noqa: E402
+from maassl.quadrature import _level_rule, integrate_segment  # noqa: E402
 
 LERCH_W = 0.3 + 0.7j
 LERCH_A = (-2.5, -0.5, -1.0, 0.0, 1.0, 0.5)
@@ -65,6 +72,19 @@ def cases():
     for n, z in nodes.items():
         for name, f in forms.items():
             yield "eval_at", name, n, lambda f=f, z=z: f.eval_at(z)
+    yield "integrate_segment", "g(z)=z", 48, lambda: integrate_segment(lambda z: z, 1j, 1j + 1)
+    J = forms["J"]
+
+    def lerch_kernel(zs):
+        return np.exp(1j * LERCH_W * zs) * specfun.lerch_sum(-0.5, LERCH_W, zs)
+
+    def cold_pairing():
+        J.segment_values.clear()
+        return contour._segment_pairing(J, lerch_kernel)
+
+    yield "segment_pairing", "J/lerch/cold", 112, cold_pairing
+    yield "segment_pairing", "J/lerch/warm", 112, lambda: contour._segment_pairing(
+        J, lerch_kernel)
     z1 = 2 * math.pi + 0.3 + 0.7j
     yield "exp_int_E", "scalar", 1, lambda: specfun.exp_int_E(0.5, z1)
     rng = np.random.default_rng(1)
@@ -98,11 +118,11 @@ def main():
     ap.add_argument("--number", type=int, default=200, help="calls per round")
     ap.add_argument("--repeat", type=int, default=5, help="rounds; the best is kept")
     args = ap.parse_args()
-    print(f"{'kernel':<14} {'case':<18} {'N':>5} {'us/call':>9}")
+    print(f"{'kernel':<17} {'case':<18} {'N':>5} {'us/call':>9}")
     for kernel, case, n, thunk in cases():
         thunk()  # warm caches (binomials, term counts, form arrays)
         best = min(timeit.repeat(thunk, number=args.number, repeat=args.repeat))
-        print(f"{kernel:<14} {case:<18} {n:>5} {best / args.number * 1e6:>9.1f}")
+        print(f"{kernel:<17} {case:<18} {n:>5} {best / args.number * 1e6:>9.1f}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ All horizontal contours run along Im z = 1 (the segment from i to i+1, or
 from ia to ia+1 in the compactly supported case).  The remainder term that
 appears for expansions with a non-holomorphic part is provided in both of
 its equivalent shapes: the one-dimensional coefficient form and the double
-integral over the segment.
+integral over the segment.  Every pairing of a form with a kernel on a
+horizontal segment is ``_segment_pairing``, which evaluates the form once
+per segment and quadrature level and keeps those values on the form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from . import specfun
 from .modforms import FourierExpansion, xi_image
-from .quadrature import integrate_decaying, integrate_segment
+from .quadrature import (CACHED_LEVELS, DEFAULT_QUAD, integrate_decaying,
+                         integrate_segment)
 from .specfun import lerch_sum
 
 TWO_PI = 2.0 * math.pi
@@ -40,9 +43,29 @@ def i_power(a) -> complex:
 
 
 def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0) -> complex:
-    """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray."""
+    """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray.
+
+    f's values on a call's nodes are kept on f (``FourierExpansion.
+    segment_values``), keyed by (height, node count), for the levels whose
+    node tables quadrature caches (up to 128 nodes); an entry is used only
+    when its nodes equal the call's, so a later pairing of f on the same
+    segment pays for its kernel alone.  The kernel's values are not kept:
+    they depend on the pairing's own parameters."""
+    cache = f.segment_values
+    cached_size = DEFAULT_QUAD.base_nodes << CACHED_LEVELS
+
     def integrand(zs):
-        return f.eval_at(zs) * kernel(zs)
+        key = height, zs.size
+        entry = cache.get(key)
+        if entry is not None and (entry[0] is zs or np.array_equal(entry[0], zs)):
+            values = entry[1]
+        else:
+            values = f.eval_at(zs)
+            # quadrature's node tables are read-only; nodes that could still
+            # change after being stored are not kept
+            if zs.size <= cached_size and not zs.flags.writeable:
+                cache[key] = zs, values
+        return values * kernel(zs)
 
     return integrate_segment(integrand, 1j * height, 1j * height + 1).value
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ TWO_PI = 2.0 * math.pi
 
 # e^{-46} is comfortably below every tolerance used here
 _DECAY_BUDGET = 46.0
+# the largest finite exponential's exponent, log(DBL_MAX)
+_LOG_MAX = math.log(sys.float_info.max)
 
 # l_value_limit's dyadic ladder: x0 / 2^j for j < _LIMIT_LEVELS
 _LIMIT_X0 = 0.4
@@ -349,8 +352,18 @@ def l_value(f: FourierExpansion, phi) -> LValue:
 
 def l_value_by_vertical_integral(f: FourierExpansion, phi) -> complex:
     """L_f(phi) = int_0^infty f(iy) phi(y) dy over phi's window; f(iy) grows at
-    most like e^{2 pi n0 y} as y -> infinity and e^{2 pi n0 / y} as y -> 0."""
+    most like e^{2 pi n0 y} as y -> infinity and e^{2 pi n0 / y} as y -> 0.
+
+    Domain: a window [t0, t1] with 2 pi n0 t1 <= log(DBL_MAX) ~ 709.78, so
+    that f(iy)'s leading term e^{2 pi n0 y} is finite on it (t1 <= 112.97
+    for J).  Past that f(iy) overflows, and AdmissibilityError is raised
+    before any quadrature, as it is for a window phi's decay cannot give."""
     growth = TWO_PI * f.n0
+    top = phi.window(growth, growth)[1]
+    if growth * top > _LOG_MAX:
+        raise AdmissibilityError(
+            f"f(iy) overflows past y = {_LOG_MAX / growth:.5g} (pole order {f.n0}), "
+            f"inside the test function's window, which ends at {top:.5g}")
     return complex(_pair(phi, lambda y: f.eval_at(1j * y), growth, growth).value)
 
 

@@ -92,6 +92,12 @@ class FourierExpansion:
     attached to the incomplete-gamma factor Gamma(1-k, -4 pi n y).  n0, the
     pole order at the cusp, is read off the stored (nonzero) coefficients:
     the deepest negative frequency, at least 1.
+
+    An expansion is treated as immutable once evaluated: ``arrays`` caches
+    its coefficient table, and ``segment_values`` keeps its values on the
+    quadrature nodes of the horizontal segments it was paired on
+    (``contour._segment_pairing``), at most 48 + 64 + 128 points per
+    height, the levels whose node tables quadrature caches.
     """
 
     weight: int
@@ -102,6 +108,8 @@ class FourierExpansion:
     modular: bool = False
     label: str = ""
     n0: int = field(init=False)
+    segment_values: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if any(int(n) != n for n in (*self.holo, *self.nonholo)):

@@ -17,6 +17,13 @@ quadrature better than Clenshaw-Curtis?", SIAM Rev. 2008).
 Integrands accept an ndarray of N complex points and return N values, or an
 (N, K) array of K integrands at once; a vector-valued integral converges in
 the max-norm over its K components and returns an ndarray of K values.
+
+The nodes and scaled weights of a path's levels are read-only tables,
+cached per (path edges, level) for levels up to ``CACHED_LEVELS`` (128
+nodes per base panel, the deepest level the default suite reaches); deeper
+levels are built per call, so an integral that fails at max_depth pins no
+memory.  The node array an integrand gets is such a table: writing into it
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -73,6 +80,31 @@ def _level_rule(order: int, level: int):
     return u, np.tile(w / (2 * n), n)
 
 
+# levels whose tables are cached: 2^3 sub-panels per base panel
+CACHED_LEVELS = 3
+
+
+def _level_table(edges: bytes, dtype: str, level: int):
+    """(nodes, weights) of `level` on the panels between the edges, given as
+    the raw bytes of an ndarray of `dtype`: nodes lo + width u and weights
+    width w of ``_level_rule``, panel by panel, both read-only.  Level 1's
+    nodes follow level 0's, since the two levels share one integrand call
+    (``_doubling``)."""
+    e = np.frombuffer(edges, dtype)
+    lo, width = e[:-1, None], np.diff(e)[:, None]
+    u, w = _level_rule(DEFAULT_QUAD.base_nodes, level)
+    nodes = (lo + width * u).ravel()
+    if level == 1:
+        nodes = np.concatenate([_cached_level_table(edges, dtype, 0)[0], nodes])
+    weights = (width * w).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+_cached_level_table = lru_cache(maxsize=64)(_level_table)
+
+
 def _doubling(g, edges: np.ndarray) -> SegmentIntegral:
     """Composite Gauss-Legendre over the panels between `edges`, with the
     settings of DEFAULT_QUAD.
@@ -92,30 +124,35 @@ def _doubling(g, edges: np.ndarray) -> SegmentIntegral:
     if edges.size < 2:
         return SegmentIntegral(0j, 0.0, 0)
     cfg = DEFAULT_QUAD
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    key = edges.tobytes(), edges.dtype.str
 
-    def nodes(level):
-        return (lo + width * _level_rule(cfg.base_nodes, level)[0]).ravel()
+    def table(level):
+        build = _cached_level_table if level <= CACHED_LEVELS else _level_table
+        return build(*key, level)
 
-    def level_sum(level, vals):
-        w = _level_rule(cfg.base_nodes, level)[1]
-        terms = (width * w).reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
-        return terms.sum(axis=0), _ROUNDING * float(np.max(np.abs(terms).sum(axis=0)))
+    def level_sum(weights, vals):
+        terms = weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+        return terms.sum(axis=0), _ROUNDING * float(np.abs(terms).sum(axis=0).max())
 
     def finite(level, est):
         if not np.isfinite(est).all():
             raise QuadratureError(f"panel doubling: level {level} sum is not finite")
         return est
 
-    first = nodes(0)
-    fused = np.asarray(g(np.concatenate([first, nodes(1)])))
-    prev = finite(0, level_sum(0, fused[:first.size])[0])
+    w0 = table(0)[1]
+    nodes, weights = table(1)
+    fused = np.asarray(g(nodes))
+    prev = finite(0, level_sum(w0, fused[:w0.size])[0])
     extra = False  # the last pair agreed only within the floor
     diff = np.inf
     for level in range(1, cfg.max_depth + 1):
-        vals = fused[first.size:] if level == 1 else np.asarray(g(nodes(level)))
-        est, floor = level_sum(level, vals)
-        diff = float(np.max(np.abs(finite(level, est) - prev)))
+        if level == 1:
+            vals = fused[w0.size:]
+        else:
+            nodes, weights = table(level)
+            vals = np.asarray(g(nodes))
+        est, floor = level_sum(weights, vals)
+        diff = float(np.abs(finite(level, est) - prev).max())
         if extra or max(diff, floor) <= cfg.abs_tol:
             return SegmentIntegral(est if est.ndim else complex(est), diff + floor,
                                    (edges.size - 1) << level)

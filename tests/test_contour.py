@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from maassl import (InversePowerSeed, PhiSW, compact_support_value, l_star,
+from maassl import (InversePowerSeed, PhiSW, build_J, compact_support_value, l_star,
                     l_value, l_value_limit, r_remainder, ray_integral_bend,
                     rhs_integer_value, rhs_main_theorem, rhs_negative_s,
                     synth_harmonic)
 from maassl.contour import RegimeError, i_power, lerch_sum
-from maassl.ltest import ZeroSeed, l_value_by_vertical_integral
+from maassl.ltest import ZeroSeed
 from maassl.modforms import xi_image
-from maassl import quadrature
+from maassl import contour, ltest, modforms, quadrature
 from maassl.quadrature import (QuadratureError, integrate_decaying,
                                integrate_segment)
 from maassl.specfun import DomainError, exp_int_E, upper_gamma_int
@@ -60,7 +60,9 @@ def test_segment_stall_raises():
 
 def test_non_finite_level_raises_at_once(monkeypatch, J):
     """J(iy) overflows past y ~ 113 while phi_s^w underflows, so the first
-    call's level sums are NaN; doubling further cannot repair that."""
+    call's level sums are NaN; doubling further cannot repair that.  The
+    vertical integral refuses such a window before any quadrature, so the
+    pairing is run here without that check."""
     calls = []
     doubling = quadrature._doubling
 
@@ -72,8 +74,9 @@ def test_non_finite_level_raises_at_once(monkeypatch, J):
         return doubling(wrapped, edges)
 
     monkeypatch.setattr(quadrature, "_doubling", counting)
+    growth = 2 * math.pi * J.n0
     with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite"):
-        l_value_by_vertical_integral(J, PhiSW(0.5, 6.4))
+        ltest._pair(PhiSW(0.5, 6.4), lambda y: J.eval_at(1j * y), growth, growth)
     assert len(calls) <= 2
 
 
@@ -160,6 +163,28 @@ def test_each_level_after_the_first_is_one_call():
     assert seg.panels_used == 8
     exact = cmath.log((0.5 - 0.1j) / (-0.5 - 0.1j))
     assert abs(seg.value - exact) < 1e-13
+
+
+def test_integrand_cannot_write_its_nodes():
+    """The node arrays are shared tables: an integrand that scales its nodes
+    in place must fail, not corrupt every later integral on the path."""
+    def scaling(z):
+        z *= 2
+        return z
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_segment(scaling, 1j, 1j + 1)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_decaying(scaling, 0.0, 5.0)
+
+    def late_scaling(z):  # a pole 1e-3 off the segment: past the cached levels
+        if z.size > 128:
+            z *= 2
+        return 1 / (z - 0.5 - 1e-3j)
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_segment(late_scaling, 0, 1)
+    assert integrate_segment(lambda z: z, 1j, 1j + 1).value == pytest.approx(0.5 + 1j)
 
 
 def test_decaying_exponential():
@@ -307,6 +332,59 @@ def test_main_theorem_jsq_within_rounding(Jsq, monkeypatch):
     value = rhs_main_theorem(Jsq, 0.5, 1j)
     assert abs(value - l_value(Jsq, PhiSW(0.5, 1j)).value) < 1e-9
     assert len(seen) == 1 and seen[0].panels_used <= 16
+
+
+def _lerch_kernel(s, w):
+    return lambda zs: np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs)
+
+
+def _counting_eval_at(monkeypatch):
+    """Patch FourierExpansion.eval_at to record the node count of each call."""
+    sizes = []
+    eval_at = modforms.FourierExpansion.eval_at
+
+    def counting(self, z):
+        sizes.append(np.size(z))
+        return eval_at(self, z)
+
+    monkeypatch.setattr(modforms.FourierExpansion, "eval_at", counting)
+    return sizes
+
+
+def test_segment_pairing_reuses_form_values(monkeypatch):
+    """A second pairing of one form on one segment evaluates the form at no
+    cached level it has seen, and its value keeps every bit of a cold
+    pairing.  Levels past quadrature.CACHED_LEVELS are not kept."""
+    sizes = _counting_eval_at(monkeypatch)
+    f = build_J()
+    first = contour._segment_pairing(f, _lerch_kernel(0.5, 0.3 + 0.7j))
+    assert sizes == [48, 64]
+    # a pole 0.1 off the segment takes J's pairing to level 4 (256 nodes)
+    sharp = contour._segment_pairing(f, lambda zs: 1 / (zs - 0.5 - 0.9j))
+    assert sizes == [48, 64, 128, 256]
+    again = contour._segment_pairing(f, _lerch_kernel(0.5, 0.3 + 0.7j))
+    assert sizes == [48, 64, 128, 256]
+    sharp_again = contour._segment_pairing(f, lambda zs: 1 / (zs - 0.5 - 0.9j))
+    assert sizes == [48, 64, 128, 256, 256]
+    assert sorted(f.segment_values) == [(1.0, 48), (1.0, 64), (1.0, 128)]
+    cold = contour._segment_pairing(build_J(), _lerch_kernel(0.5, 0.3 + 0.7j))
+    cold_sharp = contour._segment_pairing(build_J(), lambda zs: 1 / (zs - 0.5 - 0.9j))
+    assert first == again == cold
+    assert sharp == sharp_again == cold_sharp
+
+
+def test_segment_pairing_keeps_heights_apart(monkeypatch):
+    sizes = _counting_eval_at(monkeypatch)
+    f = build_J()
+    kernel = _lerch_kernel(1.5, 0.2 + 1j)
+    low = contour._segment_pairing(f, kernel, 1.0)
+    high = contour._segment_pairing(f, kernel, 1.5)
+    assert sizes == [48, 64, 48, 64]
+    assert sorted(f.segment_values) == [(1.0, 48), (1.0, 64), (1.5, 48), (1.5, 64)]
+    assert low != high
+    assert high == contour._segment_pairing(build_J(), kernel, 1.5)
+    assert low == contour._segment_pairing(f, kernel, 1.0)
+    assert len(sizes) == 6  # the cold copy's two calls
 
 
 def test_main_theorem_regime(J):

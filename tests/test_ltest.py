@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ def test_vertical_integral_empty_form():
 def test_vertical_integral_admissibility(J):
     with pytest.raises(AdmissibilityError):
         l_value_by_vertical_integral(J, PhiSW(0, 1.0))  # Re w < 2 pi n0
+
+
+def test_vertical_integral_overflow_is_inadmissible(J, no_quadrature):
+    # phi_0.5^6.4's window ends at 429, but J(iy) ~ e^{2 pi y} overflows
+    # past y = log(DBL_MAX) / 2 pi = 112.97: refused before any quadrature,
+    # with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError, match="overflows past y = 112.97"):
+            l_value_by_vertical_integral(J, PhiSW(0.5, 6.4))
+        with pytest.raises(AdmissibilityError, match="overflows"):
+            l_value_by_vertical_integral(J, PhiSW(0.5, 6.7))  # the window ends at 121
+
+
+def test_vertical_integral_near_the_overflow_edge(J):
+    # the window of phi_0.5^6.74 ends at 110.4, just inside the domain
+    phi = PhiSW(0.5, 6.74)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = l_value_by_vertical_integral(J, phi)
+    assert value == pytest.approx(l_value(J, phi).value, rel=1e-14, abs=0)
 
 
 def test_vertical_integral_reads_the_pole_order_off_the_coefficients():

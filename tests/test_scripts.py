@@ -61,9 +61,12 @@ def test_kernel_timings():
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["kernel", "case", "N", "us/call"]
     kernels = [row.split()[0] for row in rows]
-    assert [kernels.count(k) for k in ("lerch_sum", "eval_at", "exp_int_E", "hurwitz_zeta",
+    assert [kernels.count(k) for k in ("lerch_sum", "eval_at", "integrate_segment",
+                                       "segment_pairing", "exp_int_E", "hurwitz_zeta",
                                        "digamma", "r_remainder", "remainder_grid", "l_value",
-                                       "l_value_limit")] == [18, 9, 2, 2, 1, 4, 2, 1, 3]
+                                       "l_value_limit")] == [18, 9, 1, 2, 2, 2, 1, 4, 2, 1, 3]
+    assert [row.split()[1] for row in rows if row.startswith("segment_pairing")] == [
+        "J/lerch/cold", "J/lerch/warm"]
     assert [row.split()[1] for row in rows if row.startswith("l_value_limit")] == [
         "hB/m=2", "J/m=0", "synth4/m=0"]
     assert [row.split()[1] for row in rows if row.startswith("remainder_grid")] == [

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from maassl import cli, quadrature, verify
+from maassl import cli, modforms, quadrature, verify
 from maassl.modforms import build_j_series
 from maassl.verify import (CheckReport, CheckSpec, default_suite, load_suite,
                            report_json, resolve_form, run_check, run_suite)
@@ -150,6 +151,49 @@ def test_default_suite_integrand_budget(monkeypatch):
     assert summary["pass"] == len(default_suite())
     assert counts["calls"] <= SUITE_INTEGRAND_CALLS
     assert counts["nodes"] <= SUITE_NODES
+
+
+# FourierExpansion.eval_at calls and points of one cold default-suite pass,
+# what one `maassl verify` pays: 58 segment pairings on 15 (form, height)
+# pairs evaluate each form once per level and height (100 calls and 5,984
+# points when every pairing evaluated its form)
+SUITE_EVAL_AT_CALLS = 27
+SUITE_EVAL_AT_POINTS = 1_552
+
+
+def _cold_suite(monkeypatch):
+    """A default-suite pass on freshly built forms, counting eval_at."""
+    counts = {"calls": 0, "points": 0}
+    eval_at = modforms.FourierExpansion.eval_at
+
+    def counting(self, z):
+        counts["calls"] += 1
+        counts["points"] += np.size(z)
+        return eval_at(self, z)
+
+    resolve_form.cache_clear()
+    monkeypatch.setattr(modforms.FourierExpansion, "eval_at", counting)
+    return run_suite(default_suite()), counts
+
+
+def test_default_suite_eval_at_budget(monkeypatch):
+    """The counts are deterministic: a change that stops keeping a form's
+    segment values, or keys them too finely, fails here."""
+    (_, summary), counts = _cold_suite(monkeypatch)
+    assert summary["pass"] == len(default_suite())
+    assert counts == {"calls": SUITE_EVAL_AT_CALLS, "points": SUITE_EVAL_AT_POINTS}
+
+
+def test_warm_suite_repeats_the_cold_one_bit_for_bit(monkeypatch):
+    (cold, _), counts = _cold_suite(monkeypatch)
+    cold_calls = counts["calls"]
+    warm, _ = run_suite(default_suite())
+    assert counts["calls"] - cold_calls < cold_calls  # the warm pass reused values
+
+    def bits(report):  # repr keeps every bit of a float, and the sign of a zero
+        return {k: repr(v) for k, v in vars(report).items() if k != "runtime_ms"}
+
+    assert [bits(r) for r in cold] == [bits(r) for r in warm]
 
 
 def test_unknown_parameter_rejected(tmp_path, capsys):
