@@ -96,7 +96,8 @@ def _cmd_verify(args) -> int:
     if not reports:  # a run of no check certifies nothing
         raise ValueError("no check selected")
     for r in reports:
-        line = f"{r.status.upper():7s} {r.id:32s} abs_err={r.abs_err:.3e}"
+        line = (f"{r.status.upper():7s} {r.id:32s} abs_err={r.abs_err:.3e} "
+                f"rel_err={r.rel_err:.3e}")
         if r.message:
             line += f"  ({r.message})"
         print(line)

@@ -42,7 +42,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 # l_value_limit's dyadic ladder: x0 / 2^j for j < _LIMIT_LEVELS
 _LIMIT_X0 = 0.4
-_LIMIT_LEVELS = 6
+_LIMIT_LEVELS = 8
 _LIMIT_XS = _LIMIT_X0 / 2.0 ** np.arange(_LIMIT_LEVELS)
 _SHIFT_TERMS = 16  # Taylor terms that shift E_s from level 0 to the others
 # row j: (-h_j)^k / k! for k < _SHIFT_TERMS, the shift h_j = i (x_j - x_0)
@@ -385,12 +385,12 @@ def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     With p = 1 - s and z_n = 2 pi n + i x_0, level j's sum is
     sum_n a(n) E_p(z_n + h_j), h_j = i (x_j - x_0), and
     E_p(z + h) = sum_{k < 16} (-h)^k/k! E_{p-k}(z) (E_p' = -E_{p-1}), the
-    k!/|z|^k growth of E_{p-k} cancelled by h^k/k!: |h|/|z_n| <= 0.3875/6.27
+    k!/|z|^k growth of E_{p-k} cancelled by h^k/k!: |h|/|z_n| <= 0.396875/6.27
     for every n != 0 (FourierExpansion drops n = 0).  One pass over the
     summed n builds v_k = sum_n a(n) E_{p-k}(z_n): E_p(z_n) is
     ``_holo_terms``' kernel value, and the lower orders follow by 15 scalar
     steps of E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  The levels
-    are then one (6 x 16) @ 16 product with ``_TAYLOR``.
+    are then one (8 x 16) @ 16 product with ``_TAYLOR``.
 
     Cost per summed n: the kernel call, one exponential and 15 complex
     steps, about 3.7 us on a 2-vCPU x86 host (Python 3.11), near the kernel
@@ -426,8 +426,8 @@ def l_value_limit(f: FourierExpansion, s):
     limit costs about two l_value calls.
     The cut tests level 0's partial sum, but its tail bound depends on w only
     through Re w = 0: it bounds every level's skipped tail by 2^-55 of that
-    sum, below rounding as sum_j |c_j| = prod_i (2^i+1)/(2^i-1) < 9 for the
-    tableau's weights.  A non-holomorphic part is the closed form of
+    sum, below rounding as sum_j |c_j| = prod_i (2^i+1)/(2^i-1) = 8.13 < 9 for
+    the tableau's weights.  A non-holomorphic part is the closed form of
     ``_nonholo_part`` at each level, one kernel call per n and level; a
     weakly holomorphic form makes no such call.
     """

@@ -87,10 +87,10 @@ def test_run_check_evaluator_failure():
 
 def test_run_check_fricke_integral_form():
     # lemma_integral_form with the Fricke-transformed test function; the
-    # values are about 3e-12, so the gap is pinned relative as well
+    # values are about 3e-12, which the relative rule scales with
     rep = run_check(CheckSpec("fricke", "lemma_integral_form", "J",
                               {"kind": "fricke_of_phi_sw", "s": 1, "w": [30, 5],
-                               "a_slash": 2, "M": 1}, 1e-20))
+                               "a_slash": 2, "M": 1}, 1e-12))
     assert rep.status == "pass"
     assert rep.rel_err < 1e-9
 
@@ -121,6 +121,45 @@ def test_default_suite_no_worse_than_baseline():
     worse = {r.id: (r.rel_err, baseline[r.id]) for r in reports
              if r.rel_err > max(2 * baseline[r.id], 1e-14)}
     assert not worse, worse
+
+
+# each corrupts an evaluator's rhs; the pass rule must catch every one
+RHS_MUTANTS = {
+    "rel_1e-10": lambda rhs: rhs * (1 + 1e-10),
+    "rel_1e-6": lambda rhs: rhs * (1 + 1e-6),
+    "negated": lambda rhs: -rhs,
+    "zero": lambda rhs: 0j,
+}
+
+
+@pytest.mark.parametrize("mutant", RHS_MUTANTS)
+def test_default_suite_fails_every_mutated_rhs(monkeypatch, mutant):
+    """Mutation gate: with every identity's rhs corrupted, no default check
+    passes, whatever the sides' own error estimates say."""
+    monkeypatch.delenv("MAASSL_TOL", raising=False)
+    corrupt = RHS_MUTANTS[mutant]
+
+    def mutated(evaluate):
+        def evaluator(f, p):
+            lhs, rhs, lhs_err, rhs_err = evaluate(f, p)
+            return lhs, corrupt(rhs), lhs_err, rhs_err
+        return evaluator
+
+    for name, (accepted, evaluate) in list(verify.IDENTITIES.items()):
+        monkeypatch.setitem(verify.IDENTITIES, name, (accepted, mutated(evaluate)))
+    reports, summary = run_suite(default_suite())
+    assert len(reports) == 68
+    assert summary["fail"] == 68, [r.id for r in reports if r.status != "fail"]
+
+
+def test_false_functional_equation_fails(monkeypatch):
+    """J's lhs against J^2's Fricke side is a false identity: a relative
+    error near 1 fails at the default tolerance."""
+    monkeypatch.delenv("MAASSL_TOL", raising=False)
+    rep = run_check(CheckSpec("fe_J_vs_Jsq", "prop_fe", "J",
+                              {"s": 0, "w": [30, 5], "N": 1, "g": "Jsq"}))
+    assert rep.status == "fail"
+    assert rep.rel_err > 0.9
 
 
 # integrand calls and nodes of one default-suite pass: levels 0 and 1 share a
@@ -403,7 +442,7 @@ def test_cli_verify_filter_and_report(tmp_path):
     code, out, _ = run_cli("verify", "--filter", "prop_zag",
                            "--report", str(report))
     assert code == 0
-    assert "PASS" in out
+    assert re.search(r"^PASS +zag_J +abs_err=\S+ rel_err=\S+$", out, re.M)
     data = json.loads(report.read_text())
     assert data["summary"]["fail"] == 0
     assert data["checks"][0]["id"] == "zag_J"
