@@ -568,13 +568,19 @@ def hurwitz_zeta(s, z):
     ndarray.
 
     At s = 1 - m for an integer m >= 1 it is the polynomial -B_m(z)/m
-    (DLMF 25.11.14), within 9.9e-16 relative of mpmath for m <= 20 on
-    [i, i+1]; s < -63 raises DomainError there, as B_m is kept only up to
-    MAX_BERNOULLI = 64.  Elsewhere it is ``_hurwitz_em``."""
+    (DLMF 25.11.14); s < -63 raises DomainError, as B_m is kept only up to
+    MAX_BERNOULLI = 64.  Measured against mpmath, relative to
+    max(1, |zeta|): 1.1e-15 for every m on [i, i+1]; 3.6e-14 for m <= 20 on
+    (0, 1] and 5.2e-12 on |Re z|, |Im z| <= 5, where for m > 20 Horner's
+    rule cancels among B_m's large coefficients (0.31 on (0, 1], 62 on the
+    square, at m <= 40).  ``_hurwitz_em`` is worse on each of these.
+    Elsewhere it is ``_hurwitz_em``; z at a non-positive integer raises
+    DomainError at every s."""
     s = complex(s)
     if abs(s - 1) < 1e-13:
         raise DomainError("Hurwitz zeta has a pole at s = 1")
     if s.imag == 0 and s.real < 1 and s.real.is_integer():
+        _reject_poles(_as_complex(z)[0], "Hurwitz zeta undefined at non-positive integers")
         m = 1 - int(s.real)
         return -bernoulli_poly(m, z) / m
     return _hurwitz_em(s, z)

@@ -1,10 +1,11 @@
 """Batch verification of the closed-form L-value identities.
 
 Each check evaluates the same quantity through two independent pipelines
-(coefficient series vs contour quadrature) and passes iff the gap is within
-a relative tolerance: |lhs - rhs| <= tol * max(|lhs|, |rhs|), with tol the
-check's own or default_tolerance() (REL_TOL = 1e-12 unless MAASSL_TOL is
-set).  The sides' error estimates are reported but never pass a check.
+(coefficient series vs contour quadrature) and passes iff rel_err =
+|lhs - rhs| / max(|lhs|, |rhs|) <= tol, the check's own tolerance or
+default_tolerance() (REL_TOL = 1e-12 unless MAASSL_TOL is set); equal
+sides read 0, and a NaN or infinite side reads NaN and fails.  The sides'
+error estimates are reported but never pass a check.
 IDENTITIES maps each theorem name to the parameters it accepts and to the
 evaluator of its two sides; lemma_integral_form accepts only the
 parameters of the test-function kind it names.
@@ -267,9 +268,9 @@ def run_check(spec: CheckSpec) -> CheckReport:
     ms = (time.perf_counter() - start) * 1000
     lhs, rhs = complex(lhs), complex(rhs)
     abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_err = abs_err / scale if scale > 0 else 0.0
-    ok = abs_err <= spec.effective_tolerance * scale
+    # 0 for equal sides; NaN, which fails, for a NaN or infinite side
+    rel_err = abs_err / max(abs(lhs), abs(rhs)) if abs_err else 0.0
+    ok = rel_err <= spec.effective_tolerance
     return CheckReport(spec.id, spec.theorem, lhs, rhs, abs_err, rel_err,
                        float(lhs_err), float(rhs_err),
                        "pass" if ok else "fail", ms)

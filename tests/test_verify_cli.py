@@ -70,6 +70,19 @@ def test_run_check_tolerance_gate():
     assert rep.status == "fail"
 
 
+@pytest.mark.parametrize("lhs, rhs, status", [
+    (math.inf, 1.0, "fail"), (1.0, math.inf, "fail"), (math.inf, math.inf, "fail"),
+    (math.nan, 1.0, "fail"), (1.0, math.nan, "fail"), (0.0, 0.0, "pass"),
+])
+def test_run_check_non_finite_sides(monkeypatch, lhs, rhs, status):
+    """An infinite or NaN side reads rel_err = nan and fails at any
+    tolerance; two zero sides read rel_err = 0 and pass."""
+    monkeypatch.setitem(verify.IDENTITIES, "fixed", ((), lambda f, p: (lhs, rhs, 0.0, 0.0)))
+    rep = run_check(CheckSpec("fixed", "fixed", "J", {}, 1e-6))
+    assert rep.status == status
+    assert (rep.rel_err == 0.0) if status == "pass" else math.isnan(rep.rel_err)
+
+
 def test_run_check_skips_on_precondition():
     # Fricke side with Re w = 1 is below the admissibility threshold
     rep = run_check(CheckSpec("fe-bad", "prop_fe", "J",
