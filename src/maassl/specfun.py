@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -70,11 +70,6 @@ def principal_power(z, a) -> complex:
     if a.imag == 0 and float(a.real).is_integer():
         return z ** int(a.real)
     return cmath.exp(a * cmath.log(z))
-
-
-def _is_int(x, tol: float = 1e-12) -> bool:
-    x = complex(x)
-    return abs(x.imag) < tol and abs(x.real - round(x.real)) < tol
 
 
 def _as_complex(z):
@@ -179,6 +174,9 @@ def _series_terms(r: int) -> int:
 
 # _exp_int_series's term count for each ceil(|z|) it can be given
 _SERIES_TERMS = [_series_terms(r) for r in range(int(_ASYMPTOTIC_RADIUS) + 1)]
+# terms of log G that _exp_int_series sums within 1/8 of a positive integer
+# order: (1/8)^19 = 2^-57
+_NEAR_TERMS = 19
 
 # _exp_int_cf's depth max(F, A/u + B), u = (|z| + Re z)/2 = |z| cos^2(arg z / 2),
 # with (A, B, F) from the first row whose edge is at least |s|.  Each row is
@@ -232,16 +230,28 @@ def _exp_int_series(s: complex, z):
     terms k < K = _SERIES_TERMS[r], r = ceil(|z|) of the largest |z|: the
     first k > r + 4 at which r^k / k! < 1e-17.
 
-    Non-integer s: lead = z^{s-1} Gamma(1-s), and no term is skipped.
-    Integer s = n >= 1: lead = (-z)^{n-1}/(n-1)! (psi(n) - Log z), the term
-    k = n-1 is skipped, and s stays the int n so that 1-s+k is exact.
+    Within 1/8 of an integer n >= 1, with e = n - s:
+    lead - (-z)^{n-1}/((n-1)! e), the lead and the term k = n-1 taken
+    together, as their poles 1/e cancel, and that term is skipped.  With
+    Gamma(1-s) = (-1)^{n-1} G(e)/((n-1)! e), G(e) = Gamma(1+e) /
+    prod_{j<n}(1 - e/j), the pair is (-z)^{n-1}/(n-1)! (e^{e h} - 1)/e,
+    h = log G(e)/e - Log z, log G(e) = sum_k c_k e^k (``_log_g_coeffs``);
+    at e = 0 it is (-z)^{n-1}/(n-1)! (psi(n) - Log z), and s stays the int
+    n so that 1-s+k is exact.  Elsewhere lead = z^{s-1} Gamma(1-s), and no
+    term is skipped.
     """
     lib = _lib(z)
-    if _is_int(s) and s.real >= 1:
-        s = int(round(s.real))
-        psi_n = -EULER_GAMMA + sum(1.0 / j for j in range(1, s))
-        lead = ((-z) ** (s - 1) / math.factorial(s - 1)) * (psi_n - lib.log(z))
-        skip = s - 1
+    n = round(s.real)
+    e = n - s
+    if n >= 1 and abs(e) < 0.125:
+        # Horner over the c_k whose |e|^k stays above 2^-56 (c_1 alone at e = 0)
+        k = min(_NEAR_TERMS, math.ceil(56 / -math.log2(abs(e)))) if e else 1
+        h = reduce(lambda acc, c: acc * e + c, _log_g_coeffs(n)[-k:], 0j) - lib.log(z)
+        # e^x - 1 = 2 e^{x/2} sinh(x/2), without cancellation at small x
+        pair = 2 * lib.exp(e * h / 2) * lib.sinh(e * h / 2) / e if e else h
+        lead = ((-z) ** (n - 1) / math.factorial(n - 1)) * pair
+        skip = n - 1
+        s = s if e else n
     else:
         a = s - 1  # principal_power's rule: integer powers exactly
         power = z ** int(a.real) if a.imag == 0 and a.real.is_integer() else lib.exp(a * lib.log(z))
@@ -256,6 +266,18 @@ def _exp_int_series(s: complex, z):
         if j - 1 != skip:
             acc = acc + 1.0 / (j - s)
     return lead - acc
+
+
+@lru_cache(maxsize=64)
+def _log_g_coeffs(n: int) -> list:
+    """c_k of log G(e) = sum_{k >= 1} c_k e^k for _exp_int_series, highest k
+    first, k <= _NEAR_TERMS: log Gamma(1+e) = -gamma e + sum_{k>=2} (-1)^k
+    zeta(k) e^k/k and -log(1 - e/j) = sum_k (e/j)^k/k, so c_1 = psi(n) and
+    c_k = ((-1)^k zeta(k) + sum_{j<n} j^-k)/k.  The series converges for
+    |e| < 1; at |e| < 1/8 its terms fall below 2^-56 by k = _NEAR_TERMS."""
+    high = [((-1) ** k * _hurwitz_em(complex(k), 1.0).real + sum(j ** -k for j in range(1, n))) / k
+            for k in range(_NEAR_TERMS, 1, -1)]
+    return high + [-EULER_GAMMA + sum(1.0 / j for j in range(1, n))]
 
 
 def _exp_int_cf(s: complex, z):
@@ -436,8 +458,12 @@ def exp_int_E(s, z):
     has them); the asymptotic series 1.6e-13 (s = 3,
     z = -41).  E_s is e^{-z} times that, a few ulps more.  Near a positive
     integer order n the power series' lead and its term k = n - 1 both grow
-    like 1/(s - n) and cancel: at z = 1.981 it reads 1.7e-12 at s = 2.957,
-    6.1e-11 at s = 2.999 and 5.7e-10 at s = 3.0001.  The radii suit small
+    like 1/(s - n), and the series sums them as one term
+    within 1/8 of n (``_exp_int_series``): at z = 1.981 it reads 2.5e-15
+    at s = 3.0001, where they cost 5.7e-10 apart, and on 200 random points
+    within 1/8 of n = 1..6 with |z| < 20, on the cut and off it, 3.8e-14
+    (8.8e-4 apart).  Farther from n they cost at most 1.7e-12 (z = 1.981,
+    s = 2.957) and are kept apart.  The radii suit small
     |s| only: near the cut the power series reads 2.2e-12 at s = -1.5 + 4i,
     at z = -41 the asymptotic series 2.1e-11 at s = 5, and at |z| = 2 the
     continued fraction 1e-11 at s = -8.5 and no correct digit at
@@ -529,11 +555,13 @@ def cal_EI(w: float) -> complex:
 # Hurwitz and Lerch zeta, digamma, polygamma
 # ---------------------------------------------------------------------------
 
-def _hurwitz_em(s: complex, z):
+def _hurwitz_em(s: complex, z, regular: bool = False):
     """Euler-Maclaurin for zeta(s, z) after one shift N taken from the
-    smallest Re z; z is a scalar (complex returned) or an ndarray.  At s = 1
-    the pole term (z+N)^{1-s}/(s-1) becomes -Log(z+N), which gives the
-    constant Laurent term zeta*(1, z) = -psi(z)."""
+    smallest Re z; z is a scalar (complex returned) or an ndarray.  regular
+    gives zeta*(s, z) = zeta(s, z) - 1/(s-1) instead: the pole term
+    (z+N)^{1-s}/(s-1) is taken as expm1((1-s) Log(z+N))/(s-1), so the
+    pole's constant is never rounded, and at s = 1, where only regular
+    applies, as -Log(z+N), which gives zeta*(1, z) = -psi(z)."""
     z, scalar = _as_complex(z)
     _reject_poles(z, "Hurwitz zeta and digamma undefined at non-positive integers")
     # For Re(s) < 0 the direct sum grows like shift^{|s|} while the result
@@ -551,7 +579,10 @@ def _hurwitz_em(s: complex, z):
         acc = ((z + np.arange(shift).reshape((-1,) + (1,) * z.ndim)) ** e).sum(axis=0)
     zM = z + shift
     base = zM ** e
-    pole = -np.log(zM) if s == 1 else zM ** (e + 1) / (s - 1)
+    if regular:
+        pole = np.expm1((1 - s) * np.log(zM)) / (s - 1) if s != 1 else -np.log(zM)
+    else:
+        pole = zM ** (e + 1) / (s - 1)
     acc = acc + pole + base / 2
     poch = s  # rising factorial (s)(s+1)...(s+2j-2)
     zM2 = zM * zM
@@ -574,8 +605,10 @@ def hurwitz_zeta(s, z):
     (0, 1] and 5.2e-12 on |Re z|, |Im z| <= 5, where for m > 20 Horner's
     rule cancels among B_m's large coefficients (0.31 on (0, 1], 62 on the
     square, at m <= 40).  ``_hurwitz_em`` is worse on each of these.
-    Elsewhere it is ``_hurwitz_em``; z at a non-positive integer raises
-    DomainError at every s."""
+    Elsewhere it is ``_hurwitz_em``, whose shifted direct sum and pole term
+    cancel at negative s: on [i, i+1] at real s in (-3, -2) it reads up to
+    1.5e-12 of max(1, |zeta|) (s = -2.9).  z at a non-positive integer
+    raises DomainError at every s."""
     s = complex(s)
     if abs(s - 1) < 1e-13:
         raise DomainError("Hurwitz zeta has a pole at s = 1")
@@ -736,11 +769,18 @@ def lerch_zeta(s, a, z) -> complex:
 
 
 def hurwitz_zeta_star(a, z):
-    """Constant Laurent term of zeta(s, z) at s = a; equals -psi(z) at a = 1."""
+    """zeta*(a, z) = zeta(a, z) - 1/(a-1), the part of Hurwitz zeta that is
+    regular at its pole, entire in a and -psi(z) at a = 1; z is a scalar
+    (complex returned) or an ndarray.
+
+    Within 1/2 of the pole it is ``_hurwitz_em`` with the pole's constant
+    taken out before rounding, so its absolute error does not grow like
+    eps/|a-1| as a -> 1, as zeta(a, z)'s does; elsewhere it is
+    hurwitz_zeta(a, z) - 1/(a-1).  On the segment, the constant is all that
+    separates it from zeta(a, z): a pairing with a cuspidal expansion over
+    [i, i+1] gives the two the same value."""
     a = complex(a)
-    if abs(a - 1) < 1e-13:
-        return _hurwitz_em(1 + 0j, z)
-    return hurwitz_zeta(a, z)
+    return _hurwitz_em(a, z, regular=True) if abs(a - 1) < 0.5 else hurwitz_zeta(a, z) - 1 / (a - 1)
 
 
 def digamma(z):

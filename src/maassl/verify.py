@@ -161,9 +161,9 @@ def _bernoulli_limit(f, p):
 
 
 def _hurwitz(f, p):
-    """Series L*(f, s) = i^{-s} int_i^{i+1} f(z) zeta(1-s, z) dz for s < 0."""
+    """Series L*(f, s) = i^{-s} int_i^{i+1} f(z) zeta*(1-s, z) dz + R(0, s), every real s."""
     s = float(p["s"])
-    return ltest.l_star(f, s), contour.rhs_negative_s(f, s), 0.0, 0.0
+    return ltest.l_star(f, s), contour.rhs_star(f, s), 0.0, 0.0
 
 
 def _functional_equation(f, p):
@@ -224,7 +224,10 @@ def _remainder_shapes(f, p):
 
 
 def _bfi(f, p):
-    """2 Re sum_n a(n) EI(2 pi n) = 2 Re int_i^{i+1} f(z) zeta*(1, z) dz (BFI)."""
+    """2 Re sum_n a(n) EI(2 pi n) = 2 Re int_i^{i+1} f(z) zeta*(1, z) dz (BFI),
+    weakly holomorphic f: the series side has no non-holomorphic part."""
+    if f.nonholo:
+        raise contour.RegimeError("bfi_consistency needs a weakly holomorphic form")
     # the contour side shares no kernel with cal_EI
     series = 2 * sum(a * specfun.cal_EI(TWO_PI * n) for n, a in f.holo.items())
     rhs = complex(2 * contour.rhs_integer_value(f, 0).real, 0.0)

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maassl import (InversePowerSeed, PhiSW, build_J, compact_support_value, l_star,
                     l_value, l_value_limit, r_remainder, ray_integral_bend,
                     rhs_integer_value, rhs_main_theorem, rhs_negative_s,
-                    synth_harmonic)
+                    rhs_star, synth_harmonic)
 from maassl.contour import RegimeError, i_power, lerch_sum
 from maassl.ltest import ZeroSeed
 from maassl.modforms import xi_image
@@ -401,14 +403,15 @@ def test_r_remainder_empty(J):
     assert r_remainder(J, 1, 1j, "double_integral") == 0
 
 
-# the suite's harmonic forms harm_a .. harm_d, each at the suite's s and w
-SUITE_HARMONIC_CASES = [
-    (f, s, 0.5 + 1j)
-    for f in (synth_harmonic(0, {1: 0.5}, {-1: 1}),
-              synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}),
-              synth_harmonic(0, {}, {-1: 1, -2: 0.3}),
-              synth_harmonic(-2, {}, {-2: 1j}))
-    for s in (0.5, 1.0, 2.0)]
+# the default suite's harmonic forms harm_a .. harm_d
+HARMONIC_FORMS = {"hA": synth_harmonic(0, {1: 0.5}, {-1: 1}),
+                  "hB": synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}),
+                  "hC": synth_harmonic(0, {}, {-1: 1, -2: 0.3}),
+                  "hD": synth_harmonic(-2, {}, {-2: 1j})}
+
+# each at the suite's s and w
+SUITE_HARMONIC_CASES = [(f, s, 0.5 + 1j) for f in HARMONIC_FORMS.values()
+                        for s in (0.5, 1.0, 2.0)]
 
 
 def test_r_remainder_forms_agree():
@@ -618,12 +621,6 @@ def test_integer_value_printed_constants_differ():
     assert abs(rhs_integer_value(f, 2, printed_constants=True) - lim) > 1e-4
 
 
-def test_integer_value_harmonic_m0_unsupported():
-    f = synth_harmonic(0, {}, {-1: 1})
-    with pytest.raises(RegimeError):
-        rhs_integer_value(f, 0)
-
-
 def test_real_coefficient_symmetry(J):
     """BFI-convention bookkeeping for real-coefficient forms."""
     from maassl.specfun import cal_EI
@@ -633,22 +630,92 @@ def test_real_coefficient_symmetry(J):
 
 
 # ---------------------------------------------------------------------------
-# negative s
+# the w = 0 contour side, rhs_star
 # ---------------------------------------------------------------------------
 
-def test_negative_s_cross_pipeline(J):
-    for s in (-0.5, -1.0):
-        assert abs(rhs_negative_s(J, s) - l_star(J, s)) < 1e-8
+def _rel_err(a, b):
+    """verify's rel_err: 0 for equal sides, NaN (which fails) for a non-finite one."""
+    diff = abs(a - b)
+    return diff / max(abs(a), abs(b)) if diff else 0.0
+
+
+@pytest.mark.parametrize("name, s", [
+    (name, s) for name in HARMONIC_FORMS for s in (-1.5, 0.5, 2.5, -2, -1, 0)]
+    + [("J", m) for m in range(-3, 5)])
+def test_rhs_star_matches_l_star(J, name, s):
+    """The w = 0 contour side against the coefficient series: harmonic forms
+    at real and integer s, and J at every integer value the Bernoulli and
+    Hurwitz branches reach."""
+    f = J if name == "J" else HARMONIC_FORMS[name]
+    assert _rel_err(rhs_star(f, s), l_star(f, s)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, m", [("hA", 0), ("hA", -1), ("hD", 0), ("hD", -1)])
+def test_rhs_star_richardson_oracle(name, m):
+    """rhs_star is the w -> 0+ limit of rhs_main_theorem: Richardson over
+    its values at w = i 0.4/2^j, j < 8, an independent route (Lerch kernel
+    and double-integral remainder), reaches it."""
+    f = HARMONIC_FORMS[name]
+    values = [rhs_main_theorem(f, m, 1j * 0.4 / 2 ** j) for j in range(8)]
+    limit = ltest.richardson_table(values)[-1][-1]
+    assert _rel_err(limit, rhs_star(f, m)) <= 1e-12
+
+
+# coefficient parts in steps of 1/16: a subnormal coefficient underflows
+# in f's values, whatever the formula
+part = st.integers(-16, 16).map(lambda n: n / 16)
+coefficient = st.builds(complex, part, part)
+
+
+@given(st.sampled_from([0, -2, -4, -10]),
+       st.dictionaries(st.sampled_from([-1, 1, 2, 3]), coefficient, max_size=3),
+       st.dictionaries(st.sampled_from([-2, -1]), coefficient, min_size=1, max_size=2),
+       st.floats(-3, 3))
+@settings(max_examples=25, deadline=None)
+def test_rhs_star_random_harmonic_forms(k, holo, nonholo, s):
+    """Harmonic forms with a principal part up to q^-1, up to three cusp
+    coefficients and non-holomorphic terms at n = -1 and -2.  Above s = 3
+    the Hurwitz kernel limits rhs_star (test_rhs_star_above_s3)."""
+    f = synth_harmonic(k, holo, nonholo)
+    assert _rel_err(rhs_star(f, s), l_star(f, s)) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="hurwitz_zeta's Euler-Maclaurin at orders "
+                   "in (-3, -2) is about 1e-12 off on [i, i+1]")
+def test_rhs_star_above_s3():
+    f = synth_harmonic(-4, {-1: 1}, {-1: 1})
+    assert _rel_err(rhs_star(f, 3.921875), l_star(f, 3.921875)) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="that kernel error on values near 1e8 is above the "
+                   "quadrature's 8 eps stopping floor")
+def test_rhs_star_above_s3_large_form():
+    f = synth_harmonic(-10, {}, {-2: 1j})
+    assert _rel_err(rhs_star(f, 3.96875), l_star(f, 3.96875)) <= 1e-12
+
+
+def test_rhs_star_near_s0():
+    """zeta(1-s, z)'s pole -1/s drops out of the pairing; rhs_star keeps it
+    out of the rounding too, so it stays accurate as s -> 0."""
+    f = HARMONIC_FORMS["hA"]
+    for s in (1e-13, -1e-10, 1e-7, -1e-4, 0.01, -0.49):
+        assert _rel_err(rhs_star(f, s), l_star(f, s)) <= 1e-12, s
+
+
+def test_rhs_star_routes():
+    """rhs_negative_s is the same function; rhs_integer_value is rhs_star for
+    a weakly holomorphic form and below m = 1, the Bernoulli form above."""
+    assert contour.rhs_negative_s is rhs_star
+    f = HARMONIC_FORMS["hA"]
+    for m in (-1, 0):
+        assert rhs_integer_value(f, m) == rhs_star(f, m)
+    assert rhs_integer_value(f, 2) != rhs_star(f, 2)
 
 
 def test_negative_s_zero_form():
     f = synth_harmonic(0, {1: 0}, {})
     assert rhs_negative_s(f, -0.5) == 0
-
-
-def test_negative_s_regime(J):
-    with pytest.raises(RegimeError):
-        rhs_negative_s(J, 0.5)
 
 
 # ---------------------------------------------------------------------------

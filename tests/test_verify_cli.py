@@ -124,7 +124,7 @@ BASELINE = Path(__file__).parent / "data" / "verify_baseline.json"
 
 def test_default_suite_no_worse_than_baseline():
     """Baseline gate: the bundled suite keeps its check ids, passes every
-    check, and no check's rel_err grows past max(2 * baseline, 1e-14).  The
+    check, and no check's rel_err grows past max(2 * baseline, 1e-15).  The
     baseline is a `maassl verify --report` reduced to {id: rel_err}; it may
     only ever be tightened."""
     baseline = json.loads(BASELINE.read_text())
@@ -132,7 +132,7 @@ def test_default_suite_no_worse_than_baseline():
     assert {r.id for r in reports} == set(baseline)
     assert summary["fail"] == summary["skipped"] == 0
     worse = {r.id: (r.rel_err, baseline[r.id]) for r in reports
-             if r.rel_err > max(2 * baseline[r.id], 1e-14)}
+             if r.rel_err > max(2 * baseline[r.id], 1e-15)}
     assert not worse, worse
 
 
@@ -150,8 +150,14 @@ def test_default_suite_fails_every_mutated_rhs(monkeypatch, mutant):
     """Mutation gate: with every identity's rhs corrupted, no default check
     passes, whatever the sides' own error estimates say."""
     monkeypatch.delenv("MAASSL_TOL", raising=False)
-    corrupt = RHS_MUTANTS[mutant]
+    _mutate_rhs(monkeypatch, RHS_MUTANTS[mutant])
+    reports, summary = run_suite(default_suite())
+    assert len(reports) == 68
+    assert summary["fail"] == 68, [r.id for r in reports if r.status != "fail"]
 
+
+def _mutate_rhs(monkeypatch, corrupt):
+    """Wrap every evaluator of verify.IDENTITIES so that it corrupts its rhs."""
     def mutated(evaluate):
         def evaluator(f, p):
             lhs, rhs, lhs_err, rhs_err = evaluate(f, p)
@@ -160,9 +166,43 @@ def test_default_suite_fails_every_mutated_rhs(monkeypatch, mutant):
 
     for name, (accepted, evaluate) in list(verify.IDENTITIES.items()):
         monkeypatch.setitem(verify.IDENTITIES, name, (accepted, mutated(evaluate)))
-    reports, summary = run_suite(default_suite())
-    assert len(reports) == 68
-    assert summary["fail"] == 68, [r.id for r in reports if r.status != "fail"]
+
+
+HARM = {"hA": 'synth:{"k": 0, "holo": {"1": 0.5}, "nonholo": {"-1": 1}}',
+        "hB": 'synth:{"k": -2, "holo": {"1": 1}, "nonholo": {"-1": [2, -1]}}',
+        "hC": 'synth:{"k": 0, "nonholo": {"-1": 1, "-2": 0.3}}',
+        "hD": 'synth:{"k": -2, "nonholo": {"-2": [0, 1]}}'}
+
+# harmonic checks of the w = 0 contour side, rhs_star
+HARMONIC_W0_CHECKS = (
+    [CheckSpec(f"hurw_{name}_s{s}", "cor_hurw", form, {"s": s}, verify.REL_TOL)
+     for name, form in HARM.items() for s in (-1.5, 0.5, 2.5)]
+    + [CheckSpec("zag_hA", "prop_zag", HARM["hA"], {}, verify.REL_TOL),
+       CheckSpec("bernWHF_hA_m-1", "cor_bernWHF", HARM["hA"], {"m": -1}, verify.REL_TOL)])
+
+
+def test_harmonic_w0_checks_pass():
+    for spec in HARMONIC_W0_CHECKS:
+        rep = run_check(spec)
+        assert rep.status == "pass", (spec.id, rep.rel_err, rep.message)
+
+
+@pytest.mark.parametrize("mutant", RHS_MUTANTS)
+def test_harmonic_w0_checks_fail_every_mutated_rhs(monkeypatch, mutant):
+    """Mutation gate over the harmonic w = 0 checks, which the default suite
+    does not run: every corrupted rhs fails."""
+    _mutate_rhs(monkeypatch, RHS_MUTANTS[mutant])
+    for spec in HARMONIC_W0_CHECKS:
+        rep = run_check(spec)
+        assert rep.status == "fail", (spec.id, rep.rel_err)
+
+
+def test_bfi_skips_harmonic_form():
+    """bfi_consistency's series side sums the holomorphic coefficients only,
+    so a form with a non-holomorphic part is outside its regime."""
+    rep = run_check(CheckSpec("bfi_hA", "bfi_consistency", HARM["hA"]))
+    assert rep.status == "skipped"
+    assert "precondition" in rep.message
 
 
 def test_false_functional_equation_fails(monkeypatch):
