@@ -11,7 +11,7 @@ alternative constant conventions (--printed).
 import argparse
 
 from maassl import PhiSW, l_value, rhs_integer_value, synth_harmonic
-from maassl.ltest import richardson_table
+from maassl.ltest import _LIMIT_LEVELS, _LIMIT_X0, richardson_table
 
 
 def tableau(f, m, x0, levels):
@@ -24,8 +24,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k", type=int, default=0, help="weight of the test form")
     ap.add_argument("--m", type=int, default=2, help="integer argument")
-    ap.add_argument("--x0", type=float, default=0.4, help="largest damping x")
-    ap.add_argument("--levels", type=int, default=6)
+    ap.add_argument("--x0", type=float, default=_LIMIT_X0,
+                    help="largest damping x (default: l_value_limit's)")
+    ap.add_argument("--levels", type=int, default=_LIMIT_LEVELS,
+                    help="ladder levels (default: l_value_limit's)")
     ap.add_argument("--printed", action="store_true",
                     help="use the phase-free constant variant in the closed form")
     args = ap.parse_args()

@@ -13,7 +13,7 @@ from .ltest import (CompactAnalytic, FrickePhiSW, InversePowerSeed, LValue,
                     l_star, l_tilde, l_value, l_value_by_vertical_integral,
                     l_value_limit)
 from .contour import (compact_support_value, r_remainder, ray_integral_bend,
-                      rhs_integer_value, rhs_main_theorem, rhs_negative_s, rhs_star)
+                      rhs_integer_value, rhs_main_theorem, rhs_star)
 
 __all__ = [
     "FourierExpansion", "build_J", "build_J_squared", "synth_harmonic",
@@ -22,7 +22,7 @@ __all__ = [
     "l_star", "l_tilde", "l_value", "l_value_by_vertical_integral",
     "l_value_limit", "compact_support_value", "r_remainder",
     "ray_integral_bend", "rhs_integer_value", "rhs_main_theorem",
-    "rhs_negative_s", "rhs_star",
+    "rhs_star",
 ]
 
 __version__ = "0.1.0"

@@ -457,10 +457,9 @@ def richardson_table(vals) -> list[list]:
 
 @dataclass(frozen=True)
 class InversePowerSeed:
-    """seed(z) = (z + shift)^{-power}; translated sum is a Hurwitz zeta."""
+    """seed(z) = z^{-power}; translated sum is a Hurwitz zeta."""
 
     power: float
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.power <= 1:
@@ -471,23 +470,22 @@ class InversePowerSeed:
         return self.power - 1.0
 
     def value(self, z):
-        return (np.asarray(z, dtype=complex) + self.shift) ** (-self.power)
+        return np.asarray(z, dtype=complex) ** (-self.power)
 
     def translated_sum(self, z):
-        return specfun.hurwitz_zeta(self.power, np.asarray(z, dtype=complex) + self.shift)
+        return specfun.hurwitz_zeta(self.power, np.asarray(z, dtype=complex))
 
 
 @dataclass(frozen=True)
 class LorentzianSeed:
     """seed(z) = amp/(z^2 + c^2); translated sum via a digamma difference.
 
-    The default amplitude keeps |seed(z)| < |z|^{-2} on strips with
-    Im(z) >= 1 (|z^2 + c^2| >= |z|^2 - c^2 >= 0.75 |z|^2 there).
+    These c and amp keep |seed(z)| < |z|^{-2} on strips with Im(z) >= 1
+    (|z^2 + c^2| >= |z|^2 - c^2 >= 0.75 |z|^2 there).
     """
 
-    c: float = 0.5
-    amp: float = 0.2
-
+    c = 0.5
+    amp = 0.2
     decay_epsilon = 1.0
 
     def value(self, z):

@@ -2,10 +2,10 @@
 
 Each check evaluates the same quantity through two independent pipelines
 (coefficient series vs contour quadrature) and passes iff rel_err =
-|lhs - rhs| / max(|lhs|, |rhs|) <= tol, the check's own tolerance or
-default_tolerance() (REL_TOL = 1e-12 unless MAASSL_TOL is set); equal
-sides read 0, and a NaN or infinite side reads NaN and fails.  The sides'
-error estimates are reported but never pass a check.
+|lhs - rhs| / max(|lhs|, |rhs|) <= the check's tolerance, REL_TOL = 1e-12
+unless it sets its own.  Equal sides read 0, so a tolerance of 0 passes
+only them; a NaN or infinite side reads NaN and fails.  The sides' error
+estimates are reported but never pass a check.
 IDENTITIES maps each theorem name to the parameters it accepts and to the
 evaluator of its two sides; lemma_integral_form accepts only the
 parameters of the test-function kind it names.
@@ -13,10 +13,11 @@ parameters of the test-function kind it names.
 Configs are JSON: an object whose "checks" array holds objects with "id",
 "theorem", "form" and optional "params" (an object; complex values are
 [re, im] pairs) and "tolerance".  CheckSpec raises ValueError for a
-parameter its theorem does not accept and for a tolerance that is negative,
-infinite or NaN; load_suite raises it, naming the check, for those and for
-any other shape.  A missing parameter fails its check instead.  run_suite
-accepts an empty list, but `maassl verify` refuses to run no check.
+parameter its theorem does not accept and for a tolerance that is a bool,
+not a number, negative, infinite or NaN; load_suite raises it, naming the
+check, for those and for any other shape.  A missing parameter fails its
+check instead.  run_suite accepts an empty list, but `maassl verify`
+refuses to run no check.
 Reports are deterministic apart from runtime_ms, the wall time of a check
 in milliseconds as a float.
 """
@@ -27,7 +28,6 @@ import fnmatch
 import functools
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -35,21 +35,6 @@ from . import contour, ltest, modforms, specfun
 
 REL_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
-
-
-def default_tolerance() -> float:
-    """MAASSL_TOL if set, else REL_TOL; it must be positive and finite.
-
-    Only a check without a tolerance of its own uses this; every check of
-    default_suite sets REL_TOL itself.
-    """
-    env = os.environ.get("MAASSL_TOL")
-    if not env:
-        return REL_TOL
-    tol = float(env)
-    if not 0 < tol < math.inf:  # also rejects nan
-        raise ValueError(f"MAASSL_TOL must be a positive finite number, got {env!r}")
-    return tol
 
 
 @dataclass(frozen=True)
@@ -60,7 +45,7 @@ class CheckSpec:
     theorem: str
     form: str
     params: dict = field(default_factory=dict)
-    tolerance: float = 0.0  # 0 means "use the default"
+    tolerance: float = REL_TOL
 
     def __post_init__(self):
         if self.theorem not in IDENTITIES:
@@ -74,12 +59,11 @@ class CheckSpec:
         if unknown:
             raise ValueError(f"unknown parameter(s) {unknown} for {self.theorem}, "
                              f"which takes {list(accepted)}")
-        if not 0 <= self.tolerance < math.inf:  # also rejects nan
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-
-    @property
-    def effective_tolerance(self) -> float:
-        return self.tolerance if self.tolerance > 0 else default_tolerance()
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+            raise ValueError(f"tolerance of check {self.id!r} must be a number, got {tol!r}")
+        if not 0 <= tol < math.inf:  # also rejects nan
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 @dataclass
@@ -273,7 +257,7 @@ def run_check(spec: CheckSpec) -> CheckReport:
     abs_err = abs(lhs - rhs)
     # 0 for equal sides; NaN, which fails, for a NaN or infinite side
     rel_err = abs_err / max(abs(lhs), abs(rhs)) if abs_err else 0.0
-    ok = rel_err <= spec.effective_tolerance
+    ok = rel_err <= spec.tolerance
     return CheckReport(spec.id, spec.theorem, lhs, rhs, abs_err, rel_err,
                        float(lhs_err), float(rhs_err),
                        "pass" if ok else "fail", ms)
@@ -289,7 +273,7 @@ def default_suite() -> list[CheckSpec]:
     checks: list[CheckSpec] = []
 
     def add(id_, theorem, form, **params):
-        checks.append(CheckSpec(id_, theorem, form, params, REL_TOL))
+        checks.append(CheckSpec(id_, theorem, form, params))
 
     for a, w in ((0.5, [0, 1]), (-1.0, [0, 2]), (2.0, [1, 1]), (-1.0, [1, 0])):
         add(f"bend_a{a}_w{w[0]}+{w[1]}i", "lemma_bend", "J", a=a, w=w)
@@ -340,7 +324,7 @@ def load_suite(config_path: str) -> list[CheckSpec]:
                 raise ValueError(f"a check must be an object, got {raw!r}")
             checks.append(CheckSpec(raw["id"], raw["theorem"], raw["form"],
                                     raw.get("params", {}),
-                                    float(raw.get("tolerance", 0.0))))
+                                    raw.get("tolerance", REL_TOL)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{config_path}: checks[{i}]: {exc}") from exc
     return checks

@@ -31,6 +31,16 @@ def test_script_runs(name, args, label):
     assert math.isfinite(float(match.group(1)))
 
 
+def test_limit_study_defaults_match_closed_form():
+    """At l_value_limit's own ladder the extrapolated limit is the closed form
+    to rounding (4.8e-19 apart; 6 levels left it 7.3e-10 relative off)."""
+    proc = run_script("limit_study.py")
+    assert proc.returncode == 0, proc.stderr
+    closed = complex(re.search(r"closed form\s*:\s*(\S+)", proc.stdout).group(1))
+    diff = float(re.search(r"\|difference\|\s*:\s*(\S+)", proc.stdout).group(1))
+    assert diff <= 1e-15 * abs(closed), proc.stdout
+
+
 def test_compare_reports(tmp_path):
     from maassl import verify
 

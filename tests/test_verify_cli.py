@@ -149,7 +149,6 @@ RHS_MUTANTS = {
 def test_default_suite_fails_every_mutated_rhs(monkeypatch, mutant):
     """Mutation gate: with every identity's rhs corrupted, no default check
     passes, whatever the sides' own error estimates say."""
-    monkeypatch.delenv("MAASSL_TOL", raising=False)
     _mutate_rhs(monkeypatch, RHS_MUTANTS[mutant])
     reports, summary = run_suite(default_suite())
     assert len(reports) == 68
@@ -205,10 +204,9 @@ def test_bfi_skips_harmonic_form():
     assert "precondition" in rep.message
 
 
-def test_false_functional_equation_fails(monkeypatch):
+def test_false_functional_equation_fails():
     """J's lhs against J^2's Fricke side is a false identity: a relative
     error near 1 fails at the default tolerance."""
-    monkeypatch.delenv("MAASSL_TOL", raising=False)
     rep = run_check(CheckSpec("fe_J_vs_Jsq", "prop_fe", "J",
                               {"s": 0, "w": [30, 5], "N": 1, "g": "Jsq"}))
     assert rep.status == "fail"
@@ -396,23 +394,22 @@ def test_report_schema_and_determinism(tmp_path):
         assert isinstance(entry["lhs"], list) and len(entry["lhs"]) == 2
 
 
-def test_env_tolerance_override(monkeypatch):
-    monkeypatch.setenv("MAASSL_TOL", "1e-1")
-    spec = CheckSpec("loose", "prop_zag", "J")  # no explicit tolerance
-    assert spec.effective_tolerance == 1e-1
-
-
-@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-def test_env_tolerance_must_be_positive_finite(value, monkeypatch, tmp_path, capsys):
-    """A bad MAASSL_TOL is a usage error (exit 2), not a failed check (exit 1)."""
-    monkeypatch.setenv("MAASSL_TOL", value)
-    with pytest.raises(ValueError, match="MAASSL_TOL"):
-        CheckSpec("loose", "prop_zag", "J").effective_tolerance
+def test_unset_tolerance_is_rel_tol(tmp_path):
+    """A check that sets no tolerance, in code or in a config, gets REL_TOL."""
+    assert CheckSpec("zag", "prop_zag", "J").tolerance == verify.REL_TOL
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps(
         {"checks": [{"id": "zag", "theorem": "prop_zag", "form": "J"}]}))
-    assert cli.main(["verify", "--config", str(cfg)]) == 2
-    assert "error: MAASSL_TOL" in capsys.readouterr().err
+    assert [c.tolerance for c in load_suite(str(cfg))] == [verify.REL_TOL]
+
+
+@pytest.mark.parametrize("lhs, rhs, status", [
+    (2.0, 2.0, "pass"), (0.0, 0.0, "pass"), (1.0, math.nextafter(1.0, 2.0), "fail"),
+])
+def test_zero_tolerance_passes_only_equal_sides(monkeypatch, lhs, rhs, status):
+    """0 is an ordinary tolerance, not a stand-in for the default."""
+    monkeypatch.setitem(verify.IDENTITIES, "fixed", ((), lambda f, p: (lhs, rhs, 0.0, 0.0)))
+    assert run_check(CheckSpec("fixed", "fixed", "J", {}, 0.0)).status == status
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +514,17 @@ ZAG = '{"id": "zag", "theorem": "prop_zag", "form": "J"'
 @pytest.mark.parametrize("text, message", [
     ('[1, 2]', 'expected an object with a "checks" array'),
     ('{"checks": ["x"]}', "checks[0]: a check must be an object, got 'x'"),
-    ('{"checks": [' + ZAG + ', "tolerance": null}]}', "checks[0]: float() argument"),
+    ('{"checks": [' + ZAG + ', "tolerance": null}]}',
+     "checks[0]: tolerance of check 'zag' must be a number, got None"),
+    ('{"checks": [' + ZAG + ', "tolerance": true}]}',
+     "checks[0]: tolerance of check 'zag' must be a number, got True"),
+    ('{"checks": [' + ZAG + ', "tolerance": "1e-3"}]}',
+     "checks[0]: tolerance of check 'zag' must be a number, got '1e-3'"),
     ('{"checks": [' + ZAG + ', "tolerance": 1e999}]}', "checks[0]: tolerance must be finite"),
     ('{"checks": [' + ZAG + ', "tolerance": NaN}]}', "checks[0]: tolerance must be finite"),
     ('{"checks": [' + ZAG + ', "params": [1]}]}', "checks[0]: params must be an object"),
-], ids=["top-level-list", "check-string", "tolerance-null", "tolerance-inf",
-        "tolerance-nan", "params-list"])
+], ids=["top-level-list", "check-string", "tolerance-null", "tolerance-bool",
+        "tolerance-string", "tolerance-inf", "tolerance-nan", "params-list"])
 def test_cli_malformed_config_is_usage_error(text, message, tmp_path, capsys):
     """A malformed config is a usage error (exit 2), not a failed check (exit 1)."""
     cfg = tmp_path / "suite.json"
