@@ -18,8 +18,10 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   w = 0.3 + 0.7i (levels 0 to 2, 112 nodes), cold, with J's kept segment
   values dropped before every call, and warm, the cost of a pairing that
   reuses them;
-- exp_int_E(0.5, z) on a scalar z and on a 1k vector spread over
-  |z| in [0.5, 63] and arg z in (-2.5, 2.5);
+- exp_int_E(0.5, z) on a scalar z, with a plain-number order (which
+  builds its ExpIntOrder each call) and through one ExpIntOrder reused
+  over the calls, as a series sum's terms are; and on a 1k vector spread
+  over |z| in [0.5, 63] and arg z in (-2.5, 2.5);
 - hurwitz_zeta(s, z) for s = 2 and 1.5, and digamma(z), on the 48 nodes
   of quadrature levels 0 and 1 on [i, i+1];
 - contour.r_remainder(f, 1, 0.5 + i) in both shapes, one_dim and
@@ -29,8 +31,9 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   each node against the Lerch terms m < M (M = 39 at s = 1, Im w = 1): the
   48 x M grid of exp_int_E_scaled values, for hB and hC;
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
-  series side with its non-holomorphic part, and l_value_limit(f, 0) on J
-  and on the 4-term synthetic form, weakly holomorphic.
+  series side with its non-holomorphic part; l_value(J, phi_{0.5}^{0.3+0.7i})
+  and l_star(J, 0.5), each a sum of 12 kernel terms; and l_value_limit(f, 0)
+  on J and on the 4-term synthetic form, weakly holomorphic.
 
 BLAS is pinned to one thread, as in perfbench.  Run it from the root of a
 checkout with PYTHONPATH=src, or point PYTHONPATH at another checkout's
@@ -47,8 +50,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from maassl import (PhiSW, build_J, build_J_squared, contour, l_value,  # noqa: E402
-                    l_value_limit, r_remainder, specfun, synth_harmonic)
+from maassl import (PhiSW, build_J, build_J_squared, contour, l_star,  # noqa: E402
+                    l_value, l_value_limit, r_remainder, specfun, synth_harmonic)
 from maassl.quadrature import _level_rule, integrate_segment  # noqa: E402
 
 LERCH_W = 0.3 + 0.7j
@@ -87,6 +90,8 @@ def cases():
         J, lerch_kernel)
     z1 = 2 * math.pi + 0.3 + 0.7j
     yield "exp_int_E", "scalar", 1, lambda: specfun.exp_int_E(0.5, z1)
+    order = specfun.ExpIntOrder(0.5)
+    yield "exp_int_E", "scalar/order", 1, lambda: specfun.exp_int_E(order, z1)
     rng = np.random.default_rng(1)
     zv = np.exp(rng.uniform(math.log(0.5), math.log(63.0), 1000)
                 + 1j * rng.uniform(-2.5, 2.5, 1000))
@@ -108,6 +113,8 @@ def cases():
     hb = harmonic["hB"]
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)
+    yield "l_value", "J", 1, lambda: l_value(J, PhiSW(0.5, LERCH_W))
+    yield "l_star", "J/s=0.5", 1, lambda: l_star(J, 0.5)
     for name in ("J", "synth4"):
         yield "l_value_limit", f"{name}/m=0", 1, lambda f=forms[name]: l_value_limit(f, 0)
 

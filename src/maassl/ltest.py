@@ -249,7 +249,8 @@ def _holo_terms(f: FourierExpansion, phi):
     against a(n); and its error estimate (see LValue).
 
     For phi_s^w each kernel is one E_{1-s}(2 pi n + w) call, made only for
-    the n summed, with 1 - s and w converted once.
+    the n summed, with w converted once and the order 1 - s prepared once
+    for the whole sum (``specfun.ExpIntOrder``).
     Any other test function gets every stored n's kernel from one
     ``phi.laplace`` call on the array 2 pi n, then runs the same sum and
     divergence check over those values.
@@ -265,7 +266,7 @@ def _holo_terms(f: FourierExpansion, phi):
         _check_fricke_admissibility(f, phi)
     can_cut = isinstance(phi, PhiSW)
     if can_cut:
-        order, w = 1 - complex(phi.s), complex(phi.w)
+        order, w = specfun.ExpIntOrder(1 - complex(phi.s)), complex(phi.w)
         re_w, p = w.real, max(0.0, complex(phi.s).real - 1.0)
     else:
         batch = phi.laplace(TWO_PI * f.arrays[0])
@@ -310,9 +311,10 @@ def _nonholo_part(f: FourierExpansion, phi) -> tuple[complex, float]:
     Gamma(1-k, beta y) = m! e^{-beta y} sum_{j<=m} (beta y)^j/j!, so
         int_1^inf Gamma(1-k, beta y) e^{2 pi |n| y} phi_s^w(y) dy
             = sum_{j<=m} (m!/j!) beta^j E_{1-s-j}(2 pi |n| + w),
-    the orders from one kernel call each n (``specfun.exp_int_E_orders``).
-    It converges for Re w > -2 pi min|n|, and ``PhiSW.window`` raises
-    AdmissibilityError elsewhere.  Its estimate is the kernel accuracy,
+    the orders from one kernel call each n (``specfun.exp_int_E_orders``),
+    every n's call sharing one prepared order 1 - s.  It converges for
+    Re w > -2 pi min|n|, and ``PhiSW.window`` raises AdmissibilityError
+    elsewhere.  Its estimate is the kernel accuracy,
     2e-12 sum |b(n) (m!/j!) beta^j E_{1-s-j}|.  Against mpmath on 1,600
     random points at k = 0, -2, -4 and -10, s in [-3, 4], Im w in [0, 3]
     and Re w from -2 pi |n| + 0.02 to 4 (|n| <= 2), it is within 4.3e-13
@@ -327,7 +329,7 @@ def _nonholo_part(f: FourierExpansion, phi) -> tuple[complex, float]:
                 sum((abs(b) * q.est_error for b, q in parts), 0.0))
     phi.window(TWO_PI * max(f.nonholo), 0.0)  # the admissibility check
     m = -f.weight
-    order, w = 1 - complex(phi.s), complex(phi.w)
+    order, w = specfun.ExpIntOrder(1 - complex(phi.s)), complex(phi.w)
     total, size = 0j, 0.0
     for n, b in f.nonholo.items():
         beta = -2 * TWO_PI * n
@@ -388,7 +390,8 @@ def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     k!/|z|^k growth of E_{p-k} cancelled by h^k/k!: |h|/|z_n| <= 0.396875/6.27
     for every n != 0 (FourierExpansion drops n = 0).  One pass over the
     summed n builds v_k = sum_n a(n) E_{p-k}(z_n): E_p(z_n) is
-    ``_holo_terms``' kernel value, and the lower orders follow by 15 scalar
+    ``_holo_terms``' kernel value, from the one order object that sum
+    prepares for every level, and the lower orders follow by 15 scalar
     steps of E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  The levels
     are then one (8 x 16) @ 16 product with ``_TAYLOR``.
 

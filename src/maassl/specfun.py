@@ -4,7 +4,8 @@ Everything here works in double precision with the principal branch for
 non-integer powers and logarithms, arg in (-pi, pi].  Points on the negative
 real axis are treated as limits from the upper half-plane, so Log(-x) carries
 +i*pi for x > 0.  All functions are pure; the only internal state is a
-read-only cache of Bernoulli numbers.
+read-only cache of Bernoulli numbers.  An ExpIntOrder, which a caller
+builds for one sum, extends its own list of numerators as it is used.
 """
 
 from __future__ import annotations
@@ -195,36 +196,69 @@ _CF_DEPTH = ((1.0, 97, 8, 0), (2.0, 111, 8, 0), (3.0, 123, 7, 0), (4.0, 144, 7, 
              (128.0, 930, 316, 0), (math.inf, 0, 19, 800))
 
 
-def _cf_depth(s: complex, z):
-    """_exp_int_cf's depth for z: an int, or an int ndarray of z's shape.  At
-    a non-positive integer s the fraction terminates (a_{1-s} = 0), and the
-    depth is at most -s."""
-    size = abs(s)
-    for edge, a, b, floor in _CF_DEPTH:
-        if size <= edge:
-            break
-    terminates = s.real <= 0 and s.imag == 0 and s.real.is_integer()
-    # comparisons, not min and max, which cost a scalar call 0.4 us
-    if isinstance(z, complex):
-        u = 0.5 * (abs(z) + z.real)
-        depth = int(a / u + b)
-        if depth < floor:
-            depth = floor
-        if terminates and depth > -s.real:
-            depth = -int(s.real)
+class ExpIntOrder:
+    """An order s of E_s(z), prepared once for every z it is evaluated at:
+    exp_int_E, exp_int_E_scaled and exp_int_E_orders take it in place of s,
+    and a sum over many z builds one and drops it when the sum ends.
+
+    It holds the checked s, its ``_CF_DEPTH`` row (A, B, F), the cap -s at
+    a non-positive integer order, where the continued fraction terminates
+    (a_{1-s} = 0), and the fraction's numerators a_i = i (c - i), c = 1 - s,
+    built as far as the deepest point asked for needs.  Nothing is kept
+    between objects: a plain-number call builds one for itself.
+
+    DomainError if s is not finite."""
+
+    __slots__ = ("s", "_rule", "_numerators")
+
+    def __init__(self, s):
+        s = complex(s)
+        if not cmath.isfinite(s):
+            raise DomainError("E_s(z) needs a finite order s")
+        self.s = s
+        size = abs(s)
+        for edge, a, b, floor in _CF_DEPTH:
+            if size <= edge:
+                break
+        terminates = s.real <= 0 and s.imag == 0 and s.real.is_integer()
+        # the cap is None where the fraction does not terminate
+        self._rule = (a, b, floor, -int(s.real) if terminates else None)
+        self._numerators = []
+
+    def depth(self, z):
+        """_exp_int_cf's depth for z: an int, or an int ndarray of z's
+        shape; at most -s where the fraction terminates."""
+        a, b, floor, cap = self._rule
+        # comparisons, not min and max, which cost a scalar call 0.4 us
+        if isinstance(z, complex):
+            u = 0.5 * (abs(z) + z.real)
+            depth = int(a / u + b)
+            if depth < floor:
+                depth = floor
+            if cap is not None and depth > cap:
+                depth = cap
+            return depth
+        if cap is not None and max(b, floor) >= cap:
+            # A/u + B >= B: every point stops at -s
+            return np.full(z.shape, cap)
+        depth = (a / (0.5 * (abs(z) + z.real)) + b).astype(int)
+        if floor:
+            depth = np.maximum(depth, floor)
+        if cap is not None:
+            depth = np.minimum(depth, cap)
         return depth
-    if terminates and max(b, floor) >= -s.real:
-        # A/u + B >= B: every point stops at -s
-        return np.full(z.shape, -int(s.real))
-    depth = (a / (0.5 * (abs(z) + z.real)) + b).astype(int)
-    if floor:
-        depth = np.maximum(depth, floor)
-    if terminates:
-        depth = np.minimum(depth, -int(s.real))
-    return depth
+
+    def numerators(self, depth: int) -> list:
+        """[a_0, a_1, ..., a_depth] at least, a_i = i (c - i), extended in
+        place the first time a depth asks for more."""
+        nums = self._numerators
+        if len(nums) <= depth:
+            c = 1.0 - self.s
+            nums.extend([i * (c - i) for i in range(len(nums), depth + 1)])
+        return nums
 
 
-def _exp_int_series(s: complex, z):
+def _exp_int_series(order: ExpIntOrder, z):
     """E_s(z) by the everywhere-convergent continuation formula
     lead - sum_{k != skip} (-z)^k / (k! (1-s+k)), by Horner's rule over the
     terms k < K = _SERIES_TERMS[r], r = ceil(|z|) of the largest |z|: the
@@ -240,6 +274,7 @@ def _exp_int_series(s: complex, z):
     n so that 1-s+k is exact.  Elsewhere lead = z^{s-1} Gamma(1-s), and no
     term is skipped.
     """
+    s = order.s
     lib = _lib(z)
     n = round(s.real)
     e = n - s
@@ -280,33 +315,34 @@ def _log_g_coeffs(n: int) -> list:
     return high + [-EULER_GAMMA + sum(1.0 / j for j in range(1, n))]
 
 
-def _exp_int_cf(s: complex, z):
+def _exp_int_cf(order: ExpIntOrder, z):
     """e^z E_s(z) = 1 / (b_0 + a_1/(b_1 + a_2/(b_2 + ...))), b_i = z + s + 2i,
     a_i = -i(i - 1 + s): the continued fraction for Gamma(1-s, z) e^z z^{s-1},
-    evaluated bottom-up, t <- a_i/(b_i + t) from t = 0 at i = _cf_depth(s, z),
-    so no step tests convergence.  Every element of an ndarray runs at its
-    own depth: sorted deepest first, step i updates the prefix whose depth
-    is at least i, so an element's bits do not depend on its batch.  It
-    loses digits to rounding, at any depth, where Re s is large and negative
-    and |z| small (about 1e-11 at s = -8.5 and 1e-7 at s = -12.5 for
-    |z| = 2, no digits left at s = -20.5)."""
-    depth = _cf_depth(s, z)
-    c = 1.0 - s  # a_i = i (c - i)
+    evaluated bottom-up, t <- a_i/(b_i + t) from t = 0 at i = order.depth(z),
+    so no step tests convergence, with the a_i read from the order.  Every
+    element of an ndarray runs at its own depth: sorted deepest first, step
+    i updates the prefix whose depth is at least i, so an element's bits do
+    not depend on its batch.  It loses digits to rounding, at any depth,
+    where Re s is large and negative and |z| small (about 1e-11 at s = -8.5
+    and 1e-7 at s = -12.5 for |z| = 2, no digits left at s = -20.5)."""
+    s = order.s
+    depth = order.depth(z)
     if isinstance(z, complex):
         b = z + (s + 2 * depth)
         t = 0.0
-        for i in range(depth, 0, -1):
-            t = i * (c - i) / (b + t)
+        for a in order.numerators(depth)[depth:0:-1]:
+            t = a / (b + t)
             b = b - 2.0
         return 1.0 / (b + t)
     # one depth for the whole batch (a terminating order, or a row's floor)
     # needs no sort
     top = int(depth.max())
-    order = None if depth.min() == top else np.argsort(-depth, kind="stable")
-    if order is None:
+    nums = order.numerators(top)
+    rank = None if depth.min() == top else np.argsort(-depth, kind="stable")
+    if rank is None:
         b = z + (s + 2 * top)
     else:
-        depth, z = depth[order], z[order]
+        depth, z = depth[rank], z[rank]
         b = z + (s + 2.0 * depth)
     t = np.zeros_like(b)
     tmp = np.empty_like(b)
@@ -316,19 +352,20 @@ def _exp_int_cf(s: complex, z):
     for i in range(top, 0, -1):
         n += joining[i]
         np.add(b[:n], t[:n], out=tmp[:n])
-        np.divide(i * (c - i), tmp[:n], out=t[:n])
+        np.divide(nums[i], tmp[:n], out=t[:n])
         b[:n] -= 2.0
-    if order is None:
+    if rank is None:
         return 1.0 / (b + t)
     out = np.empty_like(b)
-    out[order] = 1.0 / (b + t)
+    out[rank] = 1.0 / (b + t)
     return out
 
 
-def _exp_int_asymptotic(s: complex, z):
+def _exp_int_asymptotic(order: ExpIntOrder, z):
     """e^z E_s(z) ~ 1/z sum_k (-1)^k (s)_k / z^k, for large |z|, by Horner's
     rule over the terms k <= K, with K where the terms at the smallest |z|
     stop falling or drop below 1e-17; at every larger |z| they fall faster."""
+    s = order.s
     z_min = abs(z) if isinstance(z, complex) else float(np.abs(z).min())
     k, term = 0, 1.0
     while term >= 1e-17 and k < 199:
@@ -344,13 +381,13 @@ def _exp_int_asymptotic(s: complex, z):
     return inv_z * acc
 
 
-def _exp_int(s, z, scaled: bool):
-    """E_s(z), or e^z E_s(z) if scaled, for exp_int_E and exp_int_E_scaled:
-    the power series gives E_s, the other two methods e^z E_s, and each is
-    multiplied by e^{-z} or e^z only where the caller asks for the other."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError("E_s(z) needs a finite order s")
+def _exp_int(order, z, scaled: bool):
+    """E_s(z), or e^z E_s(z) if scaled, for exp_int_E and exp_int_E_scaled,
+    with order an ExpIntOrder or a number s: the power series gives E_s, the
+    other two methods e^z E_s, and each is multiplied by e^{-z} or e^z only
+    where the caller asks for the other."""
+    if not isinstance(order, ExpIntOrder):
+        order = ExpIntOrder(order)
     # np.ndim(z) would build an array from a Python scalar, about 1.5 us a
     # call; getattr reads the same number (0 for scalars) in 40 ns
     if not getattr(z, "ndim", 0):
@@ -369,12 +406,12 @@ def _exp_int(s, z, scaled: bool):
         # |z| = 40, where the asymptotic series takes over
         if z.real > 0 or abs(z.imag) > -z.real:
             if az >= (_CF_RADIUS if z.real > 0 else _OFF_CUT_SERIES_RADIUS):
-                value = _exp_int_cf(s, z)
+                value = _exp_int_cf(order, z)
                 return value if scaled else cmath.exp(-z) * value
         elif az >= _ASYMPTOTIC_RADIUS:
-            value = _exp_int_asymptotic(s, z)
+            value = _exp_int_asymptotic(order, z)
             return value if scaled else cmath.exp(-z) * value
-        value = _exp_int_series(s, z)
+        value = _exp_int_series(order, z)
         return cmath.exp(z) * value if scaled else value
     z = np.asarray(z, dtype=complex) + 0j
     shape = z.shape
@@ -403,9 +440,9 @@ def _exp_int(s, z, scaled: bool):
     out = np.empty_like(z)
     for mask, method in methods:
         if mask.all():
-            out = method(s, z)
+            out = method(order, z)
         elif mask.any():
-            out[mask] = method(s, z[mask])
+            out[mask] = method(order, z[mask])
     # out holds E_s on the series' points and e^z E_s elsewhere; a product,
     # not *=, whose complex loop rounds by the array's size
     rows = series if scaled else ~series
@@ -418,17 +455,21 @@ def _exp_int(s, z, scaled: bool):
 
 def exp_int_E_scaled(s, z):
     """e^z E_s(z), with E_s the generalized exponential integral on the
-    principal branch (exp_int_E); z is a scalar (complex returned) or an
-    ndarray (an ndarray of its shape).  It behaves like 1/z for large |z|,
-    and has no OverflowError: the contour remainder and the one-dimensional
-    remainder's head take their exponentials from it separately."""
+    principal branch (exp_int_E); s is a number or an ExpIntOrder, z a
+    scalar (complex returned) or an ndarray (an ndarray of its shape).  It
+    behaves like 1/z for large |z|, and has no OverflowError: the contour
+    remainder and the one-dimensional remainder's head take their
+    exponentials from it separately."""
     return _exp_int(s, z, True)
 
 
 def exp_int_E(s, z):
     """Generalized exponential integral E_s(z) on the principal branch; z is
     a scalar (complex returned) or an ndarray (an ndarray of its shape):
-    e^{-z} exp_int_E_scaled(s, z).
+    e^{-z} exp_int_E_scaled(s, z).  s is a number or an ExpIntOrder: a sum
+    that evaluates one order at many z builds the order once and passes it
+    to every call, which then skips the order's check, its depth row and
+    the continued fraction's numerators; the values are bitwise the same.
 
     The negative real axis is the continuous extension from Im z > 0.  One
     rule picks the method for each point.  Near the cut (Re z <= 0 and
@@ -469,25 +510,31 @@ def exp_int_E(s, z):
     continued fraction 1e-11 at s = -8.5 and no correct digit at
     s = -20.5.
 
-    DomainError if s or any element is not finite or an element is 0,
-    OverflowError if any has Re z < -700.
+    DomainError if s or any element is not finite or an element is 0 (for
+    an ExpIntOrder, s is checked when it is built), OverflowError if any
+    has Re z < -700.
     """
     return _exp_int(s, z, False)
 
 
 def exp_int_E_orders(s, z, count: int) -> list:
-    """[E_s(z), E_{s-1}(z), ..., E_{s-count+1}(z)]; z is a scalar or an
-    ndarray, as for exp_int_E, and so is each entry.
+    """[E_s(z), E_{s-1}(z), ..., E_{s-count+1}(z)], count >= 1 entries; s is
+    a number or an ExpIntOrder and z a scalar or an ndarray, as for
+    exp_int_E, and so is each entry.
 
     E_s(z) is one exp_int_E call; each lower order comes from the one above
     by the recurrence E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).
     Against mpmath on 600 random points with |arg z| < 1.5, |z| in
     [0.02, 45], Re s in [-3, 4] and |Im s| <= 2, the ten orders below s are
-    within 3.2e-13 relative, twice the worst of E_s itself there (1.7e-13)."""
-    s = complex(s)
+    within 3.2e-13 relative, twice the worst of E_s itself there (1.7e-13).
+    ValueError if count < 1."""
+    if count < 1:
+        raise ValueError(f"exp_int_E_orders needs count >= 1, got {count}")
+    order = s if isinstance(s, ExpIntOrder) else ExpIntOrder(s)
     if not getattr(z, "ndim", 0):
         z = complex(z)
-    rows = [exp_int_E(s, z)]
+    rows = [exp_int_E(order, z)]
+    s = order.s
     ez = _lib(z).exp(-z)
     for j in range(1, count):
         rows.append((ez - (s - j) * rows[-1]) / z)

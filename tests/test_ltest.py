@@ -450,6 +450,40 @@ def test_limit_makes_one_kernel_call_per_n(J, Jsq, monkeypatch, m):
         assert 0 < len(calls) == direct, f.label
 
 
+def test_one_order_object_per_sum(J, monkeypatch):
+    """Each phi_s^w sum prepares its order once: l_value, l_star and the
+    limit's whole ladder on J build one ExpIntOrder each, and every kernel
+    call of the sum is handed that object; a harmonic form's l_value builds
+    one more, for its non-holomorphic sum."""
+    built, handed = [], []
+
+    class Counting(specfun.ExpIntOrder):
+        __slots__ = ()
+
+        def __init__(self, s):
+            built.append(complex(s))
+            super().__init__(s)
+
+    kernel = specfun.exp_int_E
+
+    def counting(s, z):
+        handed.append(s)
+        return kernel(s, z)
+
+    monkeypatch.setattr(specfun, "ExpIntOrder", Counting)
+    monkeypatch.setattr(specfun, "exp_int_E", counting)
+    for call in (lambda: l_value(J, PhiSW(0.5, 0.3 + 0.9j)), lambda: l_star(J, 0.7),
+                 lambda: l_value_limit(J, 1)):
+        built.clear()
+        handed.clear()
+        call()
+        assert len(built) == 1 and len(handed) == 12
+        assert all(type(s) is Counting for s in handed) and len(set(map(id, handed))) == 1
+    built.clear()
+    l_value(synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}), PhiSW(0.5, 1.3 + 0.9j))
+    assert built == [0.5 + 0j, 0.5 + 0j]
+
+
 @pytest.mark.parametrize("name", ["J", "km2"])
 def test_weakly_holomorphic_limit_skips_nonholo_part(J, monkeypatch, name):
     f = {"J": J, "km2": SYNTH_KM2}[name]

@@ -74,7 +74,12 @@ def test_kernel_timings():
     assert [kernels.count(k) for k in ("lerch_sum", "eval_at", "integrate_segment",
                                        "segment_pairing", "exp_int_E", "hurwitz_zeta",
                                        "digamma", "r_remainder", "remainder_grid", "l_value",
-                                       "l_value_limit")] == [18, 9, 1, 2, 2, 2, 1, 4, 2, 1, 3]
+                                       "l_star", "l_value_limit")] == [
+        18, 9, 1, 2, 3, 2, 1, 4, 2, 2, 1, 3]
+    assert [row.split()[1] for row in rows if row.startswith("exp_int_E")] == [
+        "scalar", "scalar/order", "vector"]
+    assert [row.split()[1] for row in rows if row.startswith(("l_value ", "l_star"))] == [
+        "hB", "J", "J/s=0.5"]
     assert [row.split()[1] for row in rows if row.startswith("segment_pairing")] == [
         "J/lerch/cold", "J/lerch/warm"]
     assert [row.split()[1] for row in rows if row.startswith("l_value_limit")] == [

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maassl import specfun
-from maassl.specfun import (DomainError, bernoulli_number, bernoulli_poly,
-                            cal_EI, digamma, exp_int_E, hurwitz_zeta,
-                            hurwitz_zeta_star, inc_gamma_upper, lerch_zeta,
-                            polygamma, upper_gamma_int)
+from maassl.specfun import (DomainError, SpecFunError, bernoulli_number,
+                            bernoulli_poly, cal_EI, digamma, exp_int_E,
+                            hurwitz_zeta, hurwitz_zeta_star, inc_gamma_upper,
+                            lerch_zeta, polygamma, upper_gamma_int)
 
 try:
     import mpmath
@@ -70,8 +70,9 @@ def test_exp_int_array_shape_and_overflow():
     # each point of a continued-fraction batch runs at its own depth: a
     # shallow point (|z| = 38) beside a deep one (|z| = 2.1, arg 1.5)
     zs = np.array([cmath.rect(38.0, 0.3), cmath.rect(2.1, 1.5), cmath.rect(38.0, -2.0)])
-    depths = specfun._cf_depth(0.5 + 0j, zs)
-    assert depths.tolist() == [specfun._cf_depth(0.5 + 0j, complex(z)) for z in zs]
+    order = specfun.ExpIntOrder(0.5)
+    depths = order.depth(zs)
+    assert depths.tolist() == [order.depth(complex(z)) for z in zs]
     assert depths[1] > 4 * depths[0]
     for z, v in zip(zs, exp_int_E(0.5, zs)):
         assert v == pytest.approx(exp_int_E(0.5, complex(z)), rel=1e-13)
@@ -91,6 +92,99 @@ def test_exp_int_rejects_non_finite():
                  (0.5, np.array([[3.0, 50.0], [1.0, complex(inf, 0.0)]]))):
         with pytest.raises(DomainError):
             exp_int_E(s, z)
+
+
+def _bits(kernel, *args):
+    """The hex of every element kernel(*args) returns, or the name of the
+    exception it raises (large orders overflow the power series' lead)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.ravel(kernel(*args))
+    except (ArithmeticError, SpecFunError) as exc:
+        return type(exc).__name__
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+# (order, z) on every branch of exp_int_E: the continued fraction in both
+# half-planes, the power series off the cut (Re z > 0 and Re z <= 0) and on
+# it, within 1/8 of a positive integer order, the asymptotic series, the
+# terminating orders s <= 0, and real z with either signed zero
+_BRANCH_ORDERS = (0.5, -1.5, 2.5 + 1j, 3j, 12, 200, 3.0001, 2.95, 2, 1, 0, -2, -5)
+_BRANCH_POINTS = (3 + 1j, 30 - 2j, 2.1j + 0.05, 900 + 50j, -3 + 7j, -40 + 41j, 1 + 0.5j,
+                  0.3 - 1.2j, -2 + 3j, -5 + 1j, -2 * math.pi + 0.4j, -30 - 20j,
+                  -45 + 3j, -300 - 1j, 3.0, 0.7, -1.0, complex(-1.0, -0.0), -50.0)
+
+
+def test_exp_int_order_object_keeps_bits():
+    """exp_int_E, exp_int_E_scaled and exp_int_E_orders give the same bits
+    for an ExpIntOrder as for the plain order, for a scalar and an ndarray
+    z, with one object reused over every point: its numerators, extended
+    by the deepest point so far, serve every shallower one."""
+    zs = np.array(_BRANCH_POINTS)
+    assert math.copysign(1.0, zs[-2].imag) == -1.0
+    for s in _BRANCH_ORDERS:
+        order = specfun.ExpIntOrder(s)
+        assert order.s == complex(s)
+        for kernel in (exp_int_E, specfun.exp_int_E_scaled):
+            for z in list(_BRANCH_POINTS) + [zs]:
+                got = _bits(kernel, order, z)
+                assert got == _bits(kernel, s, z), (s, z, kernel.__name__)
+                assert got != "DomainError"
+        for z in (_BRANCH_POINTS[0], _BRANCH_POINTS[6], zs[:4]):
+            got = _bits(lambda *a: np.stack(specfun.exp_int_E_orders(*a)), order, z, 4)
+            assert got == _bits(lambda *a: np.stack(specfun.exp_int_E_orders(*a)), s, z, 4), s
+
+
+def _cf_inline(s: complex, z: complex, depth: int) -> complex:
+    """The scalar continued fraction with each numerator i (c - i) computed
+    inside the loop, as exp_int_E did before ExpIntOrder kept them."""
+    c = 1.0 - s
+    b = z + (s + 2 * depth)
+    t = 0.0
+    for i in range(depth, 0, -1):
+        t = i * (c - i) / (b + t)
+        b = b - 2.0
+    return 1.0 / (b + t)
+
+
+def test_exp_int_cf_matches_inline_numerators():
+    """The continued fraction over an order's kept numerators has the bits
+    of the loop that computes them, whichever order the depths come in."""
+    zs = [complex(z) for z in _BRANCH_POINTS if _in_cf_region(complex(z))]
+    assert len(zs) == 7
+    # orders with full mantissas, where a regrouped numerator rounds apart
+    for s in map(complex, _BRANCH_ORDERS + (math.pi - 2, complex(1 / 3, -math.e))):
+        for points in (zs, zs[::-1]):
+            order = specfun.ExpIntOrder(s)
+            for z in points:
+                want = _cf_inline(s, z, order.depth(z))
+                got = specfun._exp_int_cf(order, z)
+                assert [got.real.hex(), got.imag.hex()] == [
+                    want.real.hex(), want.imag.hex()], (s, z)
+
+
+def test_exp_int_order_object_errors():
+    """A non-finite order fails when its object is built; the object's
+    calls keep exp_int_E's OverflowError and DomainError on z."""
+    for s in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            specfun.ExpIntOrder(s)
+    order = specfun.ExpIntOrder(1)
+    with pytest.raises(OverflowError):
+        exp_int_E(order, -701.0)
+    with pytest.raises(OverflowError):
+        exp_int_E(order, np.array([1.0, -701.0 + 1j]))
+    assert cmath.isfinite(specfun.exp_int_E_scaled(order, -800.0 + 900j))
+    with pytest.raises(DomainError):
+        exp_int_E(order, 0.0)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_exp_int_E_orders_needs_one_order(count):
+    with pytest.raises(ValueError):
+        specfun.exp_int_E_orders(0.5, 3.0, count)
+    with pytest.raises(ValueError):
+        specfun.exp_int_E_orders(specfun.ExpIntOrder(0.5), np.array([3.0, 4j]), count)
 
 
 def test_cal_EI_vs_E1():
@@ -533,8 +627,9 @@ def test_cf_depth_covers_lentz():
               0.5 - 7j, -20 - 4j, 15 + 8j]
     margins = []
     for s in map(complex, orders):
+        order = specfun.ExpIntOrder(s)
         for z in zs:
-            margin = specfun._cf_depth(s, z) - _cf_steps_needed(s, z)
+            margin = order.depth(z) - _cf_steps_needed(s, z)
             assert margin >= 0, (s, z, margin)
             if not (s.imag == 0 and s.real <= 0 and s.real.is_integer()):
                 margins.append((margin, s, z))
