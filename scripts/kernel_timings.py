@@ -105,7 +105,7 @@ def cases():
         for shape in ("one_dim", "double_integral"):
             yield ("r_remainder", f"{name}/{shape}", 1,
                    lambda f=f, shape=shape: r_remainder(f, 1.0, 0.5 + 1j, shape))
-    count = contour._remainder_terms(1.0, 1.0)
+    count = specfun.tail_extent(1.0, 0.0)  # the remainder's m < M at s = 1, Im w = 1
     for name, f in harmonic.items():
         integrand = contour._remainder_integrand(f, 1.0, 0.5 + 1j)
         yield ("remainder_grid", f"{name}/48x{count}", 48,

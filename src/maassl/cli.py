@@ -79,9 +79,6 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_lvalue(args) -> int:
     form = resolve_form(args.form)
-    if args.star:
-        _print_value(ltest.l_star(form, float(args.s)))
-        return 0
     phi = ltest.PhiSW(float(args.s), _parse_complex(args.w))
     _print_value(ltest.l_value(form, phi).value)
     return 0
@@ -130,9 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lvalue", help="evaluate an L-value")
     p.add_argument("form")
     p.add_argument("--s", required=True)
-    p.add_argument("--w", default="0,0")
-    p.add_argument("--star", action="store_true",
-                   help="compute L*(f, s) (the w = 0 series)")
+    p.add_argument("--w", default="0,0", help="w; the default 0 gives L*(f, s)")
     p.set_defaults(run=_cmd_lvalue)
 
     p = sub.add_parser("verify", help="run the identity verification suite")

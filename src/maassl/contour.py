@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +23,6 @@ from .quadrature import (CACHED_LEVELS, DEFAULT_QUAD, integrate_decaying,
 from .specfun import lerch_sum
 
 TWO_PI = 2.0 * math.pi
-
-# the double-integral remainder's m-sum stops once a bound on the rest is at
-# most 2^-55 of its leading term, as the phi_s^w series does
-_TAIL_CUT = 2.0 ** -55
 
 
 class RegimeError(ValueError):
@@ -78,9 +73,11 @@ def ray_integral_bend(a: float, w, T: float) -> complex:
     """int_i^{i+T} e^{iwz} z^{a-1} dz plus its tail, converging to i^a E_{1-a}(w).
 
     Valid for Im(w) > 0 with any real a, or for real w > 0 with a < 0.
-    The tail, the integration-by-parts asymptotic of the i+T..i+infinity
-    piece, is added; at a = 0.5, w = 0.1i the sum is 1.0e-5, 3.3e-10 and
-    2.5e-16 relative off i^a E_{1-a}(w) at T = 50, 100 and 200.
+    For Im w > 0 it stops at t = min(T, tail_extent(Im w, max(0, a-1))), as
+    1 <= |i + t| <= 1 + t.  Where it reaches T, the tail, the integration-
+    by-parts asymptotic of the i+T..i+infinity piece, is added; at a = 0.5,
+    w = 0.1i the sum is 1.0e-5, 3.3e-10 and 2.5e-16 relative off
+    i^a E_{1-a}(w) at T = 50, 100 and 200.
     """
     w = complex(w)
     if not (w.imag > 0 or (w.imag == 0 and w.real > 0 and a < 0)):
@@ -92,10 +89,9 @@ def ray_integral_bend(a: float, w, T: float) -> complex:
         z = 1j + t
         return np.exp(1j * w * z) * z ** (a - 1.0)
 
-    # effective truncation: past the decay scale the integrand is negligible
     t_stop = T
     if w.imag > 0:
-        t_stop = min(T, 45.0 / w.imag + 5.0)
+        t_stop = min(T, specfun.tail_extent(w.imag, max(0.0, a - 1.0)))
     value = integrate_decaying(g, 0.0, t_stop).value
     if t_stop == T:
         z0 = 1j + T
@@ -152,9 +148,8 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
         int_1^inf t^{s-k} e^{-alpha t} dt = E_{k-s}(alpha),
         alpha = 4 pi p - i(z+m)(w - 2 pi p),
     for xi-coefficient p and Lerch index m, leaving one segment quadrature
-    over z (``_remainder_integrand``).  The Lerch sum takes m < M, M the
-    first count whose tail bound is at most 2^-55 of the leading term
-    (``_remainder_terms``): 39 at s = 1, Im w = 1.  The two shapes agree
+    over z (``_remainder_integrand``), whose Lerch sum takes the m < M of
+    lerch_sum(s - 1, w, .): 39 at s = 1, Im w = 1.  The two shapes agree
     wherever both are defined.  Both need
     Re w > -2 pi min|n|, where the t-integrals converge, and raise
     RegimeError otherwise.
@@ -190,30 +185,13 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
     raise ValueError(f"unknown remainder form {form!r}")
 
 
-@lru_cache(maxsize=64)
-def _remainder_terms(re_s: float, im_w: float) -> int:
-    """M, the Lerch terms m < M of the double-integral remainder: the first M
-    whose tail bound is at most 2^-55 of the leading term (``_TAIL_CUT``).
-
-    On Im z = 1, |z+m| <= (1+m)|z|, and |E_{k-s}(alpha)| = e^{-Re alpha}
-    |e^alpha E_{k-s}(alpha)| with Re alpha growing by Im w per m and the
-    scaled factor, about 1/alpha, taken as no larger than at m = 0.  So term
-    m is at most b_m = e^{-m Im w} (1+m)^q, q = max(0, Re s - 1), times the
-    leading term, and the terms from M sum to at most b_M / (1 - rho), with
-    rho = e^{-Im w} (1 + 1/(1+M))^q bounding every later b_{j+1}/b_j."""
-    q = max(0.0, re_s - 1.0)
-    # below this m even e^{-m Im w} alone is above the cut
-    m = math.floor(-math.log(_TAIL_CUT) / im_w)
-    while True:
-        rho = math.exp(-im_w) * (1.0 + 1.0 / (1 + m)) ** q
-        if rho < 1 and math.exp(-m * im_w) * (1 + m) ** q <= _TAIL_CUT * (1 - rho):
-            return m
-        m += 1
-
-
 def _remainder_integrand(f: FourierExpansion, s: float, w: complex):
     """The double-integral remainder's integrand over z (``r_remainder``),
     an ndarray function of the nodes.
+
+    Its Lerch sum takes m < M = tail_extent(Im w, max(0, Re s - 1)): on
+    Im z = 1, |z+m| <= (1+m)|z|, and Re alpha grows by Im w per m, with
+    e^alpha E_{k-s}(alpha), about 1/alpha, taken as no larger than at m = 0.
 
     Each xi-coefficient p gives alpha = A + B(z+m), A = 4 pi p,
     B = -i(w - 2 pi p), on the N x M grid of nodes z and m < M, and
@@ -224,7 +202,7 @@ def _remainder_integrand(f: FourierExpansion, s: float, w: complex):
     order k - s (``specfun.ExpIntOrder``)."""
     k = f.weight
     xi_f = xi_image(f, conjugate_first=True)
-    count = _remainder_terms(complex(s).real, w.imag)
+    count = specfun.tail_extent(w.imag, max(0.0, complex(s).real - 1.0))
     m = np.arange(count)
     phase = specfun.lerch_phases(w, count)
     coeffs = [(c, 4 * math.pi * p, -1j * (w - TWO_PI * p)) for p, c in xi_f.holo.items()]

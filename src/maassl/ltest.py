@@ -10,9 +10,10 @@ compactly supported restrictions of holomorphic seeds.
 
 Each pairing done by quadrature integrates phi against a partner growing like
 e^{c_inf t} as t -> infinity and e^{c_0/t} as t -> 0, over phi.window(c_inf,
-c_0): the finite interval outside which the product is negligible.  The
-partner may be vector-valued: the Laplace transform of a test function
-without a closed form takes every requested u in one quadrature.
+c_0): the finite interval outside which the product integrates to at most
+TAIL_CUT of its lead (``specfun.tail_extent``).  The partner may be
+vector-valued: the Laplace transform of a test function without a closed
+form takes every requested u in one quadrature.
 
 For phi_s^w the holomorphic sum stops where a rigorous bound on all the
 remaining stored terms falls below the sum's rounding, and the reported
@@ -32,11 +33,10 @@ import numpy as np
 from . import specfun
 from .modforms import FourierExpansion
 from .quadrature import SegmentIntegral, integrate_decaying
+from .specfun import TAIL_CUT
 
 TWO_PI = 2.0 * math.pi
 
-# e^{-46} is comfortably below every tolerance used here
-_DECAY_BUDGET = 46.0
 # the largest finite exponential's exponent, log(DBL_MAX)
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -50,9 +50,6 @@ _TAYLOR = np.ones((_LIMIT_LEVELS, _SHIFT_TERMS), dtype=complex)
 _TAYLOR[:, 1:] = 1j * (_LIMIT_X0 - _LIMIT_XS)[:, None] / np.arange(1, _SHIFT_TERMS)
 _TAYLOR = np.cumprod(_TAYLOR, axis=1)
 
-# the phi_s^w series stops once its remaining terms provably sum to at most
-# 2^-55 of the partial sum, under half an ulp of it
-_TAIL_CUT = 2.0 ** -55
 # exp_int_E's relative accuracy on the orders and arguments the series uses
 # (its docstring; test_exp_int_E_ladder_vs_mpmath)
 _KERNEL_ACCURACY = 2e-12
@@ -82,14 +79,14 @@ class PhiSW:
         return out
 
     def window(self, c_inf: float, c_0: float) -> tuple[float, float]:
-        """[1, t1], with phi times e^{c_inf t} below e^{-50} of its t = 1
-        value past t1; needs Re w > c_inf."""
+        """[1, 1 + tail_extent(rate, max(0, Re s - 1))], rate = Re w - c_inf > 0:
+        |phi| e^{c_inf t} is e^{-rate u} (1+u)^{Re s - 1} of its t = 1 value."""
         rate = complex(self.w).real - c_inf
         if rate <= 0:
             raise AdmissibilityError(
                 f"phi_s^w pairing needs Re(w) > {c_inf:.4g}, "
                 f"got {complex(self.w).real:.4g}")
-        return 1.0, 1.0 + (_DECAY_BUDGET + 4) / rate
+        return 1.0, 1.0 + specfun.tail_extent(rate, max(0.0, complex(self.s).real - 1.0))
 
     def laplace(self, u) -> complex:
         """(L phi_s^w)(u) = E_{1-s}(u + w), continuous from above on the cut."""
@@ -110,14 +107,16 @@ class FrickePhiSW:
             raise ValueError("level M must be a positive integer")
 
     def window(self, c_inf: float, c_0: float) -> tuple[float, float]:
-        """(lo, 1/M); below lo, phi times e^{c_0/t} is under e^{-46} of its
-        value at t = 1/M.  Needs r = Re w - M c_0 > 0."""
+        """(1/(M(1 + tail_extent(r, q))), 1/M], r = Re w - M c_0 > 0,
+        q = max(0, Re s + a - 3): at v = 1/(Mt) = 1 + u, |phi| e^{c_0/t} dt
+        = e^{-r v} v^{Re s + a - 3} dv/M."""
         r = complex(self.w).real - self.M * c_0
         if r <= 0:
             raise AdmissibilityError(
                 f"Fricke-transformed phi_s^w needs Re(w) > {self.M * c_0:.4g} "
                 f"near t = 0, got {complex(self.w).real:.4g}")
-        return max(1e-12, r / (self.M * (r + _DECAY_BUDGET))), 1.0 / self.M
+        q = max(0.0, complex(self.s).real + self.a - 3.0)
+        return 1.0 / (self.M * (1 + specfun.tail_extent(r, q))), 1.0 / self.M
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -257,7 +256,7 @@ def _holo_terms(f: FourierExpansion, phi):
 
     For phi_s^w the sum stops at the first n_i > 0 whose tail bound
     e^{-x_i}/(x_i - p) G_i (``FourierExpansion.tail_log_weights``) is at most
-    2^-55 of the partial sum, with x = 2 pi n + Re w, p = max(0, Re s - 1):
+    TAIL_CUT of the partial sum, with x = 2 pi n + Re w, p = max(0, Re s - 1):
     |E_{1-s}(z)| <= e^{-x}/(x - p) for x > p, as t^p <= e^{p(t-1)} on
     [1, inf), and every later x_m exceeds x_i.  A sum that uses every
     stored term skipped nothing, so its estimate is the kernels' accuracy.
@@ -275,7 +274,7 @@ def _holo_terms(f: FourierExpansion, phi):
         a = f.holo[n]
         if can_cut and n > 0 and holo:
             x = TWO_PI * n + re_w
-            limit = _TAIL_CUT * abs(holo)
+            limit = TAIL_CUT * abs(holo)
             # the weights are read once the term's own bound (part of the
             # tail's; hypot, unlike abs, overflows to inf) is below the cut
             if x > p and math.hypot(a.real, a.imag) * math.exp(-x) / (x - p) <= limit:
@@ -428,7 +427,7 @@ def l_value_limit(f: FourierExpansion, s):
     product (``_ladder_holo``), within 8.1e-16 of mpmath; on J and J^2 the
     limit costs about two l_value calls.
     The cut tests level 0's partial sum, but its tail bound depends on w only
-    through Re w = 0: it bounds every level's skipped tail by 2^-55 of that
+    through Re w = 0: it bounds every level's skipped tail by TAIL_CUT of that
     sum, below rounding as sum_j |c_j| = prod_i (2^i+1)/(2^i-1) = 8.13 < 9 for
     the tableau's weights.  A non-holomorphic part is the closed form of
     ``_nonholo_part`` at each level, one kernel call per n and level; a

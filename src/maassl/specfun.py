@@ -6,10 +6,14 @@ real axis are treated as limits from the upper half-plane, so Log(-x) carries
 +i*pi for x > 0.  All functions are pure; the only internal state is a
 read-only cache of Bernoulli numbers.  An ExpIntOrder, which a caller
 builds for one sum, extends its own list of numerators as it is used.
+One truncation rule holds here, in ltest and in contour: every series and
+decay window stops where a proven bound on what it drops is at most
+TAIL_CUT = 2^-55 of its lead; ``tail_extent`` gives every tail's extent.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -18,6 +22,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
+
+TAIL_CUT = 2.0 ** -55  # a quarter of the unit roundoff
 
 MAX_BERNOULLI = 64
 
@@ -83,6 +89,26 @@ def _reject_poles(z, message: str) -> None:
     """Raise DomainError if any element of z is a non-positive integer."""
     if np.any((z.imag == 0) & (z.real <= 0) & (np.abs(z.real - np.round(z.real)) < 1e-12)):
         raise DomainError(message)
+
+
+@lru_cache(maxsize=256)
+def tail_extent(lam: float, q: float, c: float = 0.0) -> int:
+    """The first M with e^c b_M/(1 - rho) <= TAIL_CUT and rho = b_{M+1}/b_M < 1,
+    b_u = e^{-lam u} (1+u)^q, finite lam > 0, q, c >= 0 (else DomainError).
+    The ratios fall with m, so this bounds e^c sum_{m>=M} b_m; b_u rises only
+    up to u = q/lam - 1, and b_M < b_0 = 1, so it falls from M and this also
+    bounds e^c int_M^inf b_u du."""
+    if not (0 < lam < math.inf and 0 <= q < math.inf and 0 <= c < math.inf):
+        raise DomainError(f"tail_extent needs finite lam > 0, q >= 0, c >= 0, got {lam}, {q}, {c}")
+
+    def enough(m: int) -> bool:
+        rho = math.exp(q * math.log1p(1 / (1 + m)) - lam)
+        return rho < 1 and c + q * math.log1p(m) - lam * m <= math.log(TAIL_CUT * (1 - rho))
+
+    lo, step = int((c - math.log(TAIL_CUT)) / lam), 1  # e^c b_lo >= TAIL_CUT: lo fails
+    while not enough(lo + step):
+        lo, step = lo + step, 2 * step
+    return bisect.bisect_left(range(lo + step + 1), True, lo=lo + 1, key=enough)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +191,10 @@ def _lib(z):
 
 
 def _series_terms(r: int) -> int:
-    """The first k > r + 4 at which r^k / k! < 1e-17."""
+    """The first K > r + 4 with r^K/K! (K+1)/(K+1-r) <= TAIL_CUT, a bound on
+    sum_{k>=K} |z|^k/k! at |z| <= r, whose ratios are at most r/(K+1)."""
     k, term = 0, 1.0
-    while k <= r + 4 or term >= 1e-17:
+    while k <= r + 4 or term * (k + 1) / (k + 1 - r) > TAIL_CUT:
         k += 1
         term *= r / k
     return k
@@ -176,8 +203,8 @@ def _series_terms(r: int) -> int:
 # _exp_int_series's term count for each ceil(|z|) it can be given
 _SERIES_TERMS = [_series_terms(r) for r in range(int(_ASYMPTOTIC_RADIUS) + 1)]
 # terms of log G that _exp_int_series sums within 1/8 of a positive integer
-# order: (1/8)^19 = 2^-57
-_NEAR_TERMS = 19
+# order: the first k with (1/8)^k <= TAIL_CUT, 19
+_NEAR_TERMS = math.ceil(math.log(TAIL_CUT) / math.log(0.125))
 
 # _exp_int_cf's depth max(F, A/u + B), u = (|z| + Re z)/2 = |z| cos^2(arg z / 2),
 # with (A, B, F) from the first row whose edge is at least |s|.  Each row is
@@ -262,7 +289,7 @@ def _exp_int_series(order: ExpIntOrder, z):
     """E_s(z) by the everywhere-convergent continuation formula
     lead - sum_{k != skip} (-z)^k / (k! (1-s+k)), by Horner's rule over the
     terms k < K = _SERIES_TERMS[r], r = ceil(|z|) of the largest |z|: the
-    first k > r + 4 at which r^k / k! < 1e-17.
+    dropped |z|^k/k! sum to at most TAIL_CUT, each over |1-s+k| >= 1/8.
 
     Within 1/8 of an integer n >= 1, with e = n - s:
     lead - (-z)^{n-1}/((n-1)! e), the lead and the term k = n-1 taken
@@ -279,8 +306,8 @@ def _exp_int_series(order: ExpIntOrder, z):
     n = round(s.real)
     e = n - s
     if n >= 1 and abs(e) < 0.125:
-        # Horner over the c_k whose |e|^k stays above 2^-56 (c_1 alone at e = 0)
-        k = min(_NEAR_TERMS, math.ceil(56 / -math.log2(abs(e)))) if e else 1
+        # Horner over the c_k whose |e|^k stays above TAIL_CUT (c_1 alone at e = 0)
+        k = min(_NEAR_TERMS, math.ceil(math.log(TAIL_CUT) / math.log(abs(e)))) if e else 1
         h = reduce(lambda acc, c: acc * e + c, _log_g_coeffs(n)[-k:], 0j) - lib.log(z)
         # e^x - 1 = 2 e^{x/2} sinh(x/2), without cancellation at small x
         pair = 2 * lib.exp(e * h / 2) * lib.sinh(e * h / 2) / e if e else h
@@ -309,7 +336,7 @@ def _log_g_coeffs(n: int) -> list:
     first, k <= _NEAR_TERMS: log Gamma(1+e) = -gamma e + sum_{k>=2} (-1)^k
     zeta(k) e^k/k and -log(1 - e/j) = sum_k (e/j)^k/k, so c_1 = psi(n) and
     c_k = ((-1)^k zeta(k) + sum_{j<n} j^-k)/k.  The series converges for
-    |e| < 1; at |e| < 1/8 its terms fall below 2^-56 by k = _NEAR_TERMS."""
+    |e| < 1; at |e| < 1/8, |e|^k falls below TAIL_CUT by k = _NEAR_TERMS."""
     high = [((-1) ** k * _hurwitz_em(complex(k), 1.0).real + sum(j ** -k for j in range(1, n))) / k
             for k in range(_NEAR_TERMS, 1, -1)]
     return high + [-EULER_GAMMA + sum(1.0 / j for j in range(1, n))]
@@ -363,12 +390,12 @@ def _exp_int_cf(order: ExpIntOrder, z):
 
 def _exp_int_asymptotic(order: ExpIntOrder, z):
     """e^z E_s(z) ~ 1/z sum_k (-1)^k (s)_k / z^k, for large |z|, by Horner's
-    rule over the terms k <= K, with K where the terms at the smallest |z|
-    stop falling or drop below 1e-17; at every larger |z| they fall faster."""
+    rule over the terms k <= K, K where the terms at the smallest |z| stop
+    falling or drop below TAIL_CUT (no proven bound: the series diverges)."""
     s = order.s
     z_min = abs(z) if isinstance(z, complex) else float(np.abs(z).min())
     k, term = 0, 1.0
-    while term >= 1e-17 and k < 199:
+    while term >= TAIL_CUT and k < 199:
         ratio = abs(s + k) / z_min
         if ratio > 1.0:
             break
@@ -568,14 +595,15 @@ def upper_gamma_int(m: int, x):
 
 
 def _ein(w: float) -> float:
-    """Complementary exponential integral Ein(w) for real w."""
+    """Complementary exponential integral Ein(w) for real w, stopped where the
+    terms after k > |w| + 4 (ratios <= |w|/(k+1)) sum to <= TAIL_CUT of the sum."""
     term = 1.0
     acc = 0.0
     for k in range(1, _MAX_TERMS):
         term *= -w / k
         contrib = -term / k
         acc += contrib
-        if k > abs(w) + 4 and abs(contrib) < abs(acc) * 1e-17 + 1e-300:
+        if k > abs(w) + 4 and abs(contrib) * abs(w) / (k + 1 - abs(w)) <= abs(acc) * TAIL_CUT:
             return acc
     raise ConvergenceError("Ein series did not converge")
 
@@ -666,29 +694,18 @@ def hurwitz_zeta(s, z):
     return _hurwitz_em(s, z)
 
 
-@lru_cache(maxsize=256)
-def _lerch_terms(exponent_real: float, im_w: float) -> int:
-    """Terms needed so e^{-m Im w} m^{sigma} drops below ~1e-19."""
-    if im_w <= 0:
-        raise DomainError("geometric Lerch summation needs Im(w) > 0")
-    m = 45.0 / im_w
-    for _ in range(3):
-        m = (45.0 + max(0.0, exponent_real) * math.log(m + 3)) / im_w
-    return int(m) + 30
-
-
 # lerch_sum's Taylor tail: |z - c| <= 1/2 and |c + m| >= 4 keep every
-# (z - c)/(c + m) within 1/8, and the series stops below 1e-18 of its lead
+# (z - c)/(c + m) within 1/8
 _LERCH_RADIUS = 4.0
-_LERCH_CUT = 1e-18
 
 
 @lru_cache(maxsize=64)
 def _binomials(a: complex) -> np.ndarray:
-    """C(a, j) for j < J: J is the first j with |C(a, j)| 8^-j < 1e-18, and
-    a + 1 for an integer a >= 0, whose coefficients end at C(a, a)."""
+    """C(a, j) for j < J, J the first j with |C(a, j)| 8^-j / (1 - r/8) <= TAIL_CUT,
+    r = max(1, |a-j|/(j+1)), a bound on the rest as every later |C(a, i+1)/C(a, i)|
+    is at most r; a + 1 for an integer a >= 0, where C(a, j) ends."""
     out, c, j = [], 1.0 + 0j, 0
-    while abs(c) * (0.5 / _LERCH_RADIUS) ** j >= _LERCH_CUT:
+    while abs(c) * 8.0 ** -j > TAIL_CUT * (1 - max(1.0, abs(a - j) / (j + 1)) / 8):
         out.append(c)
         c = c * (a - j) / (j + 1)
         j += 1
@@ -739,7 +756,9 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
 
     This is zeta(-s_exponent, w/(2 pi), z) in Lerch normalization; it needs
     Im(w) > 0 and finite z (DomainError otherwise), and sums the terms
-    m < M of ``_lerch_terms``.
+    m < M = tail_extent(Im w, max(0, Re a), |Im a| pi/2), a = s_exponent,
+    which drop at most TAIL_CUT of the lead |z^a| at Re z >= 0 and |z| >= 1:
+    there |z| <= |z+m| <= (1+m)|z|, and arg(z+m) lies between 0 and arg z.
 
     Each z gets the centre c = floor(Re z) + 1/2 + i Im z, so z - c is real
     with |z - c| <= 1/2, and every node of a segment [ih, ih+1] shares one
@@ -748,16 +767,16 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     the tail by the binomial re-expansion (DLMF 25.14, 4.6.7)
         (z+m)^a = sum_j C(a, j) (c+m)^{a-j} (z-c)^j,
     whose ratio |z-c|/|c+m| is at most 1/8 there, truncated at the first
-    j with |C(a, j)| 8^-j < 1e-18 (about 20 terms; a+1 for an integer
-    a >= 0, where it ends).  The tail coefficients
+    j after which |C(a, j)| 8^-j sums to at most TAIL_CUT (15 to 22 terms
+    for a in [-3.5, 2.5]; a+1 for an integer a >= 0).  The tail coefficients
         T_j = C(a, j) sum_{m>=M0} e^{imw} (c+m)^{a-j}
     take one (J, M) table of powers of 1/(c+m) and one matrix-vector
     product per centre, and each row adds sum_j T_j (z-c)^j.  A row's value
     depends only on its z, so splitting a batch leaves its bits unchanged.
 
     Cost: M + N M0 complex powers for N nodes of one centre (M0 = 4 at
-    Im z = 1, none from Im z = 4), against N M for the direct sum.  The
-    truncation is below 1e-18 of the tail's terms and the phases e^{imw}
+    Im z = 1, none from Im z = 4), against N M for the direct sum.  Both
+    truncations are below TAIL_CUT of their leads and the phases e^{imw}
     are exact to eps each (``lerch_phases``), so the error is the rounding
     of the terms: against an extended-precision sum of the same terms on
     the 48 nodes of quadrature levels 0 and 1 on [ih, ih+1],
@@ -768,11 +787,11 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.isfinite(z).all():
         raise DomainError("lerch_sum needs finite z")
-    w = complex(w)
-    mmax = _lerch_terms(complex(s_exponent).real, w.imag)
+    w, a = complex(w), complex(s_exponent)
+    mmax = tail_extent(w.imag, max(0.0, a.real), abs(a.imag) * math.pi / 2)
     m = np.arange(mmax)
     phase = lerch_phases(w, mmax)
-    binom = _binomials(complex(s_exponent))
+    binom = _binomials(a)
     centres = np.floor(z.real) + 0.5 + 1j * z.imag
     single = bool((centres == centres[:1]).all())
     out = np.empty_like(z)
@@ -800,10 +819,11 @@ def lerch_zeta(s, a, z) -> complex:
 
     Needs Im(a) > 0, where the series decays geometrically (lerch_sum), or
     a = 0, where it is the Hurwitz zeta.  Each power is taken on the
-    principal branch.  For Im(a) > 0 the error is about 1e-13 relative plus
-    eps sum_m |term_m|, the rounding of the terms, which dominates where the
-    terms cancel (small Im a, Re a != 0): lerch_zeta(-1.5, 0.25 + 0.001i,
-    0.7 - 0.5i) is within 5.8e-11 relative of mpmath.
+    principal branch; at |z| < 1 the term m = 0 is taken apart, so that
+    lerch_sum's tail bound holds.  For Im(a) > 0 the error is about 1e-13
+    relative plus eps sum_m |term_m|, the rounding of the terms, which
+    dominates where the terms cancel (small Im a, Re a != 0): lerch_zeta(-1.5,
+    0.25 + 0.001i, 0.7 - 0.5i) is within 6.7e-11 relative of mpmath.
     """
     s = complex(s)
     a = complex(a)
@@ -812,6 +832,8 @@ def lerch_zeta(s, a, z) -> complex:
         raise DomainError("lerch_zeta needs Re(z) > 0")
     if a == 0:
         return hurwitz_zeta(s, z)
+    if abs(z) < 1:
+        return principal_power(z, -s) + cmath.exp(2j * math.pi * a) * lerch_zeta(s, a, z + 1)
     return complex(lerch_sum(-s, 2 * math.pi * a, z)[0])
 
 

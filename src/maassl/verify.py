@@ -152,10 +152,12 @@ def _hurwitz(f, p):
 
 def _functional_equation(f, p):
     """L_f(phi_s^w) = i^k N^{1-k/2} L_g(phi_s^w |_{2-k} W_N), g = params["g"] or f."""
+    g = resolve_form(p["g"]) if "g" in p else f
+    if not (f.modular and g.modular):
+        raise contour.RegimeError("prop_fe needs modular forms f and g, not a synthetic expansion")
     phi = ltest.PhiSW(float(p["s"]), _to_complex(p["w"]))
     N, k = int(p.get("N", f.level)), f.weight
     lhs = ltest.l_value(f, phi).value
-    g = resolve_form(p["g"]) if "g" in p else f
     rhs = ltest.l_value(g, ltest.fricke_transform_testfn(phi, 2 - k, N)).value
     return lhs, (1j ** (k % 4)) * N ** (1 - k / 2) * rhs, 0.0, 0.0
 
@@ -209,9 +211,12 @@ def _remainder_shapes(f, p):
 
 def _bfi(f, p):
     """2 Re sum_n a(n) EI(2 pi n) = 2 Re int_i^{i+1} f(z) zeta*(1, z) dz (BFI),
-    weakly holomorphic f: the series side has no non-holomorphic part."""
+    weakly holomorphic f, real at n < 0, as EI(2 pi n) = Re E_1(2 pi n + i0)
+    drops 2 pi Im a(n): the series side has no non-holomorphic part."""
     if f.nonholo:
         raise contour.RegimeError("bfi_consistency needs a weakly holomorphic form")
+    if any(a.imag for n, a in f.holo.items() if n < 0):
+        raise contour.RegimeError("bfi_consistency needs a real principal part")
     # the contour side shares no kernel with cal_EI
     series = 2 * sum(a * specfun.cal_EI(TWO_PI * n) for n, a in f.holo.items())
     rhs = complex(2 * contour.rhs_integer_value(f, 0).real, 0.0)

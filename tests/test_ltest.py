@@ -15,7 +15,7 @@ from maassl import (CompactAnalytic, FourierExpansion, FrickePhiSW,
                     l_value_limit, specfun, synth_harmonic)
 from maassl import ltest
 from maassl.ltest import AdmissibilityError
-from maassl.specfun import exp_int_E
+from maassl.specfun import exp_int_E, tail_extent
 
 try:
     import mpmath
@@ -152,20 +152,23 @@ def test_vertical_integral_admissibility(J):
 
 
 def test_vertical_integral_overflow_is_inadmissible(J, no_quadrature):
-    # phi_0.5^6.4's window ends at 429, but J(iy) ~ e^{2 pi y} overflows
+    # phi_0.5^6.4's window ends at 347, but J(iy) ~ e^{2 pi y} overflows
     # past y = log(DBL_MAX) / 2 pi = 112.97: refused before any quadrature,
     # with no overflow warning
+    assert PhiSW(0.5, 6.4).window(TWO_PI, TWO_PI)[1] == 347
+    assert PhiSW(0.5, 6.6).window(TWO_PI, TWO_PI)[1] == 126
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AdmissibilityError, match="overflows past y = 112.97"):
             l_value_by_vertical_integral(J, PhiSW(0.5, 6.4))
-        with pytest.raises(AdmissibilityError, match="overflows"):
-            l_value_by_vertical_integral(J, PhiSW(0.5, 6.7))  # the window ends at 121
+        with pytest.raises(AdmissibilityError, match="window, which ends at 126"):
+            l_value_by_vertical_integral(J, PhiSW(0.5, 6.6))
 
 
 def test_vertical_integral_near_the_overflow_edge(J):
-    # the window of phi_0.5^6.74 ends at 110.4, just inside the domain
-    phi = PhiSW(0.5, 6.74)
+    # the window of phi_0.5^6.64 ends at 112, just inside the domain
+    phi = PhiSW(0.5, 6.64)
+    assert phi.window(TWO_PI, TWO_PI)[1] == 112
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = l_value_by_vertical_integral(J, phi)
@@ -216,15 +219,44 @@ def test_nonholo_pairing_divergent_raises():
 
 
 def test_windows():
-    assert PhiSW(0, 2 + 1j).window(-1.0, 0.0) == (1.0, 1.0 + 50 / 3)
+    # each window ends where specfun.tail_extent bounds what it drops: the
+    # decay rate, and the power growth in u = t - 1 (phi_s^w) or in
+    # v = 1/(Mt) with the Jacobian dt = -dv/(M v^2) (Fricke)
+    assert PhiSW(0, 2 + 1j).window(-1.0, 0.0) == (1.0, 1.0 + tail_extent(3.0, 0.0)) == (1.0, 14.0)
+    assert PhiSW(0.5 + 3j, 3).window(1.0, 0.0) == (1.0, 1.0 + tail_extent(2.0, 0.0))
+    assert PhiSW(12, 8).window(TWO_PI, 0.0) == (1.0, 1.0 + tail_extent(8 - TWO_PI, 11.0))
     lo, hi = FrickePhiSW(0, 30, 2, 2).window(0.0, 1.0)
-    assert hi == 0.5 and lo == pytest.approx(28 / (2 * (28 + 46)), rel=1e-15)
+    assert hi == 0.5 and lo == 1 / (2 * (1 + tail_extent(28.0, 0.0))) == 1 / 6
+    lo, hi = FrickePhiSW(12, 8, 2, 1).window(0.0, 0.0)
+    assert hi == 1 and lo == 1 / (1 + tail_extent(8.0, 11.0)) == 1 / 9
     seed = InversePowerSeed(2)
     assert CompactAnalytic(seed, 1.0, 2.5).window(10.0, 10.0) == (1.0, 2.5)
     with pytest.raises(AdmissibilityError):
         PhiSW(0, 1.0).window(1.0, 0.0)
     with pytest.raises(AdmissibilityError):
         FrickePhiSW(0, 2.0, 2, 2).window(0.0, 1.0)
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("phi, c_inf, c_0", [
+    (PhiSW(12, 8), TWO_PI, 0.0), (PhiSW(0.5 + 3j, 6.64), TWO_PI, 0.0),
+    (PhiSW(20, 2.5), 0.5, 0.0), (FrickePhiSW(12, 8, 2, 1), 0.0, 0.0),
+    (FrickePhiSW(0, 30, 2, 2), 0.0, 1.0), (FrickePhiSW(3.5, 10, 4, 3), 0.0, 1.0)])
+def test_windows_drop_at_most_the_cut(phi, c_inf, c_0):
+    """What a window leaves out of int |phi(t)| e^{c_inf t + c_0/t} dt, by
+    mpmath quadrature, is at most TAIL_CUT of the integrand at the window's
+    fixed end (t = 1, or t = 1/M times the interval 1/M)."""
+    lo, hi = phi.window(c_inf, c_0)
+    s, w = mpmath.mpf(complex(phi.s).real), mpmath.mpf(complex(phi.w).real)
+    with mpmath.workdps(30):
+        if isinstance(phi, PhiSW):
+            dropped = mpmath.quad(lambda t: mpmath.exp((c_inf - w) * (t - 1)) * t ** (s - 1),
+                                  [hi, mpmath.inf])
+        else:
+            M, r = phi.M, w - phi.M * c_0
+            dropped = mpmath.quad(lambda t: mpmath.exp(r * (1 - 1 / (M * t)))
+                                  * (M * t) ** (1 - s - phi.a), [0, lo]) * M
+    assert dropped <= specfun.TAIL_CUT, (phi, float(dropped))
 
 
 def test_fricke_series_admissibility(J):

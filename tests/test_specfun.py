@@ -21,6 +21,7 @@ except ImportError:  # the oracle tests are optional
     mpmath = None
 
 needs_mpmath = pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 
 # oracle values computed by direct numerical quadrature / independent series
 E1_AT_1 = 0.21938393439552029  # int_1^inf e^-t/t dt
@@ -661,13 +662,51 @@ def _mp_scaled(s, z) -> complex:
     return complex(mpmath.exp(z) * _mp_expint(s, z))
 
 
+@pytest.mark.skipif(not _EXTENDED, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("q", [0, 0.5, 1, 2.5, 5, 11, 20])
+def test_tail_extent_vs_summed_tail(q):
+    """tail_extent(lam, q, c) = M against the dropped terms e^c b_m, b_m =
+    e^{-lam m} (1+m)^q, m >= M, summed in extended precision: they sum to
+    at most TAIL_CUT, b falls from M on (so the integral from M is below
+    that sum too), and the bound e^c b_{M-1}/(1 - rho) at M - 1 is above
+    TAIL_CUT."""
+    ld = np.longdouble
+    for lam in (0.05, 0.1, 0.3, 0.7, 1.0, 8 - 2 * math.pi, 3.0, 8.0, 24.0, 40.0):
+        for c in (0.0, 15.7):
+            M = specfun.tail_extent(lam, q, c)
+            m = np.arange(M - 1, M + int(120 / lam) + 200).astype(ld)
+            b = np.exp(ld(c) - ld(lam) * m + ld(q) * np.log1p(m))
+            assert b[-1] < 1e-30 * b[1], (lam, q, c)
+            assert b[1:].sum() <= specfun.TAIL_CUT, (lam, q, c, M)
+            assert q <= lam * (1 + M), (lam, q, c, M)
+            rho = b[1] / b[0]
+            assert b[0] / (1 - rho) > specfun.TAIL_CUT, (lam, q, c, M)
+
+
+def test_tail_extent_known_counts_and_domain():
+    # lerch_sum's M at a = 0: 39 for Im w = 1 and 56 for Im w = 0.7
+    assert specfun.tail_extent(1.0, 0.0) == 39
+    assert specfun.tail_extent(0.7, 0.0) == 56
+    for lam, q, c in ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                      (math.nan, 0.0, 0.0), (1.0, -0.5, 0.0), (1.0, math.inf, 0.0),
+                      (1.0, 0.0, -1.0), (1.0, 0.0, math.nan)):
+        with pytest.raises(DomainError):
+            specfun.tail_extent(lam, q, c)
+
+
+def _lerch_count(exponent, w) -> int:
+    """lerch_sum's term count M for (z+m)^exponent e^{imw}."""
+    a = complex(exponent)
+    return specfun.tail_extent(complex(w).imag, max(0.0, a.real), abs(a.imag) * math.pi / 2)
+
+
 def _lerch_rounding(s, a, z):
-    """eps sum_m |e^{2 pi i m a} (z+m)^{-s}|: the rounding of the terms, the
-    error left where they cancel; a float for a scalar z, an ndarray for an
-    ndarray z.  The phases are exact to eps each (lerch_phases), so their
-    rounding grows with no m |2 pi a| factor."""
+    """eps sum_m |e^{2 pi i m a} (z+m)^{-s}| over lerch_sum's terms: the
+    rounding of the terms, the error left where they cancel; a float for a
+    scalar z, an ndarray for an ndarray z.  The phases are exact to eps each
+    (lerch_phases), so their rounding grows with no m |2 pi a| factor."""
     w = 2 * math.pi * complex(a)
-    m = np.arange(specfun._lerch_terms(-complex(s).real, w.imag))
+    m = np.arange(_lerch_count(-complex(s), w))
     terms = np.abs(np.exp(1j * w * m) * (np.asarray(z, dtype=complex)[..., None] + m)
                    ** -complex(s))
     out = np.finfo(float).eps * np.sum(terms, axis=-1)
@@ -696,19 +735,53 @@ def test_lerch_zeta_vs_mpmath():
                 assert abs(lerch_zeta(s, 0, z) - exact) <= 1e-12 * max(1.0, abs(exact)), (s, z)
 
 
+@needs_mpmath
+def test_lerch_zeta_complex_exponent_vs_mpmath():
+    """A complex exponent -s multiplies term m by e^{Im s (arg(z+m) - arg z)}
+    relative to the lead, up to e^{|Im s| pi/2}, which lerch_sum's count
+    takes in: without it lerch_zeta(1 - 10i, 0.3i, 0.5 + 2i) is 1.6e-12
+    off, against 9.8e-14 with it.  The oracle is the defining sum over
+    m < 400."""
+    with mpmath.workdps(30):
+        for s in (-0.5 - 10j, 1 - 10j, 0.5 + 20j):
+            for z in (0.5 + 2j, 1 + 3j):
+                q = mpmath.expjpi(2 * mpmath.mpc(0.3j))
+                exact = complex(mpmath.fsum(q ** m * (mpmath.mpc(z) + m) ** -mpmath.mpc(s)
+                                            for m in range(400)))
+                err = abs(lerch_zeta(s, 0.3j, z) - exact)
+                assert err <= 1e-13 * abs(exact) + _lerch_rounding(s, 0.3j, z), (s, z)
+
+
+@needs_mpmath
+def test_lerch_zeta_small_z_vs_mpmath():
+    """At |z| < 1 with a positive exponent -s the terms m >= 1 outgrow the
+    lead |z^-s|, and lerch_sum's count bounds its tail relative to the lead
+    only from |z| >= 1, so lerch_zeta takes the term m = 0 apart there: summed
+    from z itself, lerch_zeta(-10, 5i, 0.05) is 5.0e-12 off.  The oracle
+    is the defining sum over m < 120, past which every term is below 1e-40
+    of the first."""
+    with mpmath.workdps(30):
+        for z in (0.05, 0.3):
+            for s in (-0.5, -2.5, -10):
+                for a in (0.3j, 1j, 5j, 0.25 + 2j):
+                    q = mpmath.expjpi(2 * mpmath.mpc(a))
+                    exact = complex(mpmath.fsum(q ** m * (z + m) ** -s for m in range(120)))
+                    err = abs(lerch_zeta(s, a, z) - exact)
+                    assert err <= 1e-13 * abs(exact) + _lerch_rounding(s, a, z), (z, s, a)
+
+
 # the 48 nodes of quadrature levels 0 and 1 on [0, 1]: one integrand call
 _GL16 = (1 + np.polynomial.legendre.leggauss(16)[0]) / 2
 _LEVEL01 = np.concatenate([_GL16, _GL16 / 2, (1 + _GL16) / 2])
 _LERCH_A = (-3.5, -2.5, -1, -0.5, 0, 0.5, 1, 2.5, 0.5 + 2j)
 _LERCH_W = [complex(re, im) for im in (0.05, 0.7, 1.5) for re in (-0.7, 0, 0.3)]
-_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 
 
 def _lerch_extended(a, w, z):
     """sum_{m < M} e^{imw} (z+m)^a over lerch_sum's M terms, each in
     extended precision (about 1e-19): the term-by-term oracle for every
     node, itself anchored to mpmath.lerchphi below."""
-    m = np.arange(specfun._lerch_terms(complex(a).real, w.imag)).astype(np.longdouble)
+    m = np.arange(_lerch_count(a, w)).astype(np.longdouble)
     zl = z.astype(np.clongdouble)
     phase = np.exp(np.clongdouble(1j) * np.clongdouble(w) * m)
     return ((zl[:, None] + m) ** np.clongdouble(a) * phase).sum(axis=1).astype(complex)

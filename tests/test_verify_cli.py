@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maassl import cli, modforms, quadrature, verify
+from maassl import cli, ltest, modforms, quadrature, verify
 from maassl.modforms import build_j_series
 from maassl.verify import (CheckReport, CheckSpec, default_suite, load_suite,
                            report_json, resolve_form, run_check, run_suite)
@@ -202,6 +202,51 @@ def test_bfi_skips_harmonic_form():
     rep = run_check(CheckSpec("bfi_hA", "bfi_consistency", HARM["hA"]))
     assert rep.status == "skipped"
     assert "precondition" in rep.message
+
+
+def test_bfi_skips_complex_principal_part():
+    """At n < 0 the series side's real EI(2 pi n) = Re E_1(2 pi n + i0) drops
+    2 pi Im a(n): with a(-1) = 1 + 0.5i the sides differ by 1.5e-2 relative.
+    A complex coefficient at n > 0 stays inside the regime."""
+    rep = run_check(CheckSpec("bfi_c", "bfi_consistency",
+                              'synth:{"k": 0, "holo": {"-1": [1, 0.5], "1": 2}}'))
+    assert rep.status == "skipped"
+    assert "real principal part" in rep.message
+    rep = run_check(CheckSpec("bfi_r", "bfi_consistency",
+                              'synth:{"k": 0, "holo": {"-1": 1, "1": [2, 0.5]}}'))
+    assert rep.status == "pass", rep.rel_err
+
+
+SYNTH_WHF = 'synth:{"k": 0, "holo": {"-1": 1, "1": 2}}'
+
+
+@pytest.mark.parametrize("form, g", [(SYNTH_WHF, None), ("J", SYNTH_WHF), (SYNTH_WHF, "J")])
+def test_functional_equation_skips_non_modular_forms(form, g):
+    """A synthetic expansion has no functional equation (the sides differ by
+    0.33 relative on this one), whether it is f or g."""
+    params = {"s": 0.5, "w": [30, 5]} | ({"g": g} if g else {})
+    rep = run_check(CheckSpec("fe_synth", "prop_fe", form, params))
+    assert rep.status == "skipped"
+    assert "modular" in rep.message
+
+
+# checks whose windows the power growth t^{s-1} (or z^{a-1}) lengthens: a
+# window set by the decay rate alone leaves rel_err 7.8e-12, 5.3e-10,
+# 1.3e-12, 4.6e-11 and 2.2e-12
+WINDOW_CHECKS = {
+    "intform_s12": ("lemma_integral_form", {"kind": "phi_sw", "s": 12.0, "w": [8, 0]}),
+    "intform_s15": ("lemma_integral_form", {"kind": "phi_sw", "s": 15.0, "w": [8, 0]}),
+    "bend_a10": ("lemma_bend", {"a": 10.0, "w": [0, 1]}),
+    "bend_a15": ("lemma_bend", {"a": 15.0, "w": [0, 2]}),
+    "fe_s12": ("prop_fe", {"s": 12.0, "w": [30, 5], "N": 1}),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_CHECKS)
+def test_windows_cover_the_power_growth(name):
+    theorem, params = WINDOW_CHECKS[name]
+    rep = run_check(CheckSpec(name, theorem, "J", params))
+    assert rep.status == "pass" and rep.rel_err <= 1e-14, rep.rel_err
 
 
 def test_false_functional_equation_fails():
@@ -480,11 +525,15 @@ def test_cli_coeffs_prec_must_be_positive(prec):
     assert err.startswith("error: ")
 
 
-def test_cli_lvalue_star():
-    code, out, _ = run_cli("lvalue", "J", "--s", "0", "--star")
+def test_cli_lvalue_default_w_is_l_star():
+    """The default w = 0 gives L*(f, s); there is no --star option."""
+    code, out, _ = run_cli("lvalue", "J", "--s", "0")
     assert code == 0
-    re_part, im_part = map(float, out.split())
-    assert im_part == pytest.approx(-math.pi, abs=1e-9)
+    star = ltest.l_star(resolve_form("J"), 0.0)
+    assert out == f"{star.real:.15g} {star.imag:.15g}\n"
+    assert float(out.split()[1]) == pytest.approx(-math.pi, abs=1e-9)
+    code, _, err = run_cli("lvalue", "J", "--s", "0", "--star")
+    assert code == 2 and "--star" in err
 
 
 def test_cli_verify_filter_and_report(tmp_path):
