@@ -18,10 +18,12 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   w = 0.3 + 0.7i (levels 0 to 2, 112 nodes), cold, with J's kept segment
   values dropped before every call, and warm, the cost of a pairing that
   reuses them;
-- exp_int_E(0.5, z) on a scalar z, with a plain-number order (which
-  builds its ExpIntOrder each call) and through one ExpIntOrder reused
-  over the calls, as a series sum's terms are; and on a 1k vector spread
-  over |z| in [0.5, 63] and arg z in (-2.5, 2.5);
+- exp_int_E(0.5, z) on a scalar z = 2 pi + w, w = 0.3 + 0.7i, with a
+  plain-number order (which builds its ExpIntOrder each call) and through
+  one ExpIntOrder reused over the calls, as a series sum's terms are (the
+  continued fraction); through that order at z = -2 pi + w, the near-cut
+  power series that a phi_s^w sum's n = -1 term takes; and on a 1k vector
+  spread over |z| in [0.5, 63] and arg z in (-2.5, 2.5);
 - hurwitz_zeta(s, z) for s = 2 and 1.5, and digamma(z), on the 48 nodes
   of quadrature levels 0 and 1 on [i, i+1];
 - contour.r_remainder(f, 1, 0.5 + i) in both shapes, one_dim and
@@ -32,8 +34,10 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   48 x M grid of exp_int_E_scaled values, for hB and hC;
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
   series side with its non-holomorphic part; l_value(J, phi_{0.5}^{0.3+0.7i})
-  and l_star(J, 0.5), each a sum of 12 kernel terms; and l_value_limit(f, 0)
-  on J and on the 4-term synthetic form, weakly holomorphic.
+  and l_star(J, 0.5), each a sum of 12 kernel terms; l_value on the 4-term
+  synthetic form at the same phi, its 4 terms the size of an lseries item;
+  and l_value_limit(f, 0) on J and on that synthetic form, weakly
+  holomorphic.
 
 BLAS is pinned to one thread, as in perfbench.  Run it from the root of a
 checkout with PYTHONPATH=src, or point PYTHONPATH at another checkout's
@@ -88,10 +92,12 @@ def cases():
     yield "segment_pairing", "J/lerch/cold", 112, cold_pairing
     yield "segment_pairing", "J/lerch/warm", 112, lambda: contour._segment_pairing(
         J, lerch_kernel)
-    z1 = 2 * math.pi + 0.3 + 0.7j
+    z1 = 2 * math.pi + LERCH_W
     yield "exp_int_E", "scalar", 1, lambda: specfun.exp_int_E(0.5, z1)
     order = specfun.ExpIntOrder(0.5)
     yield "exp_int_E", "scalar/order", 1, lambda: specfun.exp_int_E(order, z1)
+    z_cut = -2 * math.pi + LERCH_W
+    yield "exp_int_E", "scalar/near-cut", 1, lambda: specfun.exp_int_E(order, z_cut)
     rng = np.random.default_rng(1)
     zv = np.exp(rng.uniform(math.log(0.5), math.log(63.0), 1000)
                 + 1j * rng.uniform(-2.5, 2.5, 1000))
@@ -114,6 +120,7 @@ def cases():
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)
     yield "l_value", "J", 1, lambda: l_value(J, PhiSW(0.5, LERCH_W))
+    yield "l_value", "synth4", 1, lambda: l_value(forms["synth4"], PhiSW(0.5, LERCH_W))
     yield "l_star", "J/s=0.5", 1, lambda: l_star(J, 0.5)
     for name in ("J", "synth4"):
         yield "l_value_limit", f"{name}/m=0", 1, lambda f=forms[name]: l_value_limit(f, 0)

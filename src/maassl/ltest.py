@@ -27,6 +27,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,9 +64,9 @@ class AdmissibilityError(ValueError):
 # Test functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiSW:
-    """phi_s^w(t) = 1_[1,inf)(t) e^{-wt} t^{s-1}."""
+class PhiSW(NamedTuple):
+    """phi_s^w(t) = 1_[1,inf)(t) e^{-wt} t^{s-1}, an immutable named tuple
+    (s, w)."""
 
     s: complex
     w: complex
@@ -202,9 +203,8 @@ def fricke_transform_testfn(phi, a: int, M: int):
 # The L-value pairing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LValue:
-    """A series-side L-value and its parts.
+class LValue(NamedTuple):
+    """A series-side L-value and its parts, an immutable named tuple.
 
     error_estimate adds the non-holomorphic part's estimate to the
     holomorphic part's.  For phi_s^w the holomorphic estimate is the bound
@@ -242,14 +242,14 @@ def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
             f"got {complex(phi.w).real:.4g}")
 
 
-def _holo_terms(f: FourierExpansion, phi):
+def _holo_terms(f: FourierExpansion, phi, order):
     """(kernels, holo, err): the kernel values (L phi)(2 pi n) of the summed
     n, the first len(kernels) of the sorted indices in f.arrays; their sum
     against a(n); and its error estimate (see LValue).
 
     For phi_s^w each kernel is one E_{1-s}(2 pi n + w) call, made only for
-    the n summed, with w converted once and the order 1 - s prepared once
-    for the whole sum (``specfun.ExpIntOrder``).
+    the n summed, with w converted once and order the L-value's prepared
+    order 1 - s (``specfun.ExpIntOrder``); any other phi takes None.
     Any other test function gets every stored n's kernel from one
     ``phi.laplace`` call on the array 2 pi n, then runs the same sum and
     divergence check over those values.
@@ -265,7 +265,7 @@ def _holo_terms(f: FourierExpansion, phi):
         _check_fricke_admissibility(f, phi)
     can_cut = isinstance(phi, PhiSW)
     if can_cut:
-        order, w = specfun.ExpIntOrder(1 - complex(phi.s)), complex(phi.w)
+        w = complex(phi.w)
         re_w, p = w.real, max(0.0, complex(phi.s).real - 1.0)
     else:
         batch = phi.laplace(TWO_PI * f.arrays[0])
@@ -302,7 +302,7 @@ def _holo_terms(f: FourierExpansion, phi):
     return kernels, holo, (prev if math.isfinite(prev) else 0.0)
 
 
-def _nonholo_part(f: FourierExpansion, phi) -> tuple[complex, float]:
+def _nonholo_part(f: FourierExpansion, phi, order) -> tuple[complex, float]:
     """The non-holomorphic sum of the pairing, and its error estimate.
 
     For phi_s^w it is a finite sum of E_s values.  At the integer weights
@@ -311,9 +311,9 @@ def _nonholo_part(f: FourierExpansion, phi) -> tuple[complex, float]:
         int_1^inf Gamma(1-k, beta y) e^{2 pi |n| y} phi_s^w(y) dy
             = sum_{j<=m} (m!/j!) beta^j E_{1-s-j}(2 pi |n| + w),
     the orders from one kernel call each n (``specfun.exp_int_E_orders``),
-    every n's call sharing one prepared order 1 - s.  It converges for
-    Re w > -2 pi min|n|, and ``PhiSW.window`` raises AdmissibilityError
-    elsewhere.  Its estimate is the kernel accuracy,
+    every n's call taking the L-value's prepared order 1 - s (None for any
+    other phi).  It converges for Re w > -2 pi min|n|, and
+    ``PhiSW.window`` raises AdmissibilityError elsewhere.  Its estimate is the kernel accuracy,
     2e-12 sum |b(n) (m!/j!) beta^j E_{1-s-j}|.  Against mpmath on 1,600
     random points at k = 0, -2, -4 and -10, s in [-3, 4], Im w in [0, 3]
     and Re w from -2 pi |n| + 0.02 to 4 (|n| <= 2), it is within 4.3e-13
@@ -328,7 +328,7 @@ def _nonholo_part(f: FourierExpansion, phi) -> tuple[complex, float]:
                 sum((abs(b) * q.est_error for b, q in parts), 0.0))
     phi.window(TWO_PI * max(f.nonholo), 0.0)  # the admissibility check
     m = -f.weight
-    order, w = specfun.ExpIntOrder(1 - complex(phi.s)), complex(phi.w)
+    w = complex(phi.w)
     total, size = 0j, 0.0
     for n, b in f.nonholo.items():
         beta = -2 * TWO_PI * n
@@ -344,9 +344,11 @@ def _nonholo_part(f: FourierExpansion, phi) -> tuple[complex, float]:
 
 def l_value(f: FourierExpansion, phi) -> LValue:
     """Series-side L-value: coefficient sums against the Laplace transform;
-    for phi_s^w the holomorphic sum stops at a tail bound (``_holo_terms``)."""
-    _, holo, err = _holo_terms(f, phi)
-    nonholo, nonholo_err = _nonholo_part(f, phi)
+    for phi_s^w the holomorphic sum stops at a tail bound (``_holo_terms``),
+    and both sums share one prepared E_{1-s} order."""
+    order = specfun.ExpIntOrder(1 - complex(phi.s)) if isinstance(phi, PhiSW) else None
+    _, holo, err = _holo_terms(f, phi, order)
+    nonholo, nonholo_err = _nonholo_part(f, phi, order)
     return LValue(value=holo + nonholo, holo_part=complex(holo),
                   nonholo_part=complex(nonholo), error_estimate=float(err + nonholo_err))
 
@@ -380,7 +382,7 @@ def l_tilde(f: FourierExpansion, s) -> complex:
     return l_star(f, s) + (1j ** (k % 4)) * l_star(f, k - s)
 
 
-def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_holo(f: FourierExpansion, s, order) -> tuple[np.ndarray, np.ndarray]:
     """The ladder x_j and the holomorphic part of L_f(phi_s^{i x_j}) on it.
 
     With p = 1 - s and z_n = 2 pi n + i x_0, level j's sum is
@@ -389,9 +391,9 @@ def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     k!/|z|^k growth of E_{p-k} cancelled by h^k/k!: |h|/|z_n| <= 0.396875/6.27
     for every n != 0 (FourierExpansion drops n = 0).  One pass over the
     summed n builds v_k = sum_n a(n) E_{p-k}(z_n): E_p(z_n) is
-    ``_holo_terms``' kernel value, from the one order object that sum
-    prepares for every level, and the lower orders follow by 15 scalar
-    steps of E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  The levels
+    ``_holo_terms``' kernel value, from the limit's one prepared order
+    1 - s, and the lower orders follow by 15 scalar steps of
+    E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  The levels
     are then one (8 x 16) @ 16 product with ``_TAYLOR``.
 
     Cost per summed n: the kernel call, one exponential and 15 complex
@@ -399,8 +401,8 @@ def _ladder_holo(f: FourierExpansion, s) -> tuple[np.ndarray, np.ndarray]:
     call's own cost.  Against mpmath for m = -1..3 at n = -2, -1, 1, 2, 5
     the levels are within 8.1e-16 relative, the direct kernel 1.5e-12."""
     w = 1j * _LIMIT_X0
-    p = 1 - complex(s)
-    kernels, _, _ = _holo_terms(f, PhiSW(s, w))
+    p = order.s
+    kernels, _, _ = _holo_terms(f, PhiSW(s, w), order)
     v = [0j] * _SHIFT_TERMS
     for n, e in zip(sorted(f.holo), kernels):
         z = TWO_PI * n + w
@@ -431,12 +433,14 @@ def l_value_limit(f: FourierExpansion, s):
     sum, below rounding as sum_j |c_j| = prod_i (2^i+1)/(2^i-1) = 8.13 < 9 for
     the tableau's weights.  A non-holomorphic part is the closed form of
     ``_nonholo_part`` at each level, one kernel call per n and level; a
-    weakly holomorphic form makes no such call.
+    weakly holomorphic form makes no such call.  Every kernel call of the
+    limit takes one prepared order 1 - s.
     """
-    xs, vals = _ladder_holo(f, s)
+    order = specfun.ExpIntOrder(1 - complex(s))
+    xs, vals = _ladder_holo(f, s, order)
     vals = vals.tolist()
     if f.nonholo:
-        vals = [h + _nonholo_part(f, PhiSW(s, 1j * x))[0] for h, x in zip(vals, xs)]
+        vals = [h + _nonholo_part(f, PhiSW(s, 1j * x), order)[0] for h, x in zip(vals, xs)]
     diag = [row[-1] for row in richardson_table(vals)]
     return diag[-1], abs(diag[-1] - diag[-2])
 

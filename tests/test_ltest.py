@@ -446,7 +446,7 @@ def test_shifted_exp_int_vs_mpmath(n):
     f = synth_harmonic(0, {n: 1}, {})
     with mpmath.workdps(30):
         for m in range(-1, 4):
-            xs, shifted = ltest._ladder_holo(f, m)
+            xs, shifted = ltest._ladder_holo(f, m, specfun.ExpIntOrder(1 - m))
             for x, v in zip(xs, shifted):
                 exact = complex(mpmath.expint(1 - m, mpmath.mpc(TWO_PI * n, x)))
                 assert abs(v - exact) <= 1e-14 * abs(exact), (m, x)
@@ -456,7 +456,7 @@ def test_shifted_exp_int_vs_mpmath(n):
 @pytest.mark.parametrize("m", range(-1, 4))
 def test_ladder_levels_match_direct_l_value(J, Jsq, name, m):
     f = {"J": J, "Jsq": Jsq, "km2": SYNTH_KM2}[name]
-    xs, holo = ltest._ladder_holo(f, m)
+    xs, holo = ltest._ladder_holo(f, m, specfun.ExpIntOrder(1 - m))
     assert np.array_equal(xs, LADDER)
     for x, h in zip(xs, holo):
         direct = l_value(f, PhiSW(m, 1j * x)).holo_part
@@ -483,10 +483,10 @@ def test_limit_makes_one_kernel_call_per_n(J, Jsq, monkeypatch, m):
 
 
 def test_one_order_object_per_sum(J, monkeypatch):
-    """Each phi_s^w sum prepares its order once: l_value, l_star and the
+    """Each phi_s^w L-value prepares its order once: l_value, l_star and the
     limit's whole ladder on J build one ExpIntOrder each, and every kernel
-    call of the sum is handed that object; a harmonic form's l_value builds
-    one more, for its non-holomorphic sum."""
+    call is handed that object; on a harmonic form the non-holomorphic sum
+    of l_value and of every level of l_value_limit takes the same object."""
     built, handed = [], []
 
     class Counting(specfun.ExpIntOrder):
@@ -511,9 +511,15 @@ def test_one_order_object_per_sum(J, monkeypatch):
         call()
         assert len(built) == 1 and len(handed) == 12
         assert all(type(s) is Counting for s in handed) and len(set(map(id, handed))) == 1
-    built.clear()
-    l_value(synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}), PhiSW(0.5, 1.3 + 0.9j))
-    assert built == [0.5 + 0j, 0.5 + 0j]
+    harmonic = synth_harmonic(-2, {1: 1}, {-1: 2 - 1j})
+    # one holomorphic term, and one non-holomorphic call per sum or level
+    for call, calls in ((lambda: l_value(harmonic, PhiSW(0.5, 1.3 + 0.9j)), 2),
+                        (lambda: l_value_limit(harmonic, 0.5), 9)):
+        built.clear()
+        handed.clear()
+        call()
+        assert built == [0.5 + 0j] and len(handed) == calls
+        assert all(type(s) is Counting for s in handed) and len(set(map(id, handed))) == 1
 
 
 @pytest.mark.parametrize("name", ["J", "km2"])
@@ -555,7 +561,7 @@ def test_full_sum_estimate_is_the_kernel_accuracy(name, s, w):
     summed by mpmath."""
     holo, nonholo, k = _SUITE_FORMS[name]
     f = synth_harmonic(k, holo, nonholo)
-    kernels, value, err = ltest._holo_terms(f, PhiSW(s, w))
+    kernels, value, err = ltest._holo_terms(f, PhiSW(s, w), specfun.ExpIntOrder(1 - s))
     assert len(kernels) == len(holo)
     with mpmath.workdps(30):
         exact = complex(mpmath.fsum(
@@ -611,7 +617,7 @@ def test_nonholo_closed_form_vs_mpmath(k, no_quadrature):
     with mpmath.workdps(30):
         for s in NONHOLO_S:
             for w in NONHOLO_W:
-                value, err = ltest._nonholo_part(f, PhiSW(s, w))
+                value, err = ltest._nonholo_part(f, PhiSW(s, w), specfun.ExpIntOrder(1 - s))
                 exact = _nonholo_by_mpmath(f, s, w)
                 gap = abs(value - exact)
                 assert gap <= 1e-13 * abs(exact), (s, w, gap / abs(exact))

@@ -75,11 +75,11 @@ def test_kernel_timings():
                                        "segment_pairing", "exp_int_E", "hurwitz_zeta",
                                        "digamma", "r_remainder", "remainder_grid", "l_value",
                                        "l_star", "l_value_limit")] == [
-        18, 9, 1, 2, 3, 2, 1, 4, 2, 2, 1, 3]
+        18, 9, 1, 2, 4, 2, 1, 4, 2, 3, 1, 3]
     assert [row.split()[1] for row in rows if row.startswith("exp_int_E")] == [
-        "scalar", "scalar/order", "vector"]
+        "scalar", "scalar/order", "scalar/near-cut", "vector"]
     assert [row.split()[1] for row in rows if row.startswith(("l_value ", "l_star"))] == [
-        "hB", "J", "J/s=0.5"]
+        "hB", "J", "synth4", "J/s=0.5"]
     assert [row.split()[1] for row in rows if row.startswith("segment_pairing")] == [
         "J/lerch/cold", "J/lerch/warm"]
     assert [row.split()[1] for row in rows if row.startswith("l_value_limit")] == [

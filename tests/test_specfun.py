@@ -73,8 +73,14 @@ def test_exp_int_array_shape_and_overflow():
     zs = np.array([cmath.rect(38.0, 0.3), cmath.rect(2.1, 1.5), cmath.rect(38.0, -2.0)])
     order = specfun.ExpIntOrder(0.5)
     depths = order.depth(zs)
-    assert depths.tolist() == [order.depth(complex(z)) for z in zs]
     assert depths[1] > 4 * depths[0]
+    # a point's depth is its own in any batch, and the scalar route's: there
+    # a fresh order's numerators reach exactly that depth
+    for z, depth in zip(zs.tolist(), depths.tolist()):
+        assert order.depth(np.array([z])).tolist() == [depth]
+        fresh = specfun.ExpIntOrder(0.5)
+        exp_int_E(fresh, z)
+        assert len(fresh.numerators(0)) == depth + 1
     for z, v in zip(zs, exp_int_E(0.5, zs)):
         assert v == pytest.approx(exp_int_E(0.5, complex(z)), rel=1e-13)
     with pytest.raises(OverflowError):
@@ -149,35 +155,61 @@ def _cf_inline(s: complex, z: complex, depth: int) -> complex:
 
 
 def test_exp_int_cf_matches_inline_numerators():
-    """The continued fraction over an order's kept numerators has the bits
-    of the loop that computes them, whichever order the depths come in."""
+    """The continued fraction over an order's kept numerators, exp_int_E's
+    scalar route, has the bits of the loop that computes them at the
+    order's tabled depth, whichever order the depths come in."""
     zs = [complex(z) for z in _BRANCH_POINTS if _in_cf_region(complex(z))]
     assert len(zs) == 7
     # orders with full mantissas, where a regrouped numerator rounds apart
     for s in map(complex, _BRANCH_ORDERS + (math.pi - 2, complex(1 / 3, -math.e))):
         for points in (zs, zs[::-1]):
             order = specfun.ExpIntOrder(s)
-            for z in points:
-                want = _cf_inline(s, z, order.depth(z))
-                got = specfun._exp_int_cf(order, z)
+            for z, depth in zip(points, order.depth(np.array(points)).tolist()):
+                want = _cf_inline(s, z, depth)
+                got = specfun.exp_int_E_scaled(order, z)
                 assert [got.real.hex(), got.imag.hex()] == [
                     want.real.hex(), want.imag.hex()], (s, z)
 
 
 def test_exp_int_order_object_errors():
     """A non-finite order fails when its object is built; the object's
-    calls keep exp_int_E's OverflowError and DomainError on z."""
+    ndarray calls keep exp_int_E's OverflowError on z (the scalar guards
+    are test_exp_int_order_object_guards')."""
     for s in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 1.0)):
         with pytest.raises(DomainError):
             specfun.ExpIntOrder(s)
     order = specfun.ExpIntOrder(1)
     with pytest.raises(OverflowError):
-        exp_int_E(order, -701.0)
-    with pytest.raises(OverflowError):
         exp_int_E(order, np.array([1.0, -701.0 + 1j]))
     assert cmath.isfinite(specfun.exp_int_E_scaled(order, -800.0 + 900j))
-    with pytest.raises(DomainError):
-        exp_int_E(order, 0.0)
+
+
+# (z, what exp_int_E and exp_int_E_scaled give at it) for the scalar route's
+# guards, each z as a Python float and as a complex with either signed zero
+_GUARDS = [(0.0, "DomainError", "DomainError"), (math.nan, "DomainError", "DomainError"),
+           (math.inf, "DomainError", "DomainError"), (-math.inf, "DomainError", "DomainError"),
+           (-701.0, "OverflowError", "value"), (-1.0, "value", "value")]
+
+
+@pytest.mark.parametrize("z, plain, scaled", [
+    (z, plain, scaled) for x, plain, scaled in _GUARDS
+    for z in (x, complex(x, 0.0), complex(x, -0.0))])
+def test_exp_int_order_object_guards(z, plain, scaled):
+    """A prepared order with a Python float or complex z takes exp_int_E's
+    scalar route, whose guards match a plain-number order's: DomainError at
+    0, nan and +-inf, OverflowError (exp_int_E only) at Re z = -701, and a
+    -0.0 imaginary part read as +0.0, the upper side of the cut; every
+    value has the plain order's bits."""
+    order = specfun.ExpIntOrder(1)
+    for kernel, want in ((exp_int_E, plain), (specfun.exp_int_E_scaled, scaled)):
+        got = _bits(kernel, order, z)
+        assert got == _bits(kernel, 1, z)
+        if want == "value":
+            assert got == _bits(kernel, 1, complex(z.real, 0.0))
+        else:
+            assert got == want
+    if z == -1.0:
+        assert exp_int_E(order, z) == pytest.approx(E1_AT_MINUS_1, abs=1e-13)
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -628,9 +660,9 @@ def test_cf_depth_covers_lentz():
               0.5 - 7j, -20 - 4j, 15 + 8j]
     margins = []
     for s in map(complex, orders):
-        order = specfun.ExpIntOrder(s)
-        for z in zs:
-            margin = order.depth(z) - _cf_steps_needed(s, z)
+        depths = specfun.ExpIntOrder(s).depth(np.array(zs)).tolist()
+        for z, depth in zip(zs, depths):
+            margin = depth - _cf_steps_needed(s, z)
             assert margin >= 0, (s, z, margin)
             if not (s.imag == 0 and s.real <= 0 and s.real.is_integer()):
                 margins.append((margin, s, z))
