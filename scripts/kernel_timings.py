@@ -28,10 +28,13 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   of quadrature levels 0 and 1 on [i, i+1];
 - contour.r_remainder(f, 1, 0.5 + i) in both shapes, one_dim and
   double_integral, on the default suite's harmonic forms hB (weight -2,
-  one non-holomorphic term) and hC (weight 0, two);
+  one non-holomorphic term) and hC (weight 0, two); the double integral
+  cold, with contour.KERNEL_TABLE emptied before every call, and kept, the
+  cost of a call that finds its per-frequency Lerch sums in the table;
 - the double integral's integrand on the 48 nodes of one integrand call,
   each node against the Lerch terms m < M (M = 39 at s = 1, Im w = 1): the
-  48 x M grid of exp_int_E_scaled values, for hB and hC;
+  48 x M grid of exp_int_E_scaled values, for hB and hC, with the kernel
+  table emptied before every call;
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
   series side with its non-holomorphic part; l_value(J, phi_{0.5}^{0.3+0.7i})
   and l_star(J, 0.5), each a sum of 12 kernel terms; l_value on the 4-term
@@ -107,15 +110,26 @@ def cases():
     yield "digamma", "z", 48, lambda: specfun.digamma(nodes[48])
     harmonic = {"hB": synth_harmonic(-2, {1: 1}, {-1: 2 - 1j}),
                 "hC": synth_harmonic(0, {}, {-1: 1, -2: 0.3})}
+
+    def cold_remainder(f):
+        contour.KERNEL_TABLE.clear()
+        return r_remainder(f, 1.0, 0.5 + 1j, "double_integral")
+
     for name, f in harmonic.items():
-        for shape in ("one_dim", "double_integral"):
-            yield ("r_remainder", f"{name}/{shape}", 1,
-                   lambda f=f, shape=shape: r_remainder(f, 1.0, 0.5 + 1j, shape))
+        yield "r_remainder", f"{name}/one_dim", 1, lambda f=f: r_remainder(
+            f, 1.0, 0.5 + 1j, "one_dim")
+        yield "r_remainder", f"{name}/double_integral", 1, lambda f=f: cold_remainder(f)
+        yield "r_remainder", f"{name}/kept", 1, lambda f=f: r_remainder(
+            f, 1.0, 0.5 + 1j, "double_integral")
     count = specfun.tail_extent(1.0, 0.0)  # the remainder's m < M at s = 1, Im w = 1
     for name, f in harmonic.items():
         integrand = contour._remainder_integrand(f, 1.0, 0.5 + 1j)
-        yield ("remainder_grid", f"{name}/48x{count}", 48,
-               lambda integrand=integrand: integrand(nodes[48]))
+
+        def cold_grid(integrand=integrand):
+            contour.KERNEL_TABLE.clear()
+            return integrand(nodes[48])
+
+        yield "remainder_grid", f"{name}/48x{count}", 48, cold_grid
     hb = harmonic["hB"]
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)

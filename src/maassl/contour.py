@@ -7,12 +7,26 @@ its equivalent shapes: the one-dimensional coefficient form and the double
 integral over the segment.  Every pairing of a form with a kernel on a
 horizontal segment is ``_segment_pairing``, which evaluates the form once
 per segment and quadrature level and keeps those values on the form.
+
+Values that depend on the test function phi_s^w alone are kept once per
+process in ``KERNEL_TABLE``, shared by every form, one cache per kernel
+under the parameters that fix it: the main identity's Lerch kernel
+e^{iwz} zeta(1-s, w/(2 pi), z) under (s, w), and the double-integral
+remainder's Lerch sum for each xi-frequency p under (k, s, w, p).  A
+kernel's cache holds its values by (height, node count), or by node count
+for the remainder, as a form's segment values do (``_kept``): only on
+quadrature's read-only node tables of at most 128 nodes, and only for a
+call whose nodes are the stored ones.  The table holds at most
+``KERNEL_TABLE_SIZE`` kernels, dropping the oldest first: at most 240 KB
+of values, 48 + 64 + 128 nodes per kernel and height.  The w = 0 kernels
+(``rhs_star``, the Bernoulli polynomials) are not kept.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -37,30 +51,62 @@ def i_power(a) -> complex:
     return cmath.exp(a * 1j * math.pi / 2)
 
 
-def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0) -> complex:
+# nodes per integrand call of the deepest level whose node table quadrature
+# caches: larger calls, which the default suite never makes, are not kept
+_KEPT_NODES = DEFAULT_QUAD.base_nodes << CACHED_LEVELS
+
+KERNEL_TABLE_SIZE = 64
+KERNEL_TABLE: OrderedDict = OrderedDict()
+
+
+def _kept(cache: dict, key, zs, compute):
+    """compute(zs), taken from cache[key] when that entry's nodes are zs.
+
+    A miss stores (zs, values) when zs is one of quadrature's read-only
+    node tables of at most _KEPT_NODES points: nodes that could still change
+    after being stored are not kept.  Callers only read the values."""
+    entry = cache.get(key)
+    if entry is not None and (entry[0] is zs or np.array_equal(entry[0], zs)):
+        return entry[1]
+    values = compute(zs)
+    if zs.size <= _KEPT_NODES and not zs.flags.writeable:
+        cache[key] = zs, values
+    return values
+
+
+def _kernel_values(key: tuple) -> dict:
+    """The cache for ``_kept`` of the kernel that key fixes, from
+    ``KERNEL_TABLE``; a new one drops the oldest once the table holds more
+    than KERNEL_TABLE_SIZE kernels."""
+    cache = KERNEL_TABLE.get(key)
+    if cache is None:
+        cache = KERNEL_TABLE[key] = {}
+        if len(KERNEL_TABLE) > KERNEL_TABLE_SIZE:
+            KERNEL_TABLE.popitem(last=False)
+    return cache
+
+
+def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0,
+                     key: tuple | None = None) -> complex:
     """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray.
 
     f's values on a call's nodes are kept on f (``FourierExpansion.
-    segment_values``), keyed by (height, node count), for the levels whose
-    node tables quadrature caches (up to 128 nodes); an entry is used only
-    when its nodes equal the call's, so a later pairing of f on the same
-    segment pays for its kernel alone.  The kernel's values are not kept:
-    they depend on the pairing's own parameters."""
-    cache = f.segment_values
-    cached_size = DEFAULT_QUAD.base_nodes << CACHED_LEVELS
+    segment_values``), keyed by (height, node count), so a later pairing of
+    f on the same segment pays for its kernel alone.  A kernel given a key,
+    the parameters that fix it, keeps its values the same way in
+    ``KERNEL_TABLE`` under that key, so a later pairing of any form with it
+    pays for the form alone; without a key they are not kept.  Both follow
+    ``_kept``: only the levels whose node tables quadrature caches (up to
+    128 nodes), only when the stored nodes are the call's."""
+    cache, eval_at = f.segment_values, f.eval_at
+    kept = None if key is None else _kernel_values(key)
 
     def integrand(zs):
-        key = height, zs.size
-        entry = cache.get(key)
-        if entry is not None and (entry[0] is zs or np.array_equal(entry[0], zs)):
-            values = entry[1]
-        else:
-            values = f.eval_at(zs)
-            # quadrature's node tables are read-only; nodes that could still
-            # change after being stored are not kept
-            if zs.size <= cached_size and not zs.flags.writeable:
-                cache[key] = zs, values
-        return values * kernel(zs)
+        at = height, zs.size
+        values = _kept(cache, at, zs, eval_at)
+        if kept is None:
+            return values * kernel(zs)
+        return values * _kept(kept, at, zs, kernel)
 
     return integrate_segment(integrand, 1j * height, 1j * height + 1).value
 
@@ -199,25 +245,39 @@ def _remainder_integrand(f: FourierExpansion, s: float, w: complex):
     call takes N exponentials for each p, one vector e^{imw} for every p
     (``specfun.lerch_phases``, cached), and the scaled kernel
     e^alpha E_{k-s}(alpha) on the grid, every call sharing one prepared
-    order k - s (``specfun.ExpIntOrder``)."""
+    order k - s (``specfun.ExpIntOrder``).
+
+    The Lerch sum of each p, the vector sum_m (z+m)^{s-1} e^alpha
+    E_{k-s}(alpha) e^{imw} over the nodes, depends on (k, s, w, p) alone:
+    it is kept in ``KERNEL_TABLE``'s cache for (k, s, w, p) by node count
+    (``_kept``), and f enters only through c_p and e^{-A-Bz}.  A call
+    builds z + m and the power grid once, at its first p that misses."""
     k = f.weight
     xi_f = xi_image(f, conjugate_first=True)
     count = specfun.tail_extent(w.imag, max(0.0, complex(s).real - 1.0))
     m = np.arange(count)
     phase = specfun.lerch_phases(w, count)
-    coeffs = [(c, 4 * math.pi * p, -1j * (w - TWO_PI * p)) for p, c in xi_f.holo.items()]
+    coeffs = [(c, 4 * math.pi * p, -1j * (w - TWO_PI * p),
+               _kernel_values(("remainder", k, s, w, p))) for p, c in xi_f.holo.items()]
     order = specfun.ExpIntOrder(k - s)
 
     # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}
     #           = sum_p c_p e^{2 pi i p t(2i - z)} sum_m (z+m)^{s-1} e^{itm(w - 2 pi p)},
     # so e^{itzw} t^{s-k} R_t(z, w) = sum_p c_p sum_m (z+m)^{s-1} t^{s-k} e^{-alpha t}.
     def integrand(zs):
-        zm = zs[:, None] + m
-        power = zm ** (complex(s) - 1.0)
+        grid = []  # z + m and (z + m)^{s-1}, built at the call's first miss
+
+        def lerch_sums(a, b):
+            if not grid:
+                zm = zs[:, None] + m
+                grid.extend((zm, zm ** (complex(s) - 1.0)))
+            zm, power = grid
+            return (power * specfun.exp_int_E_scaled(order, a + b * zm)) @ phase
+
         total = 0j
-        for c, a, b in coeffs:
-            grid = power * specfun.exp_int_E_scaled(order, a + b * zm)
-            total = total + c * np.exp(-a - b * zs) * (grid @ phase)
+        for c, a, b, kept in coeffs:
+            sums = _kept(kept, zs.size, zs, lambda _, a=a, b=b: lerch_sums(a, b))
+            total = total + c * np.exp(-a - b * zs) * sums
         return total
 
     return integrand
@@ -234,7 +294,7 @@ def rhs_main_theorem(f: FourierExpansion, s: float, w) -> complex:
         raise RegimeError("the contour formula needs Im(w) > 0")
 
     value = i_power(-s) * _segment_pairing(
-        f, lambda zs: np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs))
+        f, lambda zs: np.exp(1j * w * zs) * lerch_sum(s - 1.0, w, zs), key=("lerch", s, w))
     if f.nonholo:
         value += r_remainder(f, s, w, "double_integral")
     return complex(value)

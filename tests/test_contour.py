@@ -19,7 +19,8 @@ from maassl import contour, ltest, modforms, quadrature
 from maassl.quadrature import (QuadratureError, integrate_decaying,
                                integrate_segment)
 from maassl.specfun import DomainError, exp_int_E, upper_gamma_int
-from maassl.verify import CheckSpec, run_check
+from maassl.verify import (CheckSpec, default_suite, resolve_form, run_check,
+                           run_suite)
 
 try:
     import mpmath
@@ -578,6 +579,97 @@ def test_one_dim_remainder_near_the_convergence_edge(w):
     assert abs(one - two) <= 1e-13 * abs(two)
     if w == -6 + 1j:
         assert one == pytest.approx(-0.44307 - 0.59162j, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the process-wide kernel table
+# ---------------------------------------------------------------------------
+
+def _cold(evaluate, *args):
+    """evaluate(*args) on an empty kernel table, as repr: every bit."""
+    contour.KERNEL_TABLE.clear()
+    return repr(evaluate(*args))
+
+
+def test_default_suite_keeps_its_bits_in_reverse_order():
+    """A cold default-suite pass and a second pass in reverse order, which
+    finds every kernel kept, report the same lhs and rhs bit for bit."""
+    resolve_form.cache_clear()
+    contour.KERNEL_TABLE.clear()
+    cold, _ = run_suite(default_suite())
+    warm, _ = run_suite(default_suite()[::-1])
+
+    def sides(reports):
+        return {r.id: (repr(r.lhs), repr(r.rhs)) for r in reports}
+
+    assert sides(cold) == sides(warm)
+
+
+# (s, w), (s', w) and (s, w'), and at a second height
+PAIRINGS = [(0.5, 0.3 + 0.7j, 1.0), (2.0, 0.3 + 0.7j, 1.0), (0.5, 0.5 + 1j, 1.0),
+            (0.5, 0.3 + 0.7j, 1.5)]
+# (k, p): one coefficient at weights 0 and -2, and at a second frequency
+REMAINDER_FORMS = [synth_harmonic(0, {}, {-1: 1}), synth_harmonic(-2, {}, {-1: 1}),
+                   synth_harmonic(0, {}, {-2: 1})]
+# (s, w), (s', w) and (s, w')
+REMAINDER_POINTS = [(1.0, 0.5 + 1j), (2.0, 0.5 + 1j), (1.0, 0.3 + 1j)]
+
+
+def _keyed_pairing(f, s, w, height):
+    """rhs_main_theorem's pairing, at any height."""
+    return contour._segment_pairing(f, _lerch_kernel(s, w), height, key=("lerch", s, w))
+
+
+def test_kept_kernels_serve_only_their_own_parameters():
+    """Pairings and remainders whose parameters differ in one place each,
+    run interleaved and in reverse, keep the bits of their cold values: a
+    key that drops a parameter serves one kernel's values to another."""
+    f = build_J()
+    calls = ([(rhs_main_theorem, f, s, w) for s, w, h in PAIRINGS if h == 1.0]
+             + [(_keyed_pairing, f, s, w, h) for s, w, h in PAIRINGS]
+             + [(r_remainder, g, s, w, "double_integral")
+                for g in REMAINDER_FORMS for s, w in REMAINDER_POINTS])
+    cold = [_cold(*call) for call in calls]
+    assert len(set(cold)) == len(cold)
+    contour.KERNEL_TABLE.clear()
+    for order in (1, -1, 1):
+        assert [repr(fn(*args)) for fn, *args in calls[::order]] == cold[::order]
+    assert set(contour.KERNEL_TABLE) == (
+        {("lerch", s, w) for s, w, _ in PAIRINGS}
+        | {("remainder", g.weight, s, w, -n)
+           for g in REMAINDER_FORMS for n in g.nonholo for s, w in REMAINDER_POINTS})
+    assert {at[0] for at in contour.KERNEL_TABLE["lerch", 0.5, 0.3 + 0.7j]} == {1.0, 1.5}
+
+
+def test_kernel_table_holds_at_most_its_size():
+    """More kernels than the table holds: it keeps the newest, and a kernel
+    computed again after it was dropped has the same bits."""
+    f = build_J()
+    points = [(0.5, 0.3 + 0.01 * i + 0.7j) for i in range(contour.KERNEL_TABLE_SIZE + 8)]
+    cold = [_cold(rhs_main_theorem, f, s, w) for s, w in points]
+    contour.KERNEL_TABLE.clear()
+    for _ in range(2):
+        assert [repr(rhs_main_theorem(f, s, w)) for s, w in points] == cold
+        assert len(contour.KERNEL_TABLE) == contour.KERNEL_TABLE_SIZE
+    assert list(contour.KERNEL_TABLE) == [("lerch", s, w) for s, w in points[8:]]
+
+
+def test_writeable_nodes_are_never_kept(monkeypatch):
+    """Nodes that could change after being stored keep no kernel or form
+    values; the value is the same either way."""
+    f = synth_harmonic(0, {1: 0.5}, {-1: 1})
+    nodes = 1j + np.linspace(0.0, 1.0, 48)
+    assert nodes.flags.writeable
+
+    def on_nodes(g, z0, z1):
+        return quadrature.SegmentIntegral(complex(g(nodes).sum()), 0.0, 1)
+
+    contour.KERNEL_TABLE.clear()
+    monkeypatch.setattr(contour, "integrate_segment", on_nodes)
+    first = rhs_main_theorem(f, 0.5, 0.5 + 1j)
+    assert len(contour.KERNEL_TABLE) == 2  # the Lerch kernel and p = 1
+    assert not any(contour.KERNEL_TABLE.values()) and not f.segment_values
+    assert rhs_main_theorem(f, 0.5, 0.5 + 1j) == first
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maassl import verify
 from maassl.modforms import (ExpansionError, FourierExpansion, build_delta,
                              build_eisenstein, build_j_series, series_inv,
                              series_mul, synth_harmonic, xi_image)
@@ -108,6 +109,20 @@ def test_J_squared_constant_derived(Jsq):
     # J^2 coefficient at q^{-2} is 1 and at q^{-1} is 0
     assert Jsq.holo[-2] == pytest.approx(1)
     assert -1 not in Jsq.holo
+
+
+# how far below growth_const sqrt(n) each named form's stored log|c(n)| stays
+NAMED_GROWTH_MARGINS = {"J": 0.37, "Jsq": 0.19}
+
+
+@pytest.mark.parametrize("name", sorted(verify.NAMED_FORMS))
+def test_growth_constant_bounds_stored_coefficients(name):
+    """log|c(n)| < growth_const sqrt(n) at every stored n >= 1.  Jsq, of pole
+    order 2, declared 4 pi before, which its log|c(n)| pass by up to 29.6."""
+    f = verify.NAMED_FORMS[name](40)
+    margin = min(f.growth_const * math.sqrt(n) - math.log(abs(c))
+                 for n, c in f.holo.items() if n >= 1)
+    assert margin >= NAMED_GROWTH_MARGINS.get(name, 0.0) and margin > 0, margin
 
 
 def test_J_value_at_i(J):

@@ -75,7 +75,7 @@ def test_kernel_timings():
                                        "segment_pairing", "exp_int_E", "hurwitz_zeta",
                                        "digamma", "r_remainder", "remainder_grid", "l_value",
                                        "l_star", "l_value_limit")] == [
-        18, 9, 1, 2, 4, 2, 1, 4, 2, 3, 1, 3]
+        18, 9, 1, 2, 4, 2, 1, 6, 2, 3, 1, 3]
     assert [row.split()[1] for row in rows if row.startswith("exp_int_E")] == [
         "scalar", "scalar/order", "scalar/near-cut", "vector"]
     assert [row.split()[1] for row in rows if row.startswith(("l_value ", "l_star"))] == [
@@ -84,6 +84,9 @@ def test_kernel_timings():
         "J/lerch/cold", "J/lerch/warm"]
     assert [row.split()[1] for row in rows if row.startswith("l_value_limit")] == [
         "hB/m=2", "J/m=0", "synth4/m=0"]
+    assert [row.split()[1] for row in rows if row.startswith("r_remainder")] == [
+        "hB/one_dim", "hB/double_integral", "hB/kept",
+        "hC/one_dim", "hC/double_integral", "hC/kept"]
     assert [row.split()[1] for row in rows if row.startswith("remainder_grid")] == [
         "hB/48x39", "hC/48x39"]
     assert all(0 < float(row.split()[-1]) < math.inf for row in rows)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maassl import cli, ltest, modforms, quadrature, verify
+from maassl import cli, contour, ltest, modforms, quadrature, specfun, verify
 from maassl.modforms import build_j_series
 from maassl.verify import (CheckReport, CheckSpec, default_suite, load_suite,
                            report_json, resolve_form, run_check, run_suite)
@@ -251,11 +251,20 @@ def test_windows_cover_the_power_growth(name):
 
 def test_false_functional_equation_fails():
     """J's lhs against J^2's Fricke side is a false identity: a relative
-    error near 1 fails at the default tolerance."""
+    error near 1 fails at the default tolerance.  J^2's Fricke side needs
+    Re w > (4 pi sqrt 2)^2 / (2 pi) = 16 pi, from its growth constant."""
     rep = run_check(CheckSpec("fe_J_vs_Jsq", "prop_fe", "J",
-                              {"s": 0, "w": [30, 5], "N": 1, "g": "Jsq"}))
+                              {"s": 0, "w": [60, 5], "N": 1, "g": "Jsq"}))
     assert rep.status == "fail"
     assert rep.rel_err > 0.9
+
+
+def test_functional_equation_refuses_a_fast_growing_fricke_side():
+    """At Re w = 30 < 16 pi J^2's Fricke-side series is outside its regime."""
+    rep = run_check(CheckSpec("fe_J_vs_Jsq", "prop_fe", "J",
+                              {"s": 0, "w": [30, 5], "N": 1, "g": "Jsq"}))
+    assert rep.status == "skipped"
+    assert "Re(w) > 50.27" in rep.message
 
 
 # integrand calls and nodes of one default-suite pass: levels 0 and 1 share a
@@ -295,9 +304,18 @@ def test_default_suite_integrand_budget(monkeypatch):
 SUITE_EVAL_AT_CALLS = 27
 SUITE_EVAL_AT_POINTS = 1_552
 
+# kernel evaluations of one cold default-suite pass: the Lerch kernel of
+# rhs_main_theorem (lerch_sum calls) and the double-integral remainder's
+# per-frequency sums (exp_int_E_scaled calls on a grid), each computed once
+# per (s, w, node table) and (k, s, w, p, node table) in contour.KERNEL_TABLE
+# (57 and 24 when every check computed its own)
+SUITE_LERCH_SUM_CALLS = 27
+SUITE_REMAINDER_GRIDS = 9
+
 
 def _cold_suite(monkeypatch):
-    """A default-suite pass on freshly built forms, counting eval_at."""
+    """A default-suite pass on freshly built forms and an empty kernel
+    table, counting eval_at."""
     counts = {"calls": 0, "points": 0}
     eval_at = modforms.FourierExpansion.eval_at
 
@@ -307,6 +325,7 @@ def _cold_suite(monkeypatch):
         return eval_at(self, z)
 
     resolve_form.cache_clear()
+    contour.KERNEL_TABLE.clear()
     monkeypatch.setattr(modforms.FourierExpansion, "eval_at", counting)
     return run_suite(default_suite()), counts
 
@@ -317,6 +336,28 @@ def test_default_suite_eval_at_budget(monkeypatch):
     (_, summary), counts = _cold_suite(monkeypatch)
     assert summary["pass"] == len(default_suite())
     assert counts == {"calls": SUITE_EVAL_AT_CALLS, "points": SUITE_EVAL_AT_POINTS}
+
+
+def test_default_suite_kernel_budget(monkeypatch):
+    """A change that stops sharing the kernels between checks, or keys them
+    too finely, fails here."""
+    counts = {"lerch_sum": 0, "grids": 0}
+    lerch_sum, scaled = contour.lerch_sum, specfun.exp_int_E_scaled
+
+    def counting_lerch_sum(*args):
+        counts["lerch_sum"] += 1
+        return lerch_sum(*args)
+
+    def counting_scaled(s, z):
+        counts["grids"] += getattr(z, "ndim", 0) == 2
+        return scaled(s, z)
+
+    monkeypatch.setattr(contour, "lerch_sum", counting_lerch_sum)
+    monkeypatch.setattr(specfun, "exp_int_E_scaled", counting_scaled)
+    (_, summary), _ = _cold_suite(monkeypatch)
+    assert summary["pass"] == len(default_suite())
+    assert 0 < counts["lerch_sum"] <= SUITE_LERCH_SUM_CALLS
+    assert 0 < counts["grids"] <= SUITE_REMAINDER_GRIDS
 
 
 def test_warm_suite_repeats_the_cold_one_bit_for_bit(monkeypatch):
