@@ -16,8 +16,8 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   own cost;
 - contour._segment_pairing(J, e^{iwz} lerch_sum(-0.5, w, z)) at
   w = 0.3 + 0.7i (levels 0 to 2, 112 nodes), cold, with J's kept segment
-  values dropped before every call, and warm, the cost of a pairing that
-  reuses them;
+  values and contour.KERNEL_TABLE emptied before every call, and warm, the
+  cost of a pairing that finds both kept;
 - exp_int_E(0.5, z) on a scalar z = 2 pi + w, w = 0.3 + 0.7i, with a
   plain-number order (which builds its ExpIntOrder each call) and through
   one ExpIntOrder reused over the calls, as a series sum's terms are (the
@@ -59,16 +59,19 @@ import numpy as np  # noqa: E402
 
 from maassl import (PhiSW, build_J, build_J_squared, contour, l_star,  # noqa: E402
                     l_value, l_value_limit, r_remainder, specfun, synth_harmonic)
-from maassl.quadrature import _level_rule, integrate_segment  # noqa: E402
+from maassl.quadrature import _cached_level_table, integrate_segment  # noqa: E402
 
 LERCH_W = 0.3 + 0.7j
 LERCH_A = (-2.5, -0.5, -1.0, 0.0, 1.0, 0.5)
 
 
 def segment_nodes() -> dict[int, np.ndarray]:
-    """The nodes one integrand call gets on [i, i+1], by node count."""
-    levels = [_level_rule(16, level)[0] for level in range(4)]
-    return {48: 1j + np.concatenate(levels[:2]), 64: 1j + levels[2], 128: 1j + levels[3]}
+    """The nodes one integrand call gets on [i, i+1], by node count:
+    quadrature's tables of levels 1 (with level 0's nodes), 2 and 3."""
+    edges = np.array([1j, 1j + 1])
+    tables = [_cached_level_table(edges.tobytes(), edges.dtype.str, level)[0]
+              for level in (1, 2, 3)]
+    return {z.size: z for z in tables}
 
 
 def cases():
@@ -88,13 +91,16 @@ def cases():
     def lerch_kernel(zs):
         return np.exp(1j * LERCH_W * zs) * specfun.lerch_sum(-0.5, LERCH_W, zs)
 
+    key = "lerch", 0.5, LERCH_W  # lerch_kernel is rhs_main_theorem's at s = 0.5
+
     def cold_pairing():
         J.segment_values.clear()
-        return contour._segment_pairing(J, lerch_kernel)
+        contour.KERNEL_TABLE.clear()
+        return contour._segment_pairing(J, lerch_kernel, key=key)
 
     yield "segment_pairing", "J/lerch/cold", 112, cold_pairing
     yield "segment_pairing", "J/lerch/warm", 112, lambda: contour._segment_pairing(
-        J, lerch_kernel)
+        J, lerch_kernel, key=key)
     z1 = 2 * math.pi + LERCH_W
     yield "exp_int_E", "scalar", 1, lambda: specfun.exp_int_E(0.5, z1)
     order = specfun.ExpIntOrder(0.5)

@@ -8,18 +8,22 @@ integral over the segment.  Every pairing of a form with a kernel on a
 horizontal segment is ``_segment_pairing``, which evaluates the form once
 per segment and quadrature level and keeps those values on the form.
 
-Values that depend on the test function phi_s^w alone are kept once per
-process in ``KERNEL_TABLE``, shared by every form, one cache per kernel
-under the parameters that fix it: the main identity's Lerch kernel
-e^{iwz} zeta(1-s, w/(2 pi), z) under (s, w), and the double-integral
-remainder's Lerch sum for each xi-frequency p under (k, s, w, p).  A
-kernel's cache holds its values by (height, node count), or by node count
-for the remainder, as a form's segment values do (``_kept``): only on
-quadrature's read-only node tables of at most 128 nodes, and only for a
-call whose nodes are the stored ones.  The table holds at most
+Every kernel depends on the test function alone, so its values are kept
+once per process in ``KERNEL_TABLE``, shared by every form, one cache per
+kernel under the parameters that fix it: the main identity's Lerch kernel
+e^{iwz} zeta(1-s, w/(2 pi), z) under ("lerch", s, w), the double-integral
+remainder's Lerch sum for each xi-frequency p under ("remainder", k, s, w,
+p), the w = 0 kernel zeta*(1-s, z) or zeta(1-s, z) under ("zeta", s), the
+Bernoulli kernels under ("bernoulli", m) and ("bern2", k, m,
+printed_constants), and a compact seed's translated sum under ("seed",
+seed, height).  One keeping rule holds for every kernel and for a form's
+segment values (``_kept``): the values of one integrand call are kept by
+(height, node count), the remainder's, always on [i, i+1], by node count,
+for calls of at most ``quadrature.CACHED_NODES`` nodes.  Quadrature gives
+each segment one read-only node table per level, and the cached levels'
+node counts differ, so the key names the nodes.  The table holds at most
 ``KERNEL_TABLE_SIZE`` kernels, dropping the oldest first: at most 240 KB
-of values, 48 + 64 + 128 nodes per kernel and height.  The w = 0 kernels
-(``rhs_star``, the Bernoulli polynomials) are not kept.
+of values, 48 + 64 + 128 nodes per kernel and height.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ import numpy as np
 
 from . import specfun
 from .modforms import FourierExpansion, xi_image
-from .quadrature import (CACHED_LEVELS, DEFAULT_QUAD, integrate_decaying,
-                         integrate_segment)
+from .quadrature import CACHED_NODES, integrate_decaying, integrate_segment
 from .specfun import lerch_sum
 
 TWO_PI = 2.0 * math.pi
@@ -51,26 +54,20 @@ def i_power(a) -> complex:
     return cmath.exp(a * 1j * math.pi / 2)
 
 
-# nodes per integrand call of the deepest level whose node table quadrature
-# caches: larger calls, which the default suite never makes, are not kept
-_KEPT_NODES = DEFAULT_QUAD.base_nodes << CACHED_LEVELS
-
 KERNEL_TABLE_SIZE = 64
 KERNEL_TABLE: OrderedDict = OrderedDict()
 
 
-def _kept(cache: dict, key, zs, compute):
-    """compute(zs), taken from cache[key] when that entry's nodes are zs.
-
-    A miss stores (zs, values) when zs is one of quadrature's read-only
-    node tables of at most _KEPT_NODES points: nodes that could still change
-    after being stored are not kept.  Callers only read the values."""
-    entry = cache.get(key)
-    if entry is not None and (entry[0] is zs or np.array_equal(entry[0], zs)):
-        return entry[1]
-    values = compute(zs)
-    if zs.size <= _KEPT_NODES and not zs.flags.writeable:
-        cache[key] = zs, values
+def _kept(cache: dict, height: float, zs, compute):
+    """compute(zs) on quadrature's nodes zs of the segment at `height`,
+    kept in cache under (height, node count) when zs has at most
+    CACHED_NODES points.  Callers only read the values."""
+    at = height, zs.size
+    values = cache.get(at)
+    if values is None:
+        values = compute(zs)
+        if zs.size <= CACHED_NODES:
+            cache[at] = values
     return values
 
 
@@ -86,27 +83,19 @@ def _kernel_values(key: tuple) -> dict:
     return cache
 
 
-def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0,
-                     key: tuple | None = None) -> complex:
+def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0, *,
+                     key: tuple) -> complex:
     """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray.
 
-    f's values on a call's nodes are kept on f (``FourierExpansion.
-    segment_values``), keyed by (height, node count), so a later pairing of
-    f on the same segment pays for its kernel alone.  A kernel given a key,
-    the parameters that fix it, keeps its values the same way in
-    ``KERNEL_TABLE`` under that key, so a later pairing of any form with it
-    pays for the form alone; without a key they are not kept.  Both follow
-    ``_kept``: only the levels whose node tables quadrature caches (up to
-    128 nodes), only when the stored nodes are the call's."""
-    cache, eval_at = f.segment_values, f.eval_at
-    kept = None if key is None else _kernel_values(key)
+    key, the parameters that fix the kernel, names its cache in
+    ``KERNEL_TABLE``.  f's values are kept on f (``FourierExpansion.
+    segment_values``) and the kernel's under its key, both by ``_kept``, so
+    a later pairing of f on the segment pays for its kernel alone, and a
+    later pairing of any form with the kernel for the form alone."""
+    cache, eval_at, kept = f.segment_values, f.eval_at, _kernel_values(key)
 
     def integrand(zs):
-        at = height, zs.size
-        values = _kept(cache, at, zs, eval_at)
-        if kept is None:
-            return values * kernel(zs)
-        return values * _kept(kept, at, zs, kernel)
+        return _kept(cache, height, zs, eval_at) * _kept(kept, height, zs, kernel)
 
     return integrate_segment(integrand, 1j * height, 1j * height + 1).value
 
@@ -249,9 +238,10 @@ def _remainder_integrand(f: FourierExpansion, s: float, w: complex):
 
     The Lerch sum of each p, the vector sum_m (z+m)^{s-1} e^alpha
     E_{k-s}(alpha) e^{imw} over the nodes, depends on (k, s, w, p) alone:
-    it is kept in ``KERNEL_TABLE``'s cache for (k, s, w, p) by node count
-    (``_kept``), and f enters only through c_p and e^{-A-Bz}.  A call
-    builds z + m and the power grid once, at its first p that misses."""
+    it is kept in ``KERNEL_TABLE``'s cache for (k, s, w, p) by node count,
+    by the rule of ``_kept``, and f enters only through c_p and e^{-A-Bz}.
+    A call builds z + m and the power grid once, at its first p that
+    misses."""
     k = f.weight
     xi_f = xi_image(f, conjugate_first=True)
     count = specfun.tail_extent(w.imag, max(0.0, complex(s).real - 1.0))
@@ -265,18 +255,17 @@ def _remainder_integrand(f: FourierExpansion, s: float, w: complex):
     #           = sum_p c_p e^{2 pi i p t(2i - z)} sum_m (z+m)^{s-1} e^{itm(w - 2 pi p)},
     # so e^{itzw} t^{s-k} R_t(z, w) = sum_p c_p sum_m (z+m)^{s-1} t^{s-k} e^{-alpha t}.
     def integrand(zs):
-        grid = []  # z + m and (z + m)^{s-1}, built at the call's first miss
-
-        def lerch_sums(a, b):
-            if not grid:
-                zm = zs[:, None] + m
-                grid.extend((zm, zm ** (complex(s) - 1.0)))
-            zm, power = grid
-            return (power * specfun.exp_int_E_scaled(order, a + b * zm)) @ phase
-
+        zm = power = None  # z + m and (z + m)^{s-1}, built at the call's first miss
         total = 0j
         for c, a, b, kept in coeffs:
-            sums = _kept(kept, zs.size, zs, lambda _, a=a, b=b: lerch_sums(a, b))
+            sums = kept.get(zs.size)
+            if sums is None:
+                if zm is None:
+                    zm = zs[:, None] + m
+                    power = zm ** (complex(s) - 1.0)
+                sums = (power * specfun.exp_int_E_scaled(order, a + b * zm)) @ phase
+                if zs.size <= CACHED_NODES:
+                    kept[zs.size] = sums
             total = total + c * np.exp(-a - b * zs) * sums
         return total
 
@@ -336,7 +325,7 @@ def rhs_star(f: FourierExpansion, s: float) -> complex:
     # zeta(1-s, z)'s pole -1/s is constant in z, so the pairing drops it, but
     # it leaves eps/|s| of rounding at each node: near s = 0, pair with zeta*
     kernel = specfun.hurwitz_zeta_star if abs(s) < 0.5 else specfun.hurwitz_zeta
-    value = i_power(-s) * _segment_pairing(f, lambda zs: kernel(1 - s, zs))
+    value = i_power(-s) * _segment_pairing(f, lambda zs: kernel(1 - s, zs), key=("zeta", s))
     return complex(value + r_remainder(f, s, 0j))
 
 
@@ -386,7 +375,7 @@ def _bern_second_integral(f: FourierExpansion, m: int,
                     r, zs.real)
         return poly
 
-    return _segment_pairing(xi_f, kernel)
+    return _segment_pairing(xi_f, kernel, key=("bern2", k, m, printed_constants))
 
 
 def rhs_integer_value(f: FourierExpansion, m: int,
@@ -404,7 +393,8 @@ def rhs_integer_value(f: FourierExpansion, m: int,
     """
     if f.is_weakly_holomorphic or m < 1:
         return rhs_star(f, m)
-    first = -i_power(-m) * _segment_pairing(f, lambda zs: specfun.bernoulli_poly(m, zs) / m)
+    first = -i_power(-m) * _segment_pairing(f, lambda zs: specfun.bernoulli_poly(m, zs) / m,
+                                            key=("bernoulli", m))
     # the Bernoulli theorem is stated for s = 1 + mm, mm = m - 1
     return complex(first + _bern_second_integral(f, m - 1, printed_constants))
 
@@ -430,6 +420,6 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float) -> comp
             if abs(seed.value(zz)) >= abs(zz) ** (-1.0 - eps) * (1 + 1e-9):
                 raise RegimeError(f"seed violates the decay condition at z={zz}")
 
-    top = _segment_pairing(f, seed.translated_sum, a)
-    bottom = _segment_pairing(f, seed.translated_sum, b)
+    top = _segment_pairing(f, seed.translated_sum, a, key=("seed", seed, a))
+    bottom = _segment_pairing(f, seed.translated_sum, b, key=("seed", seed, b))
     return complex(-1j * (top - bottom))

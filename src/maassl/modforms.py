@@ -96,9 +96,9 @@ class FourierExpansion:
     An expansion is treated as immutable once evaluated: ``arrays`` caches
     its coefficient table, and ``segment_values`` keeps its values on the
     quadrature nodes of the horizontal segments it was paired on
-    (``contour._segment_pairing``, by the rule of ``contour._kept``), at
-    most 48 + 64 + 128 points per height, the levels whose node tables
-    quadrature caches.
+    (``contour._segment_pairing``), by the one keeping rule that the
+    ``contour`` module states for every kernel: at most 48 + 64 + 128
+    points per height.
     """
 
     weight: int

@@ -19,11 +19,14 @@ Integrands accept an ndarray of N complex points and return N values, or an
 the max-norm over its K components and returns an ndarray of K values.
 
 The nodes and scaled weights of a path's levels are read-only tables,
-cached per (path edges, level) for levels up to ``CACHED_LEVELS`` (128
-nodes per base panel, the deepest level the default suite reaches); deeper
-levels are built per call, so an integral that fails at max_depth pins no
-memory.  The node array an integrand gets is such a table: writing into it
-raises ValueError.
+cached per (path edges, level) up to level ``CACHED_LEVELS``, the deepest
+the default suite reaches, as are the levels' rules on [0, 1]; deeper
+levels are built per call from the order's cached Gauss-Legendre rule, so
+an integral that fails at max_depth pins no memory.  An integrand call
+gets such a table, which it cannot write, and its node count names the
+level: 48, 64 and 128 per base panel at levels 1 to 3 (``CACHED_NODES``),
+so values on a path's nodes may be kept by (path, node count) up to
+CACHED_NODES nodes (``contour._kept``).
 """
 
 from __future__ import annotations
@@ -70,18 +73,23 @@ class SegmentIntegral:
     panels_used: int
 
 
-@lru_cache(maxsize=64)
+_gauss_legendre = lru_cache(maxsize=4)(np.polynomial.legendre.leggauss)
+
+
 def _level_rule(order: int, level: int):
     """Nodes in [0, 1] and weights of `order`-point Gauss-Legendre on 2^level
     equal sub-panels of [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     n = 1 << level
     u = ((np.arange(n)[:, None] + (1 + x) / 2) / n).ravel()
     return u, np.tile(w / (2 * n), n)
 
 
-# levels whose tables are cached: 2^3 sub-panels per base panel
+# levels whose rules and tables are cached: 2^3 sub-panels per base panel
 CACHED_LEVELS = 3
+# nodes per base panel of the largest cached table, level CACHED_LEVELS's
+CACHED_NODES = DEFAULT_QUAD.base_nodes << CACHED_LEVELS
+_cached_level_rule = lru_cache(maxsize=4 * (CACHED_LEVELS + 1))(_level_rule)
 
 
 def _level_table(edges: bytes, dtype: str, level: int):
@@ -92,7 +100,8 @@ def _level_table(edges: bytes, dtype: str, level: int):
     (``_doubling``)."""
     e = np.frombuffer(edges, dtype)
     lo, width = e[:-1, None], np.diff(e)[:, None]
-    u, w = _level_rule(DEFAULT_QUAD.base_nodes, level)
+    rule = _cached_level_rule if level <= CACHED_LEVELS else _level_rule
+    u, w = rule(DEFAULT_QUAD.base_nodes, level)
     nodes = (lo + width * u).ravel()
     if level == 1:
         nodes = np.concatenate([_cached_level_table(edges, dtype, 0)[0], nodes])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from maassl import (InversePowerSeed, PhiSW, build_J, compact_support_value, l_s
                     rhs_integer_value, rhs_main_theorem, rhs_star,
                     synth_harmonic)
 from maassl.contour import RegimeError, i_power, lerch_sum
-from maassl.ltest import ZeroSeed
+from maassl.ltest import LorentzianSeed, ZeroSeed
 from maassl.modforms import xi_image
 from maassl import contour, ltest, modforms, quadrature
 from maassl.quadrature import (QuadratureError, integrate_decaying,
@@ -190,6 +191,28 @@ def test_integrand_cannot_write_its_nodes():
     assert integrate_segment(lambda z: z, 1j, 1j + 1).value == pytest.approx(0.5 + 1j)
 
 
+def test_max_depth_failure_caches_no_deep_level():
+    """An integral that fails at max_depth leaves in quadrature's caches the
+    rules and its path's tables of the levels up to CACHED_LEVELS and the
+    order's Gauss-Legendre rule, nothing deeper: 8 MB stayed when every
+    level's rule was cached."""
+    caches = [c for c in vars(quadrature).values() if hasattr(c, "cache_info")]
+    for cache in caches:
+        cache.cache_clear()
+    rng = np.random.default_rng(0)
+    failure = ""
+    tracemalloc.start()
+    try:
+        integrate_segment(lambda z: rng.standard_normal(z.size), 1j, 1j + 1)
+    except QuadratureError as exc:
+        failure = str(exc)
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert "max_depth" in failure
+    assert all(c.cache_info().currsize <= quadrature.CACHED_LEVELS + 1 for c in caches)
+    assert retained < 64_000
+
+
 def test_decaying_exponential():
     seg = integrate_decaying(lambda t: np.exp(-np.real(t)), 0.0, 40.0)
     assert seg.value == pytest.approx(1 - math.exp(-40), rel=1e-11)
@@ -354,24 +377,31 @@ def _counting_eval_at(monkeypatch):
     return sizes
 
 
+def _pole(zs):
+    """A kernel with a pole 0.1 off [i, i+1]: J's pairing with it reaches
+    quadrature level 4 (256 nodes)."""
+    return 1 / (zs - 0.5 - 0.9j)
+
+
 def test_segment_pairing_reuses_form_values(monkeypatch):
     """A second pairing of one form on one segment evaluates the form at no
     cached level it has seen, and its value keeps every bit of a cold
     pairing.  Levels past quadrature.CACHED_LEVELS are not kept."""
     sizes = _counting_eval_at(monkeypatch)
     f = build_J()
-    first = contour._segment_pairing(f, _lerch_kernel(0.5, 0.3 + 0.7j))
+    lerch, key = _lerch_kernel(0.5, 0.3 + 0.7j), ("lerch", 0.5, 0.3 + 0.7j)
+    first = contour._segment_pairing(f, lerch, key=key)
     assert sizes == [48, 64]
-    # a pole 0.1 off the segment takes J's pairing to level 4 (256 nodes)
-    sharp = contour._segment_pairing(f, lambda zs: 1 / (zs - 0.5 - 0.9j))
+    sharp = contour._segment_pairing(f, _pole, key=("pole",))
     assert sizes == [48, 64, 128, 256]
-    again = contour._segment_pairing(f, _lerch_kernel(0.5, 0.3 + 0.7j))
+    again = contour._segment_pairing(f, lerch, key=key)
     assert sizes == [48, 64, 128, 256]
-    sharp_again = contour._segment_pairing(f, lambda zs: 1 / (zs - 0.5 - 0.9j))
+    sharp_again = contour._segment_pairing(f, _pole, key=("pole",))
     assert sizes == [48, 64, 128, 256, 256]
     assert sorted(f.segment_values) == [(1.0, 48), (1.0, 64), (1.0, 128)]
-    cold = contour._segment_pairing(build_J(), _lerch_kernel(0.5, 0.3 + 0.7j))
-    cold_sharp = contour._segment_pairing(build_J(), lambda zs: 1 / (zs - 0.5 - 0.9j))
+    contour.KERNEL_TABLE.clear()
+    cold = contour._segment_pairing(build_J(), lerch, key=key)
+    cold_sharp = contour._segment_pairing(build_J(), _pole, key=("pole",))
     assert first == again == cold
     assert sharp == sharp_again == cold_sharp
 
@@ -379,14 +409,14 @@ def test_segment_pairing_reuses_form_values(monkeypatch):
 def test_segment_pairing_keeps_heights_apart(monkeypatch):
     sizes = _counting_eval_at(monkeypatch)
     f = build_J()
-    kernel = _lerch_kernel(1.5, 0.2 + 1j)
-    low = contour._segment_pairing(f, kernel, 1.0)
-    high = contour._segment_pairing(f, kernel, 1.5)
+    kernel, key = _lerch_kernel(1.5, 0.2 + 1j), ("lerch", 1.5, 0.2 + 1j)
+    low = contour._segment_pairing(f, kernel, 1.0, key=key)
+    high = contour._segment_pairing(f, kernel, 1.5, key=key)
     assert sizes == [48, 64, 48, 64]
     assert sorted(f.segment_values) == [(1.0, 48), (1.0, 64), (1.5, 48), (1.5, 64)]
     assert low != high
-    assert high == contour._segment_pairing(build_J(), kernel, 1.5)
-    assert low == contour._segment_pairing(f, kernel, 1.0)
+    assert high == contour._segment_pairing(build_J(), kernel, 1.5, key=key)
+    assert low == contour._segment_pairing(f, kernel, 1.0, key=key)
     assert len(sizes) == 6  # the cold copy's two calls
 
 
@@ -608,6 +638,16 @@ def test_default_suite_keeps_its_bits_in_reverse_order():
 # (s, w), (s', w) and (s, w'), and at a second height
 PAIRINGS = [(0.5, 0.3 + 0.7j, 1.0), (2.0, 0.3 + 0.7j, 1.0), (0.5, 0.5 + 1j, 1.0),
             (0.5, 0.3 + 0.7j, 1.5)]
+# rhs_star's s, s' and s'' = 0.3 across the zeta*/zeta switch at |s| = 0.5
+ZETA_POINTS = [0.7, 1.5, 0.3]
+# rhs_integer_value's (k, m, printed_constants): m and m', k', and the
+# printed constants
+BERNOULLI_CALLS = [(0, 2, False), (0, 3, False), (-2, 2, False), (0, 2, True)]
+BERNOULLI_FORMS = {0: synth_harmonic(0, {1: 0.5}, {-1: 1}),
+                   -2: synth_harmonic(-2, {1: 1}, {-1: 2 - 1j})}
+# (seed, a, b): a seed at heights b and b', and two other seeds
+SEED_CALLS = [(InversePowerSeed(2.0), 1.0, 2.0), (InversePowerSeed(2.0), 1.0, 1.5),
+              (InversePowerSeed(3.0), 1.0, 2.0), (LorentzianSeed(), 1.0, 2.0)]
 # (k, p): one coefficient at weights 0 and -2, and at a second frequency
 REMAINDER_FORMS = [synth_harmonic(0, {}, {-1: 1}), synth_harmonic(-2, {}, {-1: 1}),
                    synth_harmonic(0, {}, {-2: 1})]
@@ -628,7 +668,11 @@ def test_kept_kernels_serve_only_their_own_parameters():
     calls = ([(rhs_main_theorem, f, s, w) for s, w, h in PAIRINGS if h == 1.0]
              + [(_keyed_pairing, f, s, w, h) for s, w, h in PAIRINGS]
              + [(r_remainder, g, s, w, "double_integral")
-                for g in REMAINDER_FORMS for s, w in REMAINDER_POINTS])
+                for g in REMAINDER_FORMS for s, w in REMAINDER_POINTS]
+             + [(rhs_star, f, s) for s in ZETA_POINTS]
+             + [(rhs_integer_value, BERNOULLI_FORMS[k], m, printed)
+                for k, m, printed in BERNOULLI_CALLS]
+             + [(compact_support_value, f, seed, a, b) for seed, a, b in SEED_CALLS])
     cold = [_cold(*call) for call in calls]
     assert len(set(cold)) == len(cold)
     contour.KERNEL_TABLE.clear()
@@ -637,7 +681,11 @@ def test_kept_kernels_serve_only_their_own_parameters():
     assert set(contour.KERNEL_TABLE) == (
         {("lerch", s, w) for s, w, _ in PAIRINGS}
         | {("remainder", g.weight, s, w, -n)
-           for g in REMAINDER_FORMS for n in g.nonholo for s, w in REMAINDER_POINTS})
+           for g in REMAINDER_FORMS for n in g.nonholo for s, w in REMAINDER_POINTS}
+        | {("zeta", s) for s in ZETA_POINTS}
+        | {("bernoulli", m) for _, m, _ in BERNOULLI_CALLS}
+        | {("bern2", k, m - 1, printed) for k, m, printed in BERNOULLI_CALLS}
+        | {("seed", seed, h) for seed, a, b in SEED_CALLS for h in (a, b)})
     assert {at[0] for at in contour.KERNEL_TABLE["lerch", 0.5, 0.3 + 0.7j]} == {1.0, 1.5}
 
 
@@ -654,22 +702,39 @@ def test_kernel_table_holds_at_most_its_size():
     assert list(contour.KERNEL_TABLE) == [("lerch", s, w) for s, w in points[8:]]
 
 
-def test_writeable_nodes_are_never_kept(monkeypatch):
-    """Nodes that could change after being stored keep no kernel or form
-    values; the value is the same either way."""
-    f = synth_harmonic(0, {1: 0.5}, {-1: 1})
-    nodes = 1j + np.linspace(0.0, 1.0, 48)
-    assert nodes.flags.writeable
-
-    def on_nodes(g, z0, z1):
-        return quadrature.SegmentIntegral(complex(g(nodes).sum()), 0.0, 1)
-
+def test_seed_heights_stay_within_the_kernel_table():
+    """One seed paired at 100 heights: each height is a kernel of its own,
+    which the table bounds, holding at most the 3 cached levels' values."""
+    seed = InversePowerSeed(2.0)
     contour.KERNEL_TABLE.clear()
-    monkeypatch.setattr(contour, "integrate_segment", on_nodes)
-    first = rhs_main_theorem(f, 0.5, 0.5 + 1j)
-    assert len(contour.KERNEL_TABLE) == 2  # the Lerch kernel and p = 1
-    assert not any(contour.KERNEL_TABLE.values()) and not f.segment_values
-    assert rhs_main_theorem(f, 0.5, 0.5 + 1j) == first
+    for i in range(100):
+        compact_support_value(build_J(), seed, 1.0 + i / 100, 2.5)
+    assert len(contour.KERNEL_TABLE) <= contour.KERNEL_TABLE_SIZE
+    assert all(len(values) <= 3 for values in contour.KERNEL_TABLE.values())
+
+
+def test_kept_values_rest_on_quadratures_tables(monkeypatch):
+    """``_kept`` names a call's nodes by (height, node count) alone.  That
+    holds because quadrature builds one read-only table per (edges, level),
+    equal when rebuilt, with a node count of its own at each cached level,
+    and keeps no values past CACHED_NODES nodes."""
+    edges = np.array([1.5j, 1.5j + 1])
+    key = edges.tobytes(), edges.dtype.str
+    sizes = []
+    for level in range(quadrature.CACHED_LEVELS + 1):
+        nodes = quadrature._cached_level_table(*key, level)[0]
+        assert nodes is quadrature._cached_level_table(*key, level)[0]
+        assert np.array_equal(nodes, quadrature._level_table(*key, level)[0])
+        assert not nodes.flags.writeable
+        sizes.append(nodes.size)
+    assert len(set(sizes)) == len(sizes) and max(sizes) == quadrature.CACHED_NODES
+    calls = _counting_eval_at(monkeypatch)
+    f = build_J()
+    contour.KERNEL_TABLE.clear()
+    contour._segment_pairing(f, _pole, key=("pole",))
+    assert max(calls) > quadrature.CACHED_NODES
+    kept = {(1.0, n) for n in calls if n <= quadrature.CACHED_NODES}
+    assert set(f.segment_values) == set(contour.KERNEL_TABLE["pole",]) == kept
 
 
 # ---------------------------------------------------------------------------

@@ -304,13 +304,15 @@ def test_default_suite_integrand_budget(monkeypatch):
 SUITE_EVAL_AT_CALLS = 27
 SUITE_EVAL_AT_POINTS = 1_552
 
-# kernel evaluations of one cold default-suite pass: the Lerch kernel of
-# rhs_main_theorem (lerch_sum calls) and the double-integral remainder's
-# per-frequency sums (exp_int_E_scaled calls on a grid), each computed once
-# per (s, w, node table) and (k, s, w, p, node table) in contour.KERNEL_TABLE
-# (57 and 24 when every check computed its own)
-SUITE_LERCH_SUM_CALLS = 27
-SUITE_REMAINDER_GRIDS = 9
+# kernel evaluations of one cold default-suite pass, each kernel computed
+# once per node table in contour.KERNEL_TABLE: the Lerch kernel of
+# rhs_main_theorem (lerch_sum calls), the double-integral remainder's
+# per-frequency sums (exp_int_E_scaled calls on a grid), the w = 0 kernels
+# (hurwitz_zeta and hurwitz_zeta_star calls, among them those of the seeds,
+# and bernoulli_poly calls) and the compact seeds' translated sums (57, 24,
+# 27, 26 and 11 when every check computed its own); a warm pass makes none
+SUITE_KERNEL_CALLS = {"lerch_sum": 27, "grids": 9, "zeta": 25, "bernoulli_poly": 16,
+                      "seed": 11}
 
 
 def _cold_suite(monkeypatch):
@@ -339,25 +341,32 @@ def test_default_suite_eval_at_budget(monkeypatch):
 
 
 def test_default_suite_kernel_budget(monkeypatch):
-    """A change that stops sharing the kernels between checks, or keys them
-    too finely, fails here."""
-    counts = {"lerch_sum": 0, "grids": 0}
-    lerch_sum, scaled = contour.lerch_sum, specfun.exp_int_E_scaled
+    """A change that stops sharing the kernels between checks, keys them
+    too finely, or pairs a kernel without keeping it, fails here."""
+    counts = dict.fromkeys(SUITE_KERNEL_CALLS, 0)
 
-    def counting_lerch_sum(*args):
-        counts["lerch_sum"] += 1
-        return lerch_sum(*args)
+    def counting(module, name, label, counted=lambda *args: True):
+        original = getattr(module, name)
 
-    def counting_scaled(s, z):
-        counts["grids"] += getattr(z, "ndim", 0) == 2
-        return scaled(s, z)
+        def wrapped(*args):
+            counts[label] += counted(*args)
+            return original(*args)
 
-    monkeypatch.setattr(contour, "lerch_sum", counting_lerch_sum)
-    monkeypatch.setattr(specfun, "exp_int_E_scaled", counting_scaled)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(contour, "lerch_sum", "lerch_sum")
+    counting(specfun, "exp_int_E_scaled", "grids", lambda s, z: getattr(z, "ndim", 0) == 2)
+    counting(specfun, "hurwitz_zeta", "zeta")
+    counting(specfun, "hurwitz_zeta_star", "zeta")
+    counting(specfun, "bernoulli_poly", "bernoulli_poly")
+    for seed in (ltest.InversePowerSeed, ltest.LorentzianSeed, ltest.ZeroSeed):
+        counting(seed, "translated_sum", "seed")
     (_, summary), _ = _cold_suite(monkeypatch)
     assert summary["pass"] == len(default_suite())
-    assert 0 < counts["lerch_sum"] <= SUITE_LERCH_SUM_CALLS
-    assert 0 < counts["grids"] <= SUITE_REMAINDER_GRIDS
+    assert all(0 < counts[k] <= bound for k, bound in SUITE_KERNEL_CALLS.items()), counts
+    counts.update(dict.fromkeys(counts, 0))
+    run_suite(default_suite())
+    assert counts == dict.fromkeys(SUITE_KERNEL_CALLS, 0)
 
 
 def test_warm_suite_repeats_the_cold_one_bit_for_bit(monkeypatch):
