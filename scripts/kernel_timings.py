@@ -15,9 +15,9 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   [i, i+1], which stops after its first call (48 nodes): the quadrature's
   own cost;
 - contour._segment_pairing(J, e^{iwz} lerch_sum(-0.5, w, z)) at
-  w = 0.3 + 0.7i (levels 0 to 2, 112 nodes), cold, with J's kept segment
-  values and contour.KERNEL_TABLE emptied before every call, and warm, the
-  cost of a pairing that finds both kept;
+  w = 0.3 + 0.7i (levels 0 to 2, 112 nodes), cold, with
+  contour.KERNEL_TABLE, which keeps J's values and the kernel's, emptied
+  before every call, and warm, the cost of a pairing that finds both kept;
 - exp_int_E(0.5, z) on a scalar z = 2 pi + w, w = 0.3 + 0.7i, with a
   plain-number order (which builds its ExpIntOrder each call) and through
   one ExpIntOrder reused over the calls, as a series sum's terms are (the
@@ -94,7 +94,6 @@ def cases():
     key = "lerch", 0.5, LERCH_W  # lerch_kernel is rhs_main_theorem's at s = 0.5
 
     def cold_pairing():
-        J.segment_values.clear()
         contour.KERNEL_TABLE.clear()
         return contour._segment_pairing(J, lerch_kernel, key=key)
 

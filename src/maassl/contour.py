@@ -5,25 +5,23 @@ from ia to ia+1 in the compactly supported case).  The remainder term that
 appears for expansions with a non-holomorphic part is provided in both of
 its equivalent shapes: the one-dimensional coefficient form and the double
 integral over the segment.  Every pairing of a form with a kernel on a
-horizontal segment is ``_segment_pairing``, which evaluates the form once
-per segment and quadrature level and keeps those values on the form.
+horizontal segment is ``_segment_pairing``.
 
-Every kernel depends on the test function alone, so its values are kept
-once per process in ``KERNEL_TABLE``, shared by every form, one cache per
-kernel under the parameters that fix it: the main identity's Lerch kernel
-e^{iwz} zeta(1-s, w/(2 pi), z) under ("lerch", s, w), the double-integral
-remainder's Lerch sum for each xi-frequency p under ("remainder", k, s, w,
-p), the w = 0 kernel zeta*(1-s, z) or zeta(1-s, z) under ("zeta", s), the
-Bernoulli kernels under ("bernoulli", m) and ("bern2", k, m,
-printed_constants), and a compact seed's translated sum under ("seed",
-seed, height).  One keeping rule holds for every kernel and for a form's
-segment values (``_kept``): the values of one integrand call are kept by
-(height, node count), the remainder's, always on [i, i+1], by node count,
-for calls of at most ``quadrature.CACHED_NODES`` nodes.  Quadrature gives
-each segment one read-only node table per level, and the cached levels'
-node counts differ, so the key names the nodes.  The table holds at most
-``KERNEL_TABLE_SIZE`` kernels, dropping the oldest first: at most 240 KB
-of values, 48 + 64 + 128 nodes per kernel and height.
+One table, ``KERNEL_TABLE``, keeps every value that a pairing computes, once
+per process, one entry per segment: a form's values under ("form", height)
++ ``FourierExpansion.key``, shared by every expansion with equal weight and
+coefficients; the Lerch kernel e^{iwz} zeta(1-s, w/(2 pi), z) under ("lerch",
+s, w, height); zeta*(1-s, z) or zeta(1-s, z) = -B_m(z)/m at s = m under
+("zeta", s, height), with the Bernoulli formula's xi-part under ("bern2", k,
+m, printed_constants, height); a compact seed's translated sum under
+("seed", seed, height); and the double-integral remainder's Lerch sum for
+each xi-frequency p, on [i, i+1], under ("remainder", k, s, w, p).  One rule
+keeps every entry's values (``_kept``): an integrand call's, by node count,
+up to ``quadrature.CACHED_NODES`` nodes; quadrature gives a segment one
+read-only node table per level, and the cached levels' counts differ, so
+the count names the nodes.  The table holds at most ``KERNEL_TABLE_SIZE`` =
+64 entries of 48 + 64 + 128 = 240 nodes, 240 KB of values, and drops the
+least recently used entry first.
 """
 
 from __future__ import annotations
@@ -58,28 +56,25 @@ KERNEL_TABLE_SIZE = 64
 KERNEL_TABLE: OrderedDict = OrderedDict()
 
 
-def _kept(cache: dict, height: float, zs, compute):
-    """compute(zs) on quadrature's nodes zs of the segment at `height`,
-    kept in cache under (height, node count) when zs has at most
-    CACHED_NODES points.  Callers only read the values."""
-    at = height, zs.size
-    values = cache.get(at)
+def _kept(cache: dict, zs, compute):
+    """compute(zs), kept in cache under the node count of zs when it is at
+    most CACHED_NODES; callers only read the values."""
+    values = cache.get(zs.size)
     if values is None:
         values = compute(zs)
         if zs.size <= CACHED_NODES:
-            cache[at] = values
+            cache[zs.size] = values
     return values
 
 
-def _kernel_values(key: tuple) -> dict:
-    """The cache for ``_kept`` of the kernel that key fixes, from
-    ``KERNEL_TABLE``; a new one drops the oldest once the table holds more
-    than KERNEL_TABLE_SIZE kernels."""
-    cache = KERNEL_TABLE.get(key)
-    if cache is None:
-        cache = KERNEL_TABLE[key] = {}
-        if len(KERNEL_TABLE) > KERNEL_TABLE_SIZE:
-            KERNEL_TABLE.popitem(last=False)
+def _table_entry(key: tuple) -> dict:
+    """The cache for ``_kept`` of the entry that key names, from
+    ``KERNEL_TABLE``, moved to its end; the least recently used entry goes
+    once the table holds more than KERNEL_TABLE_SIZE."""
+    cache = KERNEL_TABLE.setdefault(key, {})
+    KERNEL_TABLE.move_to_end(key)
+    if len(KERNEL_TABLE) > KERNEL_TABLE_SIZE:
+        KERNEL_TABLE.popitem(last=False)
     return cache
 
 
@@ -87,15 +82,14 @@ def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0, *,
                      key: tuple) -> complex:
     """int_{i height}^{i height + 1} f(z) kernel(z) dz; kernel takes an ndarray.
 
-    key, the parameters that fix the kernel, names its cache in
-    ``KERNEL_TABLE``.  f's values are kept on f (``FourierExpansion.
-    segment_values``) and the kernel's under its key, both by ``_kept``, so
-    a later pairing of f on the segment pays for its kernel alone, and a
-    later pairing of any form with the kernel for the form alone."""
-    cache, eval_at, kept = f.segment_values, f.eval_at, _kernel_values(key)
+    key, the parameters that fix the kernel, and the height name the
+    kernel's entry in ``KERNEL_TABLE``, and f's values have their own, so a
+    later pairing of f on the segment pays for the kernel alone, and of any
+    form with the kernel for the form alone."""
+    values, kept = _table_entry(("form", height) + f.key), _table_entry(key + (height,))
 
     def integrand(zs):
-        return _kept(cache, height, zs, eval_at) * _kept(kept, height, zs, kernel)
+        return _kept(values, zs, f.eval_at) * _kept(kept, zs, kernel)
 
     return integrate_segment(integrand, 1j * height, 1j * height + 1).value
 
@@ -248,7 +242,7 @@ def _remainder_integrand(f: FourierExpansion, s: float, w: complex):
     m = np.arange(count)
     phase = specfun.lerch_phases(w, count)
     coeffs = [(c, 4 * math.pi * p, -1j * (w - TWO_PI * p),
-               _kernel_values(("remainder", k, s, w, p))) for p, c in xi_f.holo.items()]
+               _table_entry(("remainder", k, s, w, p))) for p, c in xi_f.holo.items()]
     order = specfun.ExpIntOrder(k - s)
 
     # R_t(z, w) = sum_m (xi_k f^c)(t(2i - z - m)) (z+m)^{s-1} e^{itmw}
@@ -322,11 +316,16 @@ def rhs_star(f: FourierExpansion, s: float) -> complex:
     a form whose values near 1e8 can raise QuadratureError there, as that
     error is above the quadrature's floor.
     """
+    return complex(_zeta_pairing(f, s) + r_remainder(f, s, 0j))
+
+
+def _zeta_pairing(f: FourierExpansion, s: float) -> complex:
+    """i^{-s} int_i^{i+1} f(z) zeta*(1-s, z) dz; at s = m >= 1 its kernel is
+    also the Bernoulli kernel -B_m(z)/m of ``rhs_integer_value``."""
     # zeta(1-s, z)'s pole -1/s is constant in z, so the pairing drops it, but
     # it leaves eps/|s| of rounding at each node: near s = 0, pair with zeta*
     kernel = specfun.hurwitz_zeta_star if abs(s) < 0.5 else specfun.hurwitz_zeta
-    value = i_power(-s) * _segment_pairing(f, lambda zs: kernel(1 - s, zs), key=("zeta", s))
-    return complex(value + r_remainder(f, s, 0j))
+    return i_power(-s) * _segment_pairing(f, lambda zs: kernel(1 - s, zs), key=("zeta", s))
 
 
 # perfbench's tracer looks this name up in contour and wraps it
@@ -393,10 +392,8 @@ def rhs_integer_value(f: FourierExpansion, m: int,
     """
     if f.is_weakly_holomorphic or m < 1:
         return rhs_star(f, m)
-    first = -i_power(-m) * _segment_pairing(f, lambda zs: specfun.bernoulli_poly(m, zs) / m,
-                                            key=("bernoulli", m))
     # the Bernoulli theorem is stated for s = 1 + mm, mm = m - 1
-    return complex(first + _bern_second_integral(f, m - 1, printed_constants))
+    return complex(_zeta_pairing(f, m) + _bern_second_integral(f, m - 1, printed_constants))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +405,16 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float) -> comp
 
     seed provides .value(z) and .translated_sum(z) = sum_{n>=0} Phi(z+n),
     both taking a scalar or an ndarray z, together with a decay exponent used
-    to sanity-check |Phi(z)| < |z|^{-1-eps} on the strip.
+    to sanity-check |Phi(z)| < |z|^{-1-eps} on the strip.  A seed keys its
+    translated sums in ``KERNEL_TABLE``, so it must be hashable (TypeError
+    otherwise), and equal seeds must have equal translated sums.
     """
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
+    try:
+        hash(seed)
+    except TypeError:
+        raise TypeError(f"seed {seed!r} must be hashable: sums are kept by seed") from None
     if not f.is_weakly_holomorphic:
         raise RegimeError("compact-support formula applies to weakly holomorphic f")
     eps = getattr(seed, "decay_epsilon", None)
@@ -420,6 +423,6 @@ def compact_support_value(f: FourierExpansion, seed, a: float, b: float) -> comp
             if abs(seed.value(zz)) >= abs(zz) ** (-1.0 - eps) * (1 + 1e-9):
                 raise RegimeError(f"seed violates the decay condition at z={zz}")
 
-    top = _segment_pairing(f, seed.translated_sum, a, key=("seed", seed, a))
-    bottom = _segment_pairing(f, seed.translated_sum, b, key=("seed", seed, b))
+    top = _segment_pairing(f, seed.translated_sum, a, key=("seed", seed))
+    bottom = _segment_pairing(f, seed.translated_sum, b, key=("seed", seed))
     return complex(-1j * (top - bottom))

@@ -141,7 +141,8 @@ class CompactAnalytic:
     The seed is a holomorphic function on the upper half-plane exposing
     value(z), translated_sum(z) = sum_{n>=0} value(z+n), both taking a scalar
     or an ndarray z, and decay_epsilon with |seed(z)| < |z|^{-1-decay_epsilon}
-    on the strip.
+    on the strip.  It must be hashable, and equal seeds must have equal
+    translated sums, which ``contour.compact_support_value`` keeps by seed.
     """
 
     seed: object

@@ -93,12 +93,8 @@ class FourierExpansion:
     pole order at the cusp, is read off the stored (nonzero) coefficients:
     the deepest negative frequency, at least 1.
 
-    An expansion is treated as immutable once evaluated: ``arrays`` caches
-    its coefficient table, and ``segment_values`` keeps its values on the
-    quadrature nodes of the horizontal segments it was paired on
-    (``contour._segment_pairing``), by the one keeping rule that the
-    ``contour`` module states for every kernel: at most 48 + 64 + 128
-    points per height.
+    An expansion is treated as immutable once evaluated: ``arrays`` and
+    ``key`` cache its coefficient table.
     """
 
     weight: int
@@ -109,8 +105,6 @@ class FourierExpansion:
     modular: bool = False
     label: str = ""
     n0: int = field(init=False)
-    segment_values: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         if any(int(n) != n for n in (*self.holo, *self.nonholo)):
@@ -137,6 +131,12 @@ class FourierExpansion:
         nn = np.array(sorted(self.nonholo), dtype=float)
         nb = np.array([self.nonholo[int(n)] for n in sorted(self.nonholo)], dtype=complex)
         return hn, ha, nn, nb
+
+    @cached_property
+    def key(self) -> tuple:
+        """The weight and the raw bytes of ``arrays``, all that ``eval_at``
+        reads: expansions with equal keys have equal values."""
+        return (self.weight, *(a.tobytes() for a in self.arrays))
 
     @cached_property
     def tail_log_weights(self) -> list[float]:

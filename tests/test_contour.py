@@ -1,6 +1,7 @@
 """Tests for the contour-side evaluators and the quadrature engine."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -390,6 +391,7 @@ def test_segment_pairing_reuses_form_values(monkeypatch):
     sizes = _counting_eval_at(monkeypatch)
     f = build_J()
     lerch, key = _lerch_kernel(0.5, 0.3 + 0.7j), ("lerch", 0.5, 0.3 + 0.7j)
+    contour.KERNEL_TABLE.clear()
     first = contour._segment_pairing(f, lerch, key=key)
     assert sizes == [48, 64]
     sharp = contour._segment_pairing(f, _pole, key=("pole",))
@@ -398,7 +400,7 @@ def test_segment_pairing_reuses_form_values(monkeypatch):
     assert sizes == [48, 64, 128, 256]
     sharp_again = contour._segment_pairing(f, _pole, key=("pole",))
     assert sizes == [48, 64, 128, 256, 256]
-    assert sorted(f.segment_values) == [(1.0, 48), (1.0, 64), (1.0, 128)]
+    assert sorted(contour.KERNEL_TABLE["form", 1.0, *f.key]) == [48, 64, 128]
     contour.KERNEL_TABLE.clear()
     cold = contour._segment_pairing(build_J(), lerch, key=key)
     cold_sharp = contour._segment_pairing(build_J(), _pole, key=("pole",))
@@ -407,16 +409,22 @@ def test_segment_pairing_reuses_form_values(monkeypatch):
 
 
 def test_segment_pairing_keeps_heights_apart(monkeypatch):
+    """A form and a kernel paired at two heights keep one entry per height
+    each, and the value at each height has the bits of a cold pairing."""
     sizes = _counting_eval_at(monkeypatch)
     f = build_J()
     kernel, key = _lerch_kernel(1.5, 0.2 + 1j), ("lerch", 1.5, 0.2 + 1j)
+    contour.KERNEL_TABLE.clear()
     low = contour._segment_pairing(f, kernel, 1.0, key=key)
     high = contour._segment_pairing(f, kernel, 1.5, key=key)
     assert sizes == [48, 64, 48, 64]
-    assert sorted(f.segment_values) == [(1.0, 48), (1.0, 64), (1.5, 48), (1.5, 64)]
+    assert {k: sorted(v) for k, v in contour.KERNEL_TABLE.items()} == {
+        ("form", h, *f.key): [48, 64] for h in (1.0, 1.5)} | {
+        key + (h,): [48, 64] for h in (1.0, 1.5)}
     assert low != high
-    assert high == contour._segment_pairing(build_J(), kernel, 1.5, key=key)
     assert low == contour._segment_pairing(f, kernel, 1.0, key=key)
+    assert len(sizes) == 4
+    assert repr(high) == _cold(contour._segment_pairing, build_J(), kernel, 1.5, key=key)
     assert len(sizes) == 6  # the cold copy's two calls
 
 
@@ -615,10 +623,11 @@ def test_one_dim_remainder_near_the_convergence_edge(w):
 # the process-wide kernel table
 # ---------------------------------------------------------------------------
 
-def _cold(evaluate, *args):
-    """evaluate(*args) on an empty kernel table, as repr: every bit."""
+def _cold(evaluate, *args, **kwargs):
+    """evaluate(*args, **kwargs) on an empty kernel table, as repr: every
+    bit."""
     contour.KERNEL_TABLE.clear()
-    return repr(evaluate(*args))
+    return repr(evaluate(*args, **kwargs))
 
 
 def test_default_suite_keeps_its_bits_in_reverse_order():
@@ -638,8 +647,9 @@ def test_default_suite_keeps_its_bits_in_reverse_order():
 # (s, w), (s', w) and (s, w'), and at a second height
 PAIRINGS = [(0.5, 0.3 + 0.7j, 1.0), (2.0, 0.3 + 0.7j, 1.0), (0.5, 0.5 + 1j, 1.0),
             (0.5, 0.3 + 0.7j, 1.5)]
-# rhs_star's s, s' and s'' = 0.3 across the zeta*/zeta switch at |s| = 0.5
-ZETA_POINTS = [0.7, 1.5, 0.3]
+# rhs_star's s, s' and s'' = 0.3 across the zeta*/zeta switch at |s| = 0.5,
+# and s = 2, whose kernel rhs_integer_value's first pairing at m = 2 shares
+ZETA_POINTS = [0.7, 1.5, 0.3, 2]
 # rhs_integer_value's (k, m, printed_constants): m and m', k', and the
 # printed constants
 BERNOULLI_CALLS = [(0, 2, False), (0, 3, False), (-2, 2, False), (0, 2, True)]
@@ -678,20 +688,24 @@ def test_kept_kernels_serve_only_their_own_parameters():
     contour.KERNEL_TABLE.clear()
     for order in (1, -1, 1):
         assert [repr(fn(*args)) for fn, *args in calls[::order]] == cold[::order]
+    bernoulli_forms = [*BERNOULLI_FORMS.values()]
+    bernoulli_forms += [xi_image(g, conjugate_first=True) for g in bernoulli_forms]
     assert set(contour.KERNEL_TABLE) == (
-        {("lerch", s, w) for s, w, _ in PAIRINGS}
+        {("lerch", s, w, h) for s, w, h in PAIRINGS}
         | {("remainder", g.weight, s, w, -n)
            for g in REMAINDER_FORMS for n in g.nonholo for s, w in REMAINDER_POINTS}
-        | {("zeta", s) for s in ZETA_POINTS}
-        | {("bernoulli", m) for _, m, _ in BERNOULLI_CALLS}
-        | {("bern2", k, m - 1, printed) for k, m, printed in BERNOULLI_CALLS}
-        | {("seed", seed, h) for seed, a, b in SEED_CALLS for h in (a, b)})
-    assert {at[0] for at in contour.KERNEL_TABLE["lerch", 0.5, 0.3 + 0.7j]} == {1.0, 1.5}
+        | {("zeta", s, 1.0) for s in ZETA_POINTS}
+        | {("zeta", m, 1.0) for _, m, _ in BERNOULLI_CALLS}
+        | {("bern2", k, m - 1, printed, 1.0) for k, m, printed in BERNOULLI_CALLS}
+        | {("seed", seed, h) for seed, a, b in SEED_CALLS for h in (a, b)}
+        | {("form", h, *f.key) for h in (1.0, 1.5, 2.0)}
+        | {("form", 1.0, *g.key) for g in bernoulli_forms})
 
 
 def test_kernel_table_holds_at_most_its_size():
-    """More kernels than the table holds: it keeps the newest, and a kernel
-    computed again after it was dropped has the same bits."""
+    """More kernels than the table holds: it keeps the newest and the form's
+    entry, which every pairing touches, and a kernel computed again after
+    it was dropped has the same bits."""
     f = build_J()
     points = [(0.5, 0.3 + 0.01 * i + 0.7j) for i in range(contour.KERNEL_TABLE_SIZE + 8)]
     cold = [_cold(rhs_main_theorem, f, s, w) for s, w in points]
@@ -699,25 +713,32 @@ def test_kernel_table_holds_at_most_its_size():
     for _ in range(2):
         assert [repr(rhs_main_theorem(f, s, w)) for s, w in points] == cold
         assert len(contour.KERNEL_TABLE) == contour.KERNEL_TABLE_SIZE
-    assert list(contour.KERNEL_TABLE) == [("lerch", s, w) for s, w in points[8:]]
+    assert ("form", 1.0, *f.key) in contour.KERNEL_TABLE
+    assert [key for key in contour.KERNEL_TABLE if key[0] == "lerch"] == [
+        ("lerch", s, w, 1.0) for s, w in points[9:]]
 
 
 def test_seed_heights_stay_within_the_kernel_table():
-    """One seed paired at 100 heights: each height is a kernel of its own,
-    which the table bounds, holding at most the 3 cached levels' values."""
-    seed = InversePowerSeed(2.0)
+    """One J and one seed paired at 100 heights: each height is an entry of
+    its own for the form and for the seed, which the table bounds, holding
+    at most the 3 cached levels' values, and the form keeps none itself."""
+    f, seed = build_J(), InversePowerSeed(2.0)
     contour.KERNEL_TABLE.clear()
     for i in range(100):
-        compact_support_value(build_J(), seed, 1.0 + i / 100, 2.5)
+        compact_support_value(f, seed, 1.0 + i / 100, 2.5)
     assert len(contour.KERNEL_TABLE) <= contour.KERNEL_TABLE_SIZE
-    assert all(len(values) <= 3 for values in contour.KERNEL_TABLE.values())
+    assert all(len(values) <= 3 and max(values) <= quadrature.CACHED_NODES
+               for values in contour.KERNEL_TABLE.values())
+    assert ("form", 1.99, *f.key) in contour.KERNEL_TABLE
+    assert set(vars(f)) == {field.name for field in dataclasses.fields(f)} | {"arrays", "key"}
 
 
 def test_kept_values_rest_on_quadratures_tables(monkeypatch):
-    """``_kept`` names a call's nodes by (height, node count) alone.  That
-    holds because quadrature builds one read-only table per (edges, level),
-    equal when rebuilt, with a node count of its own at each cached level,
-    and keeps no values past CACHED_NODES nodes."""
+    """``_kept`` names a call's nodes by node count alone, in an entry of
+    one segment, whose key holds the height.  That holds because
+    quadrature builds one read-only table per (edges, level), equal when
+    rebuilt, with a node count of its own at each cached level, and keeps
+    no values past CACHED_NODES nodes."""
     edges = np.array([1.5j, 1.5j + 1])
     key = edges.tobytes(), edges.dtype.str
     sizes = []
@@ -733,8 +754,82 @@ def test_kept_values_rest_on_quadratures_tables(monkeypatch):
     contour.KERNEL_TABLE.clear()
     contour._segment_pairing(f, _pole, key=("pole",))
     assert max(calls) > quadrature.CACHED_NODES
-    kept = {(1.0, n) for n in calls if n <= quadrature.CACHED_NODES}
-    assert set(f.segment_values) == set(contour.KERNEL_TABLE["pole",]) == kept
+    kept = {n for n in calls if n <= quadrature.CACHED_NODES}
+    assert set(contour.KERNEL_TABLE["form", 1.0, *f.key]) == kept
+    assert set(contour.KERNEL_TABLE["pole", 1.0]) == kept
+
+
+def test_equal_expansions_share_one_entry(monkeypatch):
+    """Expansions with equal weight and coefficients share one entry, with
+    equal bits, whatever their level or label; a different weight, which
+    the non-holomorphic part's values read, gives an entry of its own."""
+    sizes = _counting_eval_at(monkeypatch)
+    holo, nonholo = {1: 0.5, 2: -0.25j}, {-1: 1 - 0.5j}
+    f, other = synth_harmonic(0, holo, nonholo), synth_harmonic(-2, holo, nonholo)
+    same = [synth_harmonic(0, holo, nonholo, level=2), dataclasses.replace(f, label="other")]
+    kernel, key = _lerch_kernel(0.5, 0.3 + 0.7j), ("lerch", 0.5, 0.3 + 0.7j)
+    cold = [_cold(contour._segment_pairing, g, kernel, key=key) for g in (f, other)]
+    assert cold[0] != cold[1]
+    cold_sizes = sizes.copy()  # f's calls, then other's
+    contour.KERNEL_TABLE.clear()
+    sizes.clear()
+    assert [repr(contour._segment_pairing(g, kernel, key=key)) for g in (f, *same)] == [
+        cold[0]] * 3
+    assert repr(contour._segment_pairing(other, kernel, key=key)) == cold[1]
+    assert sizes == cold_sizes
+    assert {k for k in contour.KERNEL_TABLE if k[0] == "form"} == {
+        ("form", 1.0, *f.key), ("form", 1.0, *other.key)}
+
+
+def test_rebuilt_xi_image_finds_its_values_kept(monkeypatch):
+    """``_bern_second_integral`` pairs a freshly built xi-image on every
+    call; a second call finds its values kept and evaluates nothing."""
+    sizes = _counting_eval_at(monkeypatch)
+    f = BERNOULLI_FORMS[-2]
+    cold = _cold(contour._bern_second_integral, f, 2)
+    assert sizes
+    sizes.clear()
+    assert repr(contour._bern_second_integral(f, 2)) == cold
+    assert sizes == []
+
+
+def test_kernel_table_drops_the_least_recently_used():
+    """A kernel touched between one-off kernels, more of them than the
+    table holds, keeps its entry and its bits; an untouched one is
+    dropped."""
+    f = build_J()
+    touched, untouched = (0.5, 0.3 + 0.7j), (2.0, 0.3 + 0.7j)
+    contour.KERNEL_TABLE.clear()
+    rhs_main_theorem(f, *untouched)
+    value = repr(rhs_main_theorem(f, *touched))
+    entry = contour.KERNEL_TABLE["lerch", *touched, 1.0]
+    for i in range(contour.KERNEL_TABLE_SIZE + 8):
+        rhs_main_theorem(f, 0.5, 0.5 + 0.01 * i + 1j)
+        assert repr(rhs_main_theorem(f, *touched)) == value
+    assert contour.KERNEL_TABLE["lerch", *touched, 1.0] is entry
+    assert ("lerch", *untouched, 1.0) not in contour.KERNEL_TABLE
+
+
+@dataclasses.dataclass
+class _MutableSeed:
+    """InversePowerSeed(2) as a non-frozen dataclass, which is unhashable."""
+
+    power: float = 2.0
+    decay_epsilon: float = 1.0
+
+    def value(self, z):
+        return InversePowerSeed(self.power).value(z)
+
+    def translated_sum(self, z):
+        return InversePowerSeed(self.power).translated_sum(z)
+
+
+def test_compact_support_refuses_an_unhashable_seed(monkeypatch):
+    """A seed keys its sums in the kernel table: an unhashable one raises a
+    TypeError that names it, before any quadrature."""
+    monkeypatch.setattr(contour, "integrate_segment", lambda *args: pytest.fail("quadrature"))
+    with pytest.raises(TypeError, match=r"_MutableSeed\(power=2.0"):
+        compact_support_value(build_J(), _MutableSeed(), 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -298,20 +298,27 @@ def test_default_suite_integrand_budget(monkeypatch):
 
 
 # FourierExpansion.eval_at calls and points of one cold default-suite pass,
-# what one `maassl verify` pays: 58 segment pairings on 15 (form, height)
-# pairs evaluate each form once per level and height (100 calls and 5,984
-# points when every pairing evaluated its form)
-SUITE_EVAL_AT_CALLS = 27
-SUITE_EVAL_AT_POINTS = 1_552
+# what one `maassl verify` pays: 58 segment pairings evaluate each form once
+# per level and height, kept in 12 entries of contour.KERNEL_TABLE, where a
+# rebuilt xi-image finds the values of an equal one (27 calls and 1,552
+# points when each built form kept its own values, 100 calls and 5,984
+# points when every pairing evaluated its form); a warm pass evaluates only
+# l_value_by_vertical_integral's forms, which keep nothing
+SUITE_EVAL_AT_CALLS = 24
+SUITE_EVAL_AT_POINTS = 1_408
+WARM_EVAL_AT_CALLS = 8
+WARM_EVAL_AT_POINTS = 512
 
 # kernel evaluations of one cold default-suite pass, each kernel computed
 # once per node table in contour.KERNEL_TABLE: the Lerch kernel of
 # rhs_main_theorem (lerch_sum calls), the double-integral remainder's
 # per-frequency sums (exp_int_E_scaled calls on a grid), the w = 0 kernels
-# (hurwitz_zeta and hurwitz_zeta_star calls, among them those of the seeds,
-# and bernoulli_poly calls) and the compact seeds' translated sums (57, 24,
-# 27, 26 and 11 when every check computed its own); a warm pass makes none
-SUITE_KERNEL_CALLS = {"lerch_sum": 27, "grids": 9, "zeta": 25, "bernoulli_poly": 16,
+# (hurwitz_zeta and hurwitz_zeta_star calls, among them those of the seeds
+# and of the first Bernoulli kernel, -B_m(z)/m = zeta(1-m, z), and
+# bernoulli_poly calls, among them hurwitz_zeta's at integer order) and the
+# compact seeds' translated sums (57, 24, 27, 26 and 11 when every check
+# computed its own); a warm pass makes none
+SUITE_KERNEL_CALLS = {"lerch_sum": 27, "grids": 9, "zeta": 26, "bernoulli_poly": 15,
                       "seed": 11}
 
 
@@ -334,10 +341,14 @@ def _cold_suite(monkeypatch):
 
 def test_default_suite_eval_at_budget(monkeypatch):
     """The counts are deterministic: a change that stops keeping a form's
-    segment values, or keys them too finely, fails here."""
+    segment values, or keys them too finely, fails here, on the cold pass
+    or on a warm second one."""
     (_, summary), counts = _cold_suite(monkeypatch)
     assert summary["pass"] == len(default_suite())
     assert counts == {"calls": SUITE_EVAL_AT_CALLS, "points": SUITE_EVAL_AT_POINTS}
+    counts.update(calls=0, points=0)
+    run_suite(default_suite())
+    assert counts == {"calls": WARM_EVAL_AT_CALLS, "points": WARM_EVAL_AT_POINTS}
 
 
 def test_default_suite_kernel_budget(monkeypatch):
