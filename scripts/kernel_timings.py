@@ -30,11 +30,10 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
   double_integral, on the default suite's harmonic forms hB (weight -2,
   one non-holomorphic term) and hC (weight 0, two); the double integral
   cold, with contour.KERNEL_TABLE emptied before every call, and kept, the
-  cost of a call that finds its per-frequency Lerch sums in the table;
-- the double integral's integrand on the 48 nodes of one integrand call,
-  each node against the Lerch terms m < M (M = 39 at s = 1, Im w = 1): the
-  48 x M grid of exp_int_E_scaled values, for hB and hC, with the kernel
-  table emptied before every call;
+  cost of a call that finds its per-frequency ray values in the table;
+- the double integral's ray of one xi-frequency p = 1 at the same s and w
+  (contour._remainder_ray, which keeps nothing), for hB and hC: the cost
+  of a ray that the table does not hold;
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
   series side with its non-holomorphic part; l_value(J, phi_{0.5}^{0.3+0.7i})
   and l_star(J, 0.5), each a sum of 12 kernel terms; l_value on the 4-term
@@ -126,15 +125,9 @@ def cases():
         yield "r_remainder", f"{name}/double_integral", 1, lambda f=f: cold_remainder(f)
         yield "r_remainder", f"{name}/kept", 1, lambda f=f: r_remainder(
             f, 1.0, 0.5 + 1j, "double_integral")
-    count = specfun.tail_extent(1.0, 0.0)  # the remainder's m < M at s = 1, Im w = 1
     for name, f in harmonic.items():
-        integrand = contour._remainder_integrand(f, 1.0, 0.5 + 1j)
-
-        def cold_grid(integrand=integrand):
-            contour.KERNEL_TABLE.clear()
-            return integrand(nodes[48])
-
-        yield "remainder_grid", f"{name}/48x{count}", 48, cold_grid
+        yield "remainder_ray", f"{name}/p=1", 1, lambda k=f.weight: contour._remainder_ray(
+            k, 1.0, 0.5 + 1j, 1)
     hb = harmonic["hB"]
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)

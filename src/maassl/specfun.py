@@ -506,9 +506,9 @@ def exp_int_E_scaled(s, z):
     """e^z E_s(z), with E_s the generalized exponential integral on the
     principal branch (exp_int_E); s is a number or an ExpIntOrder, z a
     scalar (complex returned) or an ndarray (an ndarray of its shape).  It
-    behaves like 1/z for large |z|, and has no OverflowError: the contour
-    remainder and the one-dimensional remainder's head take their
-    exponentials from it separately."""
+    behaves like 1/z for large |z|, and has no OverflowError: the
+    one-dimensional remainder's head, its only caller, takes its exponential
+    from it separately."""
     if z.__class__ in _FLAT and isinstance(s, ExpIntOrder):
         return _exp_int_scalar(s, z, True)
     return _exp_int(s, z, True)

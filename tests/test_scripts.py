@@ -73,7 +73,7 @@ def test_kernel_timings():
     kernels = [row.split()[0] for row in rows]
     assert [kernels.count(k) for k in ("lerch_sum", "eval_at", "integrate_segment",
                                        "segment_pairing", "exp_int_E", "hurwitz_zeta",
-                                       "digamma", "r_remainder", "remainder_grid", "l_value",
+                                       "digamma", "r_remainder", "remainder_ray", "l_value",
                                        "l_star", "l_value_limit")] == [
         18, 9, 1, 2, 4, 2, 1, 6, 2, 3, 1, 3]
     assert [row.split()[1] for row in rows if row.startswith("exp_int_E")] == [
@@ -87,6 +87,6 @@ def test_kernel_timings():
     assert [row.split()[1] for row in rows if row.startswith("r_remainder")] == [
         "hB/one_dim", "hB/double_integral", "hB/kept",
         "hC/one_dim", "hC/double_integral", "hC/kept"]
-    assert [row.split()[1] for row in rows if row.startswith("remainder_grid")] == [
-        "hB/48x39", "hC/48x39"]
+    assert [row.split()[1] for row in rows if row.startswith("remainder_ray")] == [
+        "hB/p=1", "hC/p=1"]
     assert all(0 < float(row.split()[-1]) < math.inf for row in rows)

@@ -267,18 +267,21 @@ def test_functional_equation_refuses_a_fast_growing_fricke_side():
     assert "Re(w) > 50.27" in rep.message
 
 
-# integrand calls and nodes of one default-suite pass: levels 0 and 1 share a
-# call, each non-phi_s^w test function pairs with all its kernels in one
-# quadrature (621 calls and 24,912 nodes without either), and the phi_s^w
+# integrand calls and nodes of one cold default-suite pass: levels 0 and 1
+# share a call, each non-phi_s^w test function pairs with all its kernels in
+# one quadrature (621 calls and 24,912 nodes without either), the phi_s^w
 # non-holomorphic integrals of both pipelines are closed forms (174 calls
-# and 17,424 nodes by quadrature)
-SUITE_INTEGRAND_CALLS = 129
-SUITE_NODES = 9_840
+# and 17,424 nodes by quadrature), and the double-integral remainder is one
+# ray per xi-frequency, one E_s value per node (the 48 x M grid it replaced
+# read 129 calls and 9,840 nodes, each of its nodes about 40 E_s values)
+SUITE_INTEGRAND_CALLS = 120
+SUITE_NODES = 10_560
 
 
 def test_default_suite_integrand_budget(monkeypatch):
-    """The counts are deterministic: a change that splits the fused first
-    call, or goes back to one quadrature per kernel, fails here."""
+    """The counts are deterministic on an empty kernel table: a change that
+    splits the fused first call, or goes back to one quadrature per kernel,
+    fails here."""
     counts = {"calls": 0, "nodes": 0}
     doubling = quadrature._doubling
 
@@ -291,10 +294,9 @@ def test_default_suite_integrand_budget(monkeypatch):
         return doubling(wrapped, edges)
 
     monkeypatch.setattr(quadrature, "_doubling", counting)
-    _, summary = run_suite(default_suite())
+    (_, summary), _ = _cold_suite(monkeypatch)
     assert summary["pass"] == len(default_suite())
-    assert counts["calls"] <= SUITE_INTEGRAND_CALLS
-    assert counts["nodes"] <= SUITE_NODES
+    assert counts == {"calls": SUITE_INTEGRAND_CALLS, "nodes": SUITE_NODES}
 
 
 # FourierExpansion.eval_at calls and points of one cold default-suite pass,
@@ -312,14 +314,17 @@ WARM_EVAL_AT_POINTS = 512
 # kernel evaluations of one cold default-suite pass, each kernel computed
 # once per node table in contour.KERNEL_TABLE: the Lerch kernel of
 # rhs_main_theorem (lerch_sum calls), the double-integral remainder's
-# per-frequency sums (exp_int_E_scaled calls on a grid), the w = 0 kernels
+# per-frequency rays (contour._remainder_ray calls), the w = 0 kernels
 # (hurwitz_zeta and hurwitz_zeta_star calls, among them those of the seeds
 # and of the first Bernoulli kernel, -B_m(z)/m = zeta(1-m, z), and
 # bernoulli_poly calls, among them hurwitz_zeta's at integer order) and the
 # compact seeds' translated sums (57, 24, 27, 26 and 11 when every check
 # computed its own); a warm pass makes none
-SUITE_KERNEL_CALLS = {"lerch_sum": 27, "grids": 9, "zeta": 26, "bernoulli_poly": 15,
+SUITE_KERNEL_CALLS = {"lerch_sum": 27, "rays": 9, "zeta": 26, "bernoulli_poly": 15,
                       "seed": 11}
+# E_s values that the cold pass's 9 rays evaluate, one per node (17,424 on the
+# 48 x M grids that they replace)
+SUITE_RAY_ELEMENTS = 1_584
 
 
 def _cold_suite(monkeypatch):
@@ -353,8 +358,10 @@ def test_default_suite_eval_at_budget(monkeypatch):
 
 def test_default_suite_kernel_budget(monkeypatch):
     """A change that stops sharing the kernels between checks, keys them
-    too finely, or pairs a kernel without keeping it, fails here."""
+    too finely, or pairs a kernel without keeping it, fails here; so does
+    one that computes a ray twice, or a ray's nodes more dearly."""
     counts = dict.fromkeys(SUITE_KERNEL_CALLS, 0)
+    rays, elements = set(), [0]
 
     def counting(module, name, label, counted=lambda *args: True):
         original = getattr(module, name)
@@ -366,7 +373,22 @@ def test_default_suite_kernel_budget(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     counting(contour, "lerch_sum", "lerch_sum")
-    counting(specfun, "exp_int_E_scaled", "grids", lambda s, z: getattr(z, "ndim", 0) == 2)
+    remainder_ray, ray_E = contour._remainder_ray, specfun.exp_int_E
+
+    def counted_E(order, z):
+        elements[0] += np.size(z)
+        return ray_E(order, z)
+
+    def counted_ray(*key):  # counts the ray and the E_s elements it evaluates
+        counts["rays"] += 1
+        rays.add(key)
+        monkeypatch.setattr(specfun, "exp_int_E", counted_E)
+        try:
+            return remainder_ray(*key)
+        finally:
+            monkeypatch.setattr(specfun, "exp_int_E", ray_E)
+
+    monkeypatch.setattr(contour, "_remainder_ray", counted_ray)
     counting(specfun, "hurwitz_zeta", "zeta")
     counting(specfun, "hurwitz_zeta_star", "zeta")
     counting(specfun, "bernoulli_poly", "bernoulli_poly")
@@ -375,6 +397,8 @@ def test_default_suite_kernel_budget(monkeypatch):
     (_, summary), _ = _cold_suite(monkeypatch)
     assert summary["pass"] == len(default_suite())
     assert all(0 < counts[k] <= bound for k, bound in SUITE_KERNEL_CALLS.items()), counts
+    assert len(rays) == counts["rays"]
+    assert elements == [SUITE_RAY_ELEMENTS]
     counts.update(dict.fromkeys(counts, 0))
     run_suite(default_suite())
     assert counts == dict.fromkeys(SUITE_KERNEL_CALLS, 0)
