@@ -172,10 +172,11 @@ class FourierExpansion:
         return complex(out[0]) if scalar else out
 
 
-def synth_harmonic(k: int, holo: dict[int, complex], nonholo: dict[int, complex],
-                   level: int = 1) -> FourierExpansion:
-    """A synthetic expansion of the harmonic shape; flagged non-modular."""
-    return FourierExpansion(k, level, dict(holo), dict(nonholo),
+def synth_harmonic(k: int, holo: dict[int, complex],
+                   nonholo: dict[int, complex]) -> FourierExpansion:
+    """A synthetic expansion of the harmonic shape; flagged non-modular, so
+    nothing reads its level, which is 1."""
+    return FourierExpansion(k, 1, dict(holo), dict(nonholo),
                             growth_const=1.0, modular=False, label="synth")
 
 

@@ -186,8 +186,8 @@ def _gamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _lib(z):
-    """cmath for a Python complex, numpy for an ndarray: the same exp and log,
-    each at its own speed."""
+    """cmath for a Python complex, numpy for an ndarray: exp_int_E_orders's
+    e^{-z} for either, each at its own speed."""
     return cmath if isinstance(z, complex) else np
 
 
@@ -283,8 +283,8 @@ class ExpIntOrder:
 
 def _exp_int_series(order: ExpIntOrder, z):
     """E_s(z) by the everywhere-convergent continuation formula
-    lead - sum_{k != skip} (-z)^k / (k! (1-s+k)), by Horner's rule over the
-    terms k < K = _SERIES_TERMS[r], r = ceil(|z|) of the largest |z|: the
+    lead - sum_{k != skip} (-z)^k / (k! (1-s+k)) at a Python complex z, by
+    Horner's rule over the terms k < K = _SERIES_TERMS[ceil(|z|)]: the
     dropped |z|^k/k! sum to at most TAIL_CUT, each over |1-s+k| >= 1/8.
 
     Within 1/8 of an integer n >= 1, with e = n - s:
@@ -298,24 +298,23 @@ def _exp_int_series(order: ExpIntOrder, z):
     term is skipped.
     """
     s = order.s
-    lib = _lib(z)
     n = round(s.real)
     e = n - s
     if n >= 1 and abs(e) < 0.125:
         # Horner over the c_k whose |e|^k stays above TAIL_CUT (c_1 alone at e = 0)
         k = min(_NEAR_TERMS, math.ceil(math.log(TAIL_CUT) / math.log(abs(e)))) if e else 1
-        h = reduce(lambda acc, c: acc * e + c, _log_g_coeffs(n)[-k:], 0j) - lib.log(z)
+        h = reduce(lambda acc, c: acc * e + c, _log_g_coeffs(n)[-k:], 0j) - cmath.log(z)
         # e^x - 1 = 2 e^{x/2} sinh(x/2), without cancellation at small x
-        pair = 2 * lib.exp(e * h / 2) * lib.sinh(e * h / 2) / e if e else h
+        pair = 2 * cmath.exp(e * h / 2) * cmath.sinh(e * h / 2) / e if e else h
         lead = ((-z) ** (n - 1) / math.factorial(n - 1)) * pair
         skip = n - 1
         s = s if e else n
     else:
         a = s - 1  # principal_power's rule: integer powers exactly
-        power = z ** int(a.real) if a.imag == 0 and a.real.is_integer() else lib.exp(a * lib.log(z))
-        lead = power * _gamma(1 - s)
+        exact = a.imag == 0 and a.real.is_integer()
+        lead = (z ** int(a.real) if exact else cmath.exp(a * cmath.log(z))) * _gamma(1 - s)
         skip = -1
-    k = _SERIES_TERMS[math.ceil(abs(z) if lib is cmath else np.abs(z).max())]
+    k = _SERIES_TERMS[math.ceil(abs(z))]
     # acc = d_0 + (-z/1)(d_1 + (-z/2)(d_2 + ...)), d_j = 1/(1-s+j) or 0 at skip
     acc = 0.0
     minus_z = -z
@@ -383,14 +382,14 @@ def _exp_int_cf(order: ExpIntOrder, z):
 
 
 def _exp_int_asymptotic(order: ExpIntOrder, z):
-    """e^z E_s(z) ~ 1/z sum_k (-1)^k (s)_k / z^k, for large |z|, by Horner's
-    rule over the terms k <= K, K where the terms at the smallest |z| stop
+    """e^z E_s(z) ~ 1/z sum_k (-1)^k (s)_k / z^k, for a Python complex z of
+    large |z|, by Horner's rule over the terms k <= K, K where the terms stop
     falling or drop below TAIL_CUT (no proven bound: the series diverges)."""
     s = order.s
-    z_min = abs(z) if isinstance(z, complex) else float(np.abs(z).min())
+    az = abs(z)
     k, term = 0, 1.0
     while term >= TAIL_CUT and k < 199:
-        ratio = abs(s + k) / z_min
+        ratio = abs(s + k) / az
         if ratio > 1.0:
             break
         k, term = k + 1, term * ratio
@@ -453,9 +452,10 @@ def _exp_int_scalar(order: ExpIntOrder, z, scaled: bool) -> complex:
 def _exp_int(order, z, scaled: bool):
     """E_s(z), or e^z E_s(z) if scaled, for exp_int_E and exp_int_E_scaled,
     with order a number s or z an ndarray (a prepared order with a Python
-    scalar takes ``_exp_int_scalar`` from the entry point): the power series
-    gives E_s, the other two methods e^z E_s, and each is multiplied by
-    e^{-z} or e^z only where the caller asks for the other."""
+    scalar takes ``_exp_int_scalar`` from the entry point): the points that
+    ``_exp_int_scalar``'s rule gives to the continued fraction run as one
+    ``_exp_int_cf`` batch, and every other point runs alone through
+    ``_exp_int_scalar``."""
     if not isinstance(order, ExpIntOrder):
         order = ExpIntOrder(order)
     # np.ndim(z) would build an array from a Python scalar, about 1.5 us a
@@ -470,35 +470,23 @@ def _exp_int(order, z, scaled: bool):
     az = abs(z)
     if az.min() == 0 or not np.isfinite(az).all():
         raise DomainError("E_s(z) needs a finite non-zero z")
-    re_min = z.real.min()
-    if not scaled and re_min < -_SAFE_EXPONENT:
+    if not scaled and z.real.min() < -_SAFE_EXPONENT:
         raise OverflowError("E_s(z) exceeds safe double-precision exponent range")
-    # the scalar rule above, as masks; in the right half-plane, where the
-    # contour remainder's points lie, two of them
-    if re_min > 0:
-        cf = az >= _CF_RADIUS
-        series = ~cf
-        methods = ((series, _exp_int_series), (cf, _exp_int_cf))
-    else:
-        near_cut = abs(z.imag) <= -z.real  # so Re z <= 0
-        asymptotic = near_cut & (az >= _ASYMPTOTIC_RADIUS)
-        cf = ~near_cut & (az >= np.where(z.real > 0, _CF_RADIUS, _OFF_CUT_SERIES_RADIUS))
-        series = ~(cf | asymptotic)
-        methods = ((series, _exp_int_series), (cf, _exp_int_cf),
-                   (asymptotic, _exp_int_asymptotic))
+    # _exp_int_scalar's continued-fraction points: off the cut, past its radius
+    cf = (abs(z.imag) > -z.real) & (az >= np.where(z.real > 0, _CF_RADIUS, _OFF_CUT_SERIES_RADIUS))
+    # a product, not *=, whose complex loop rounds by the array's size; every
+    # point of a contour remainder's ray is in the batch, which then needs no
+    # indexing (about 6 us of a 110 us call on a shared 2-vCPU x86 host)
+    if cf.all():
+        value = _exp_int_cf(order, z)
+        return (value if scaled else value * np.exp(-z)).reshape(shape)
     out = np.empty_like(z)
-    for mask, method in methods:
-        if mask.all():
-            out = method(order, z)
-        elif mask.any():
-            out[mask] = method(order, z[mask])
-    # out holds E_s on the series' points and e^z E_s elsewhere; a product,
-    # not *=, whose complex loop rounds by the array's size
-    rows = series if scaled else ~series
-    if rows.all():
-        out = out * np.exp(z if scaled else -z)
-    elif rows.any():
-        out[rows] = out[rows] * np.exp(z[rows] if scaled else -z[rows])
+    if cf.any():
+        zc = z[cf]
+        value = _exp_int_cf(order, zc)
+        out[cf] = value if scaled else value * np.exp(-zc)
+    rest = ~cf
+    out[rest] = [_exp_int_scalar(order, v, scaled) for v in z[rest].tolist()]
     return out.reshape(shape)
 
 
@@ -533,39 +521,37 @@ def exp_int_E(s, z):
     |Im z| <= -Re z) it is the power series for |z| < 40 and the asymptotic
     series beyond.  Off the cut it is the power series for |z| < 2
     (Re z > 0) or |z| < 6.6 (Re z <= 0), and the continued fraction
-    everywhere else, out to any |z|.  Each method runs once on all the
-    points it takes (a scalar is one point).  The continued fraction runs
-    each point at its own tabled depth, max(F, A/u + B) with
-    u = (|z| + Re z)/2 and (A, B, F) read by |s| (``_CF_DEPTH``): at least
-    Lentz's step count to a step factor within 2 eps of 1, and at most -s
-    at a non-positive integer order, where the fraction ends.  So an
-    element's value does not depend on the batch it comes in.  The two series take
-    one term count per batch, as many as the largest (power) or smallest
-    (asymptotic) |z| needs, so there an element's last bits can.
+    everywhere else, out to any |z|.  An ndarray runs its continued-fraction
+    points as one batch and every other point alone, as a scalar.  The
+    continued fraction runs each point at its own tabled depth,
+    max(F, A/u + B) with u = (|z| + Re z)/2 and (A, B, F) read by |s|
+    (``_CF_DEPTH``): at least Lentz's step count to a step factor within
+    2 eps of 1, and at most -s at a non-positive integer order, where the
+    fraction ends.  So no point's value depends on the batch it comes in.
 
     Measured against mpmath's e^z E_s(z) on both sides of each radius, in
     both half-planes and on the cut, out to |z| = 2,000, for s in
     {0, 1, 2, 3, -2, 0.5, -1.5, 2.5 + i, -6.5, 3i}, and on 400 random points
     with |z| <= 50, Re s in [-3, 3] and |Im s| <= 1, the relative error of
-    each method is at most: the power series 1.5e-12 for a scalar
-    (s = 2.5 + i) and 1.6e-12 for an ndarray (s = -2), both at
-    z = -28.8 + 26.3i, just inside |z| = 40 near the cut, where it cancels
-    most (1.1e-12 on the random points); the continued fraction 1.4e-13
-    (s = -6.5, |z| = 2.1), and 4.0e-16 off the cut from |z| = 40 to 5,000
-    for twelve orders up to |s| = 14 (``test_exp_int_E_far_off_cut_vs_mpmath``
-    has them); the asymptotic series 1.6e-13 (s = 3,
-    z = -41).  E_s is e^{-z} times that, a few ulps more.  Near a positive
+    each method is at most: the power series 1.5e-12 for a scalar and an
+    ndarray alike (s = 2.5 + i, z = -28.8 + 26.3i), just inside |z| = 40
+    near the cut, where it cancels most (1.1e-12 on the random points);
+    the continued fraction 1.4e-13 (s = -6.5, |z| = 2.1), and 4.0e-16 off
+    the cut from |z| = 40 to 5,000 for twelve orders up to |s| = 14
+    (``test_exp_int_E_far_off_cut_vs_mpmath`` has them); the asymptotic
+    series 1.6e-13 (s = 3, z = -41).  E_s is e^{-z} times that, a few ulps more.  Near a positive
     integer order n the power series' lead and its term k = n - 1 both grow
     like 1/(s - n), and the series sums them as one term
     within 1/8 of n (``_exp_int_series``): at z = 1.981 it reads 2.5e-15
     at s = 3.0001, where they cost 5.7e-10 apart, and on 200 random points
     within 1/8 of n = 1..6 with |z| < 20, on the cut and off it, 3.8e-14
     (8.8e-4 apart).  Farther from n they cost at most 1.7e-12 (z = 1.981,
-    s = 2.957) and are kept apart.  The radii suit small
-    |s| only: near the cut the power series reads 2.2e-12 at s = -1.5 + 4i,
-    at z = -41 the asymptotic series 2.1e-11 at s = 5, and at |z| = 2 the
-    continued fraction 1e-11 at s = -8.5 and no correct digit at
-    s = -20.5.
+    s = 2.957) and are kept apart.  The radii suit small |s| only: near the
+    cut the power series reads 2.95e-12 at s = -1.5 + 4i, z = 39e^{2.36i},
+    the asymptotic series 3.5e-12 at s = 3 + 5i, z = 41e^{-3i}, and at
+    z = -41 8.3e-12 at s = 3 - 5i and 2.1e-11 at s = 5, and at |z| = 2 the
+    continued fraction 1e-11 at s = -8.5, 3.2e-9 at s = -11 and no correct
+    digit at s = -20.5.
 
     DomainError if s or any element is not finite or an element is 0 (for
     an ExpIntOrder, s is checked when it is built), OverflowError if any

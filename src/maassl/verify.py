@@ -104,13 +104,14 @@ def resolve_form(desc: str) -> modforms.FourierExpansion:
         return NAMED_FORMS[desc](40)
     if desc.startswith("synth:"):
         data = json.loads(desc[len("synth:"):])
+        k = data["k"]
+        if type(k) is not int:  # not a float, a bool or a string: int() would take them
+            raise ValueError(f"form descriptor {desc!r} needs an integer weight k, got {k!r}")
 
         def cmap(raw):
             return {int(n): _to_complex(c) for n, c in raw.items()}
 
-        return modforms.synth_harmonic(int(data["k"]), cmap(data.get("holo", {})),
-                                       cmap(data.get("nonholo", {})),
-                                       level=int(data.get("level", 1)))
+        return modforms.synth_harmonic(k, cmap(data.get("holo", {})), cmap(data.get("nonholo", {})))
     raise ValueError(f"unknown form descriptor {desc!r}")
 
 

@@ -805,7 +805,7 @@ def test_equal_expansions_share_one_entry(monkeypatch):
     sizes = _counting_eval_at(monkeypatch)
     holo, nonholo = {1: 0.5, 2: -0.25j}, {-1: 1 - 0.5j}
     f, other = synth_harmonic(0, holo, nonholo), synth_harmonic(-2, holo, nonholo)
-    same = [synth_harmonic(0, holo, nonholo, level=2), dataclasses.replace(f, label="other")]
+    same = [dataclasses.replace(f, level=2), dataclasses.replace(f, label="other")]
     kernel, key = _lerch_kernel(0.5, 0.3 + 0.7j), ("lerch", 0.5, 0.3 + 0.7j)
     cold = [_cold(contour._segment_pairing, g, kernel, key=key) for g in (f, other)]
     assert cold[0] != cold[1]

@@ -451,19 +451,27 @@ def test_inc_gamma_upper_sweep_vs_mpmath():
     assert max(errs) <= 1e-10
 
 
+# points near the cut where an order with |Im s| = 4 or 5 reads above 2e-12:
+# the power series at |z| = 39 (2.95e-12) and the asymptotic series at
+# |z| = 41 (3.46e-12 at 41 e^{-3i}, 8.28e-12 at s = 3 - 5i, z = -41)
+_FAR_ORDER_POINTS = ((-1.5 + 4j, cmath.rect(39.0, 2.36)), (-1.5 - 4j, cmath.rect(39.0, -2.36)),
+                     (3 + 5j, cmath.rect(41.0, -3.0)), (3 - 5j, complex(-41.0, 0.0)))
+
+
 @needs_mpmath
 def test_exp_int_E_ladder_vs_mpmath():
     """Both sides of |z| = 2, 6.6, 12 and 40, in both half-planes and on the
     cut, with integer orders >= 1 taking the series' log-lead branch, one
     point at a time and each order's whole grid as one ndarray.  The worst
-    measured error is 1.5e-12 for scalars (s = 2.5 + i, |z| = 39,
-    arg z = 2.4) and 1.6e-12 for the array (s = -2, arg z = -2.4), where the
-    series cancels most.  The continued fraction's depth depends on |s|:
-    s = -6.5 reaches its |s| <= 8 row (worst 8.1e-13) and s = 3i its
-    |s| <= 3 row (9.3e-13).  This bound does not hold for every order: at
-    s = -1.5 + 4i the series reads 2.2e-12 at |z| = 39, and past |s| ~ 5
-    the asymptotic series at z = -41 (2.1e-11 at s = 5) and, for Re s < -8,
-    the continued fraction at |z| ~ 2 (1e-11 at s = -8.5) lose digits."""
+    measured error is 1.5e-12 (s = 2.5 + i, |z| = 39, arg z = 2.4), for
+    scalars and the array alike, where the series cancels most.  The
+    continued fraction's depth depends on |s|: s = -6.5 reaches its
+    |s| <= 8 row (worst 8.1e-13) and s = 3i its |s| <= 3 row (9.3e-13).
+    This bound does not hold for every order: ``_FAR_ORDER_POINTS`` has the
+    points near the cut where |Im s| = 4 or 5 reads more, held to their own
+    bound; past |s| ~ 5 the asymptotic series at z = -41 (2.1e-11 at s = 5)
+    and, for Re s < -8, the continued fraction at |z| ~ 2 (1e-11 at
+    s = -8.5) lose digits."""
     orders = (0, 1, 2, 3, -2, 0.5, -1.5, 2.5 + 1j, -6.5, 3j)
     radii = (1.9, 2.1, 6.5, 6.7, 11.9, 12.1, 39.0, 41.0, 60.0)
     args = (0.0, 0.5, -0.5, 1.2, -1.2, math.pi / 2, -math.pi / 2,
@@ -476,6 +484,26 @@ def test_exp_int_E_ladder_vs_mpmath():
                 exact = complex(_mp_expint(s, complex(z)))
                 assert _rel_err(exp_int_E(s, complex(z)), exact) <= 2e-12, (s, z)
                 assert _rel_err(v, exact) <= 2e-12, (s, z, "array")
+        for s, z in _FAR_ORDER_POINTS:
+            exact = complex(_mp_expint(s, z))
+            assert _rel_err(exp_int_E(s, z), exact) <= 1e-11, (s, z)
+            assert _rel_err(exp_int_E(s, np.array([z]))[0], exact) <= 1e-11, (s, z, "array")
+
+
+# E_s at Re s < -1 and |z| >= 2, where the continued fraction loses digits
+# to rounding at any depth (measured 3.2e-9, 1.4e-7 and 2.2e-8 off)
+_LOW_ORDER_POINTS = ((-11, 2.0), (-12.5, 2.0), (-20, 2 * math.pi))
+
+
+@needs_mpmath
+@pytest.mark.xfail(strict=True, reason="the continued fraction loses digits at orders "
+                   "below -8 for |z| ~ 2; the downward order recurrence mends it")
+@pytest.mark.parametrize("s, z", _LOW_ORDER_POINTS)
+def test_exp_int_E_low_order_vs_mpmath(s, z):
+    with mpmath.workdps(30):
+        exact = complex(mpmath.expint(s, z))
+    assert _rel_err(exp_int_E(s, complex(z)), exact) <= 1e-13
+    assert _rel_err(exp_int_E(s, np.array([complex(z)]))[0], exact) <= 1e-13
 
 
 @needs_mpmath
@@ -587,15 +615,15 @@ def test_exp_int_E_scaled_vs_mpmath():
     assert type(specfun.exp_int_E_scaled(0.5, -800.0 + 900j)) is complex
 
 
-def test_exp_int_E_continued_fraction_batch_independent():
-    """A continued-fraction point has the same bits alone as in its batch,
-    since each runs at its own depth; the two series take one term count
-    per batch and are not held to this."""
+def test_exp_int_E_batch_independent():
+    """A point has the same bits alone as in its batch, by every method:
+    the continued fraction runs each point at its own depth, and the power,
+    near-integer and asymptotic series take one point at a time.  The points
+    cover |z| in [0.05, 60] at every argument, so each method is sampled."""
     rng = np.random.default_rng(11)
-    z = np.exp(rng.uniform(math.log(2.0), math.log(900.0), 600)
-               + 1j * rng.uniform(-2.35, 2.35, 600))
-    z = z[[_in_cf_region(complex(v)) for v in z]]
-    for s in (0.5, -2.5, 3 + 2j, 12):
+    z = np.exp(rng.uniform(math.log(0.05), math.log(60.0), 600)
+               + 1j * rng.uniform(-math.pi, math.pi, 600))
+    for s in (0.5, -2.5, 3 + 2j, 12, 2.9999, -1.5 + 4j):
         for kernel in (exp_int_E, specfun.exp_int_E_scaled):
             batch = kernel(s, z)
             alone = np.concatenate([kernel(s, z[i:i + 1]) for i in range(z.size)])

@@ -54,6 +54,15 @@ def test_resolve_unknown_form():
         resolve_form("nope")
 
 
+@pytest.mark.parametrize("k", ["-2.5", "true", '"-2"', "-2.0"])
+def test_resolve_synth_form_needs_an_integer_weight(k):
+    """A weight that int() would truncate or convert is refused, naming
+    the descriptor, instead of building a form of another weight."""
+    desc = f'synth:{{"k": {k}, "holo": {{"1": 1}}}}'
+    with pytest.raises(ValueError, match=re.escape(repr(desc))):
+        resolve_form(desc)
+
+
 # ---------------------------------------------------------------------------
 # run_check
 # ---------------------------------------------------------------------------
