@@ -193,12 +193,11 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
     kept in ``KERNEL_TABLE``; f scales it by c_p.  Against one_dim on 2,000
     random points with k in {0, -2, -4}, s in [-3, 4], Re w in [-5.5, 4],
     Im w in [0.05, 3] and one or two frequencies it is within 1.8e-13
-    relative.  At k = -10 the order k - s is outside the radii that
-    ``specfun.exp_int_E`` suits: at s = 1, w = -6.2 + i its values on the
-    ray reach 3.8e7 and are up to 2.7e-9 off mpmath, and the ray raises
-    QuadratureError, where one_dim holds.  The two shapes agree wherever
-    both are defined.  Both need Re w > -2 pi min|n|, where the t-integrals
-    converge, and raise RegimeError otherwise.
+    relative, and on 1,000 such points with k = -10 among the weights,
+    where the order k - s reaches -14 and E_s steps down to it
+    (``specfun.ExpIntOrder``), within 1.3e-13.  The two shapes agree
+    wherever both are defined.  Both need Re w > -2 pi min|n|, where the
+    t-integrals converge, and raise RegimeError otherwise.
     """
     if not f.nonholo:
         return 0j

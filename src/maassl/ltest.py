@@ -408,7 +408,9 @@ def _ladder_holo(f: FourierExpansion, s, order) -> tuple[np.ndarray, np.ndarray]
     for n, e in zip(sorted(f.holo), kernels):
         z = TWO_PI * n + w
         a = f.holo[n]
-        # a(n) E_q runs the recurrence as well as E_q does: it is linear
+        # a(n) E_q runs the recurrence as well as E_q does: it is linear.
+        # The steps stay fused with the sum over n: specfun's step function
+        # lists each n's orders, 4 us more per limit on J's 12 terms
         term, a_exp = a * e, a * cmath.exp(-z)
         v[0] += term
         for k in range(1, _SHIFT_TERMS):

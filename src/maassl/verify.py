@@ -95,7 +95,9 @@ NAMED_FORMS = {"J": modforms.build_J, "Jsq": modforms.build_J_squared}
 @functools.lru_cache(maxsize=32)
 def resolve_form(desc: str) -> modforms.FourierExpansion:
     """Resolve a form descriptor: a NAMED_FORMS key (built to 40
-    coefficients) or 'synth:<inline-json>'.
+    coefficients) or 'synth:<inline-json>'.  A synthetic descriptor reads
+    the keys "k" (an integer weight), "holo", "nonholo" and "label" (the
+    form's label, "synth" if absent); any other key raises ValueError.
 
     The 32 most recently used forms are kept, so a stream of one-off
     synthetic descriptors does not grow memory without bound.
@@ -104,6 +106,8 @@ def resolve_form(desc: str) -> modforms.FourierExpansion:
         return NAMED_FORMS[desc](40)
     if desc.startswith("synth:"):
         data = json.loads(desc[len("synth:"):])
+        if unknown := set(data) - {"k", "holo", "nonholo", "label"}:
+            raise ValueError(f"form descriptor {desc!r} has unknown keys {sorted(unknown)}")
         k = data["k"]
         if type(k) is not int:  # not a float, a bool or a string: int() would take them
             raise ValueError(f"form descriptor {desc!r} needs an integer weight k, got {k!r}")
@@ -111,7 +115,9 @@ def resolve_form(desc: str) -> modforms.FourierExpansion:
         def cmap(raw):
             return {int(n): _to_complex(c) for n, c in raw.items()}
 
-        return modforms.synth_harmonic(k, cmap(data.get("holo", {})), cmap(data.get("nonholo", {})))
+        form = modforms.synth_harmonic(k, cmap(data.get("holo", {})), cmap(data.get("nonholo", {})))
+        form.label = data.get("label", form.label)
+        return form
     raise ValueError(f"unknown form descriptor {desc!r}")
 
 

@@ -40,9 +40,12 @@ def test_exp_int_negative_axis_branch():
 
 
 def test_exp_int_closed_forms():
-    # E_0(z) = e^{-z}/z
+    # E_0(z) = e^{-z}/z; its scaled value, the first step from q = 1 where
+    # E_1 has weight 0, is 1/z to the bit, for a scalar and an ndarray
     for z in (0.3, 2.0 + 1j, -3.0 + 0.2j, 5j):
         assert exp_int_E(0, z) == pytest.approx(cmath.exp(-z) / z, rel=1e-12)
+        assert specfun.exp_int_E_scaled(0, z) == 1 / complex(z)
+        assert specfun.exp_int_E_scaled(0, np.array([z]))[0] == 1 / complex(z)
 
 
 def test_exp_int_raises_at_zero():
@@ -115,8 +118,10 @@ def _bits(kernel, *args):
 # (order, z) on every branch of exp_int_E: the continued fraction in both
 # half-planes, the power series off the cut (Re z > 0 and Re z <= 0) and on
 # it, within 1/8 of a positive integer order, the asymptotic series, the
-# terminating orders s <= 0, and real z with either signed zero
-_BRANCH_ORDERS = (0.5, -1.5, 2.5 + 1j, 3j, 12, 200, 3.0001, 2.95, 2, 1, 0, -2, -5)
+# orders that step down (non-positive integers from E_0, Re s < -2 from an
+# order in (-1, 0]), and real z with either signed zero
+_BRANCH_ORDERS = (0.5, -1.5, 2.5 + 1j, 3j, 12, 200, 3.0001, 2.95, 2, 1, 0, -2, -5,
+                  -6.5, -11.3 + 0.5j)
 _BRANCH_POINTS = (3 + 1j, 30 - 2j, 2.1j + 0.05, 900 + 50j, -3 + 7j, -40 + 41j, 1 + 0.5j,
                   0.3 - 1.2j, -2 + 3j, -5 + 1j, -2 * math.pi + 0.4j, -30 - 20j,
                   -45 + 3j, -300 - 1j, 3.0, 0.7, -1.0, complex(-1.0, -0.0), -50.0)
@@ -157,11 +162,16 @@ def _cf_inline(s: complex, z: complex, depth: int) -> complex:
 def test_exp_int_cf_matches_inline_numerators():
     """The continued fraction over an order's kept numerators, exp_int_E's
     scalar route, has the bits of the loop that computes them at the
-    order's tabled depth, whichever order the depths come in."""
+    order's tabled depth, whichever order the depths come in, at every
+    order the fraction takes: Re s >= -2, not a non-positive integer."""
     zs = [complex(z) for z in _BRANCH_POINTS if _in_cf_region(complex(z))]
     assert len(zs) == 7
     # orders with full mantissas, where a regrouped numerator rounds apart
-    for s in map(complex, _BRANCH_ORDERS + (math.pi - 2, complex(1 / 3, -math.e))):
+    orders = _BRANCH_ORDERS + (math.pi - 2, complex(1 / 3, -math.e), -2 + 0.5j)
+    orders = [s for s in map(complex, orders)
+              if s.real >= -2 and not (s.imag == 0 and s.real <= 0 and s.real.is_integer())]
+    assert len(orders) == 13
+    for s in orders:
         for points in (zs, zs[::-1]):
             order = specfun.ExpIntOrder(s)
             for z, depth in zip(points, order.depth(np.array(points)).tolist()):
@@ -172,12 +182,15 @@ def test_exp_int_cf_matches_inline_numerators():
 
 
 def test_exp_int_order_object_errors():
-    """A non-finite order fails when its object is built; the object's
+    """A non-finite order, or one below Re s = -5000, whose steps down
+    would list -Re s values, fails when its object is built; the object's
     ndarray calls keep exp_int_E's OverflowError on z (the scalar guards
     are test_exp_int_order_object_guards')."""
-    for s in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 1.0)):
+    for s in (math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 1.0),
+              -5000.5, complex(-1e300, 1.0)):
         with pytest.raises(DomainError):
             specfun.ExpIntOrder(s)
+    assert specfun.ExpIntOrder(-4999.5).steps == 4999
     order = specfun.ExpIntOrder(1)
     with pytest.raises(OverflowError):
         exp_int_E(order, np.array([1.0, -701.0 + 1j]))
@@ -465,13 +478,12 @@ def test_exp_int_E_ladder_vs_mpmath():
     point at a time and each order's whole grid as one ndarray.  The worst
     measured error is 1.5e-12 (s = 2.5 + i, |z| = 39, arg z = 2.4), for
     scalars and the array alike, where the series cancels most.  The
-    continued fraction's depth depends on |s|: s = -6.5 reaches its
-    |s| <= 8 row (worst 8.1e-13) and s = 3i its |s| <= 3 row (9.3e-13).
-    This bound does not hold for every order: ``_FAR_ORDER_POINTS`` has the
-    points near the cut where |Im s| = 4 or 5 reads more, held to their own
-    bound; past |s| ~ 5 the asymptotic series at z = -41 (2.1e-11 at s = 5)
-    and, for Re s < -8, the continued fraction at |z| ~ 2 (1e-11 at
-    s = -8.5) lose digits."""
+    continued fraction's depth depends on |s|: s = 3i reaches its |s| <= 3
+    row (9.3e-13).  s = -6.5 steps down from -0.5 (worst 1.8e-15), and 0
+    and -2 from E_0 (4.9e-16).  This bound does not hold for every order:
+    ``_FAR_ORDER_POINTS`` has the points near the cut where |Im s| = 4 or 5
+    reads more, held to their own bound; past |s| ~ 5 the asymptotic
+    series at z = -41 loses digits (2.1e-11 at s = 5)."""
     orders = (0, 1, 2, 3, -2, 0.5, -1.5, 2.5 + 1j, -6.5, 3j)
     radii = (1.9, 2.1, 6.5, 6.7, 11.9, 12.1, 39.0, 41.0, 60.0)
     args = (0.0, 0.5, -0.5, 1.2, -1.2, math.pi / 2, -math.pi / 2,
@@ -490,20 +502,64 @@ def test_exp_int_E_ladder_vs_mpmath():
             assert _rel_err(exp_int_E(s, np.array([z]))[0], exact) <= 1e-11, (s, z, "array")
 
 
-# E_s at Re s < -1 and |z| >= 2, where the continued fraction loses digits
-# to rounding at any depth (measured 3.2e-9, 1.4e-7 and 2.2e-8 off)
+# E_s at orders below -2 and |z| >= 2, where the continued fraction lost
+# digits to rounding at any depth (3.2e-9, 1.4e-7 and 2.2e-8 off); the steps
+# down from E_0 or from an order in (-1, 0] keep them within rounding
 _LOW_ORDER_POINTS = ((-11, 2.0), (-12.5, 2.0), (-20, 2 * math.pi))
 
 
 @needs_mpmath
-@pytest.mark.xfail(strict=True, reason="the continued fraction loses digits at orders "
-                   "below -8 for |z| ~ 2; the downward order recurrence mends it")
 @pytest.mark.parametrize("s, z", _LOW_ORDER_POINTS)
 def test_exp_int_E_low_order_vs_mpmath(s, z):
     with mpmath.workdps(30):
         exact = complex(mpmath.expint(s, z))
     assert _rel_err(exp_int_E(s, complex(z)), exact) <= 1e-13
     assert _rel_err(exp_int_E(s, np.array([complex(z)]))[0], exact) <= 1e-13
+
+
+# (Re s, largest |Im s|, Re z, bound) for the orders that step down, with
+# |Im z| <= 8: each bound is three to four times the worst relative error
+# against mpmath of 2,000 random points of its band and 3,000 on its edge
+# Re z = +-0.001, 1.5e-13, 1.4e-13 (both on that edge) and 2.9e-9 (the
+# continued fraction read 4.0, 3.3e-12 and 2.5 there); in the left
+# half-plane E_s(z) = (-s)! e^{-z} z^{s-1} sum_{k<=-s} z^k/k! at integer
+# s, whose sum cancels to about e^z, and the steps cancel alike
+_STEP_BANDS = {"right": ((-30.0, -8.0), 0.0, (1e-3, 20.0), 5e-13),
+               "near": ((-8.0, -1.0), 0.5, (1e-3, 40.0), 5e-13),
+               "left": ((-30.0, -2.0), 0.0, (-20.0, -1e-3), 8e-9)}
+
+
+@needs_mpmath
+@pytest.mark.parametrize("band", sorted(_STEP_BANDS))
+@given(st.floats(0, 1), st.floats(-1, 1), st.floats(0, 1), st.floats(-8, 8))
+@settings(max_examples=150, deadline=None)
+def test_exp_int_E_steps_down_vs_mpmath(band, u, v, x, y):
+    """Orders below -2, and non-positive integers, step down from an order
+    in (-1, 0] or from E_0 (``ExpIntOrder``): within each band's measured
+    bound of mpmath, for a scalar and a one-element ndarray."""
+    (lo, hi), im_s, (z_lo, z_hi), bound = _STEP_BANDS[band]
+    s, z = complex(lo + (hi - lo) * u, im_s * v), complex(z_lo + (z_hi - z_lo) * x, y)
+    with mpmath.workdps(40):
+        exact = complex(mpmath.expint(mpmath.mpc(s.real, s.imag), mpmath.mpc(z.real, z.imag)))
+    assert _rel_err(exp_int_E(s, z), exact) <= bound, (s, z)
+    assert _rel_err(exp_int_E(s, np.array([z]))[0], exact) <= bound, (s, z, "array")
+
+
+@needs_mpmath
+def test_inc_gamma_upper_large_r_vs_mpmath():
+    """Gamma(r, z) = z^r E_{1-r}(z) at non-integer r from 9 to 21, where
+    E_{1-r} steps down from an order in (-1, 0]: within 2e-13 of mpmath
+    (measured 5.4e-14 on these and 300 random points with Re z in
+    [0.05, 30]; the continued fraction read 3.3 at r = 20.5, z = 2)."""
+    rng = np.random.default_rng(9)
+    points = [(r, z) for r in (9.3, 10.5, 12.25, 15.7, 18.5, 20.5, 20.9 + 0.3j)
+              for z in (2.0, 2 * math.pi, 0.5 + 3j, 10 - 2j, -3 + 4j, 25.0, 0.3 - 0.2j)]
+    points += [(rng.uniform(9, 21), complex(rng.uniform(0.05, 30), rng.uniform(-8, 8)))
+               for _ in range(40)]
+    with mpmath.workdps(40):
+        for r, z in points:
+            exact = complex(mpmath.gammainc(mpmath.mpmathify(r), mpmath.mpc(z)))
+            assert _rel_err(inc_gamma_upper(r, z), exact) <= 2e-13, (r, z)
 
 
 @needs_mpmath
@@ -617,13 +673,14 @@ def test_exp_int_E_scaled_vs_mpmath():
 
 def test_exp_int_E_batch_independent():
     """A point has the same bits alone as in its batch, by every method:
-    the continued fraction runs each point at its own depth, and the power,
-    near-integer and asymptotic series take one point at a time.  The points
-    cover |z| in [0.05, 60] at every argument, so each method is sampled."""
+    the continued fraction runs each point at its own depth, the power,
+    near-integer and asymptotic series take one point at a time, and an
+    order that steps down steps each point alone.  The points cover |z| in
+    [0.05, 60] at every argument, so each method is sampled."""
     rng = np.random.default_rng(11)
     z = np.exp(rng.uniform(math.log(0.05), math.log(60.0), 600)
                + 1j * rng.uniform(-math.pi, math.pi, 600))
-    for s in (0.5, -2.5, 3 + 2j, 12, 2.9999, -1.5 + 4j):
+    for s in (0.5, -2.5, 3 + 2j, 12, 2.9999, -1.5 + 4j, -6, -11.3, -20.5 + 1j):
         for kernel in (exp_int_E, specfun.exp_int_E_scaled):
             batch = kernel(s, z)
             alone = np.concatenate([kernel(s, z[i:i + 1]) for i in range(z.size)])
@@ -655,23 +712,15 @@ def _in_cf_region(z: complex) -> bool:
     return abs(z.imag) > -z.real and abs(z) >= 6.6
 
 
-def _cf_steps_needed(s: complex, z: complex) -> int:
-    """Lentz's step count, or -s at a non-positive integer s, where the
-    fraction terminates (a_{1-s} = 0) and depth -s is exact."""
-    steps = _lentz_steps(s, z)
-    if s.imag == 0 and s.real <= 0 and s.real.is_integer():
-        return min(steps, -int(s.real))
-    return steps
-
-
 def test_cf_depth_covers_lentz():
     """The tabled depth is at least Lentz's step count over the continued
     fraction's region: |z| from 2 to 10^4, both edges (|z| = 2 and 2.1 with
-    Re z > 0, |z| just above 6.6 with |Im z| just above -Re z), real orders
-    from -30 to 30 with the terminating negative integers, and complex orders
-    up to |Im s| = 10.  Beyond |z| = 40 the rows' floors carry the depth for
-    8 < |s| <= 32.  The 20 points with the least margin, terminating orders
-    aside (their depth -s is exact), match mpmath."""
+    Re z > 0, |z| just above 6.6 with |Im z| just above -Re z), and every
+    order the fraction takes in a box: real orders from -1.5 to 30 that are
+    not non-positive integers, and complex orders up to |Im s| = 10 with
+    Re s >= -2 (every order that steps down starts at one of these, or at
+    E_0).  Beyond |z| = 40 the rows' floors carry the depth for
+    8 < |s| <= 32.  The 20 points with the least margin match mpmath."""
     tiny = 1e-9
     radii = (2.0, 2.1, 2.5, 3.0, 4.0, 5.0, 6.6 + tiny, 6.7, 8.0, 10.0, 13.0,
              16.0, 20.0, 25.0, 30.0, 35.0, 40.0 - tiny, 40.0, 60.0, 100.0, 400.0,
@@ -681,19 +730,18 @@ def test_cf_depth_covers_lentz():
                                        3 * math.pi / 4 - tiny)
                     for sign in (1, -1)]
     zs = [z for z in (cmath.rect(r, a) for r in radii for a in args) if _in_cf_region(z)]
-    orders = [-30, -29.5, -25, -20.5, -15, -12.5, -10, -7.5, -5, -3, -2.5, -2,
-              -1, -0.5, 0, 0.5, 1, 1.5, 2, 3, 5, 7.5, 10, 15, 20.5, 25, 30,
-              10j, -10j, 3 + 10j, -3 - 10j, 10 + 10j, -10 + 10j, 30 + 10j,
-              -30 + 10j, 30 - 10j, -30 - 10j, 2 + 5j, -2 + 5j, 1 + 1j, -5 + 3j,
-              0.5 - 7j, -20 - 4j, 15 + 8j]
+    orders = [-1.5, -0.5, 0.5, 1, 1.5, 2, 3, 5, 7.5, 10, 15, 20.5, 25, 30,
+              10j, -10j, 3 + 10j, -0.5 - 10j, 10 + 10j, -2 + 10j, 30 + 10j,
+              -0.25 + 10j, 30 - 10j, -2 - 10j, 2 + 5j, -2 + 5j, 1 + 1j, 3j,
+              0.5 - 7j, -4j, 15 + 8j]
     margins = []
     for s in map(complex, orders):
-        depths = specfun.ExpIntOrder(s).depth(np.array(zs)).tolist()
-        for z, depth in zip(zs, depths):
-            margin = depth - _cf_steps_needed(s, z)
+        order = specfun.ExpIntOrder(s)
+        assert not order.steps, s
+        for z, depth in zip(zs, order.depth(np.array(zs)).tolist()):
+            margin = depth - _lentz_steps(s, z)
             assert margin >= 0, (s, z, margin)
-            if not (s.imag == 0 and s.real <= 0 and s.real.is_integer()):
-                margins.append((margin, s, z))
+            margins.append((margin, s, z))
     if mpmath is None:
         pytest.skip("mpmath oracle not installed")
     margins.sort(key=lambda m: m[0])

@@ -63,6 +63,24 @@ def test_resolve_synth_form_needs_an_integer_weight(k):
         resolve_form(desc)
 
 
+@pytest.mark.parametrize("desc, unknown", [
+    ('synth:{"k": 0, "hol": {"1": 1}}', "['hol']"),
+    ('synth:{"k": 0, "holo": {"1": 1}, "level": 4, "Label": "x"}', "['Label', 'level']")])
+def test_resolve_synth_form_refuses_unknown_keys(desc, unknown):
+    """A misspelt or unread key is refused, naming the descriptor and the
+    keys, instead of building another form (a misspelt "holo" built one
+    with no coefficients)."""
+    with pytest.raises(ValueError, match=re.escape(f"{desc!r} has unknown keys {unknown}")):
+        resolve_form(desc)
+
+
+def test_resolve_synth_form_reads_its_label():
+    """"label" names the form; without it a synthetic form is "synth"."""
+    f = resolve_form('synth:{"k": 0, "holo": {"-1": 1, "1": 1}, "label": "warmup"}')
+    assert f.label == "warmup" and f.holo == {-1: 1, 1: 1}
+    assert resolve_form('synth:{"k": 0, "holo": {"-1": 1, "1": 1}}').label == "synth"
+
+
 # ---------------------------------------------------------------------------
 # run_check
 # ---------------------------------------------------------------------------
@@ -143,6 +161,21 @@ def test_default_suite_no_worse_than_baseline():
     worse = {r.id: (r.rel_err, baseline[r.id]) for r in reports
              if r.rel_err > max(2 * baseline[r.id], 1e-15)}
     assert not worse, worse
+
+
+WEIGHT_MINUS_10 = Path(__file__).parent / "data" / "weight_minus10.json"
+
+
+def test_weight_minus10_config_passes():
+    """thm_main and r_form_equality on a weight -10 harmonic form, where the
+    remainder's kernel E_{k-s} runs at orders near -11 and -13 with values
+    near 1e7 on its ray: every check passes (each read about 1.6e-15; the
+    continued fraction's lost digits raised QuadratureError at each)."""
+    checks = load_suite(str(WEIGHT_MINUS_10))
+    assert {(c.theorem, c.params["s"]) for c in checks} == {
+        (t, s) for t in ("thm_main", "r_form_equality") for s in (1, 3)}
+    reports, summary = run_suite(checks)
+    assert summary == {"pass": 4, "fail": 0, "skipped": 0}, [r.message for r in reports]
 
 
 # each corrupts an evaluator's rhs; the pass rule must catch every one
