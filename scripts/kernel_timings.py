@@ -34,6 +34,8 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
 - the double integral's ray of one xi-frequency p = 1 at the same s and w
   (contour._remainder_ray, which keeps nothing), for hB and hC: the cost
   of a ray that the table does not hold;
+- contour.ray_integral_bend(a, w), the bending lemma's rotated ray, at
+  (a, w) = (-1, 1), real w, and (2, 1 + i);
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
   series side with its non-holomorphic part; l_value(J, phi_{0.5}^{0.3+0.7i})
   and l_star(J, 0.5), each a sum of 12 kernel terms; l_value on the 4-term
@@ -128,6 +130,8 @@ def cases():
     for name, f in harmonic.items():
         yield "remainder_ray", f"{name}/p=1", 1, lambda k=f.weight: contour._remainder_ray(
             k, 1.0, 0.5 + 1j, 1)
+    for a, w, case in ((-1.0, 1.0, "a=-1/w=1"), (2.0, 1 + 1j, "a=2/w=1+i")):
+        yield "ray_integral_bend", case, 1, lambda a=a, w=w: contour.ray_integral_bend(a, w)
     hb = harmonic["hB"]
     yield "l_value", "hB", 1, lambda: l_value(hb, PhiSW(1.0, 0.5 + 1j))
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)

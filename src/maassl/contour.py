@@ -98,49 +98,42 @@ def _segment_pairing(f: FourierExpansion, kernel, height: float = 1.0, *,
 
 
 # ---------------------------------------------------------------------------
-# Lemma: bending the Laplace ray to a horizontal line
+# One ray rule, and the lemma bending the Laplace ray to a horizontal line
 # ---------------------------------------------------------------------------
 
-def ray_integral_bend(a: float, w, T: float) -> complex:
-    """int_i^{i+T} e^{iwz} z^{a-1} dz plus its tail, converging to i^a E_{1-a}(w).
+def _ray(g, b: complex, power) -> complex:
+    """int_0^inf g(u) du along u = t d, d = e^{-i arg(b)/2}, half the
+    steepest-descent angle of e^{-bu}, on [0, tail_extent(Re(b d),
+    max(0, Re power))], for g(u) that behaves like e^{-bu} (u+i)^power.
+
+    On the ray |u+i| <= 1+t, and, as Re b > 0 or b = -i|b| keeps
+    |arg d| <= pi/4, |u+i| >= cos(pi/4) and the ray stays in Re u >= 0,
+    off the branch point u = -i; there g decays like e^{-Re(b d) t}, where
+    on the real axis it decays like e^{-Re(b) t}.  g takes an ndarray."""
+    # cmath.phase(b) raises OverflowError where atan2 underflows, at a
+    # subnormal arg(b); math.atan2 returns the same bits and no error
+    d = cmath.exp(-0.5j * math.atan2(b.imag, b.real))
+    extent = specfun.tail_extent((b * d).real, max(0.0, complex(power).real))
+    return integrate_decaying(lambda t: g(t * d) * d, 0.0, extent).value
+
+
+def ray_integral_bend(a: float, w) -> complex:
+    """int_i^{i+inf} e^{iwz} z^{a-1} dz = i^a E_{1-a}(w).
 
     Valid for Im(w) > 0 with any real a, or for real w > 0 with a < 0.
-    For Im w > 0 it stops at t = min(T, tail_extent(Im w, max(0, a-1))), as
-    1 <= |i + t| <= 1 + t.  Where it reaches T, the tail, the integration-
-    by-parts asymptotic of the i+T..i+infinity piece, is added; at a = 0.5,
-    w = 0.1i the sum is 1.0e-5, 3.3e-10 and 2.5e-16 relative off
-    i^a E_{1-a}(w) at T = 50, 100 and 200.
+    With z = i + u it is e^{-w} int_0^inf e^{iwu} (u+i)^{a-1} du, taken by
+    ``_ray`` with b = -iw; the factor e^{-w} stays outside, so the
+    quadrature's absolute stop meets a value near |E_{1-a}(w) e^w|, not one
+    near e^{-Re w}.
     """
     w = complex(w)
     if not (w.imag > 0 or (w.imag == 0 and w.real > 0 and a < 0)):
         raise RegimeError("ray integral needs Im(w) > 0, or real w > 0 with a < 0")
-    if T <= 0:
-        raise ValueError("T must be positive")
 
-    def g(t):
-        z = 1j + t
-        return np.exp(1j * w * z) * z ** (a - 1.0)
+    def g(u):
+        return np.exp(1j * w * u) * (u + 1j) ** (a - 1.0)
 
-    t_stop = T
-    if w.imag > 0:
-        t_stop = min(T, specfun.tail_extent(w.imag, max(0.0, a - 1.0)))
-    value = integrate_decaying(g, 0.0, t_stop).value
-    if t_stop == T:
-        z0 = 1j + T
-        iw = 1j * w
-        prod = 1.0 + 0j
-        head = -np.exp(iw * z0) / iw
-        corr = 0j
-        last = math.inf
-        for j in range(12):
-            term = head * prod * z0 ** (a - 1.0 - j)
-            if abs(term) > last:
-                break
-            corr += term
-            last = abs(term)
-            prod *= -(a - 1 - j) / iw
-        value += corr
-    return complex(value)
+    return complex(np.exp(-w) * _ray(g, -1j * w, a - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +177,16 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
     B_p = -i(w - 2 pi p), and e^{2 pi i p m} = 1 cancels the phase of each
     m, so sum_m int_i^{i+1} = int_i^{i+inf} and
         R = i^{-s} sum_p c_p int_0^inf (u+i)^{s-1} E_{k-s}(2 pi p + w + B_p u) du.
-    ``_remainder_ray`` takes each p's integral along u = t d_p,
-    d_p = e^{-i arg(B_p)/2}, half the steepest-descent angle (as
-    ``ray_integral_bend`` bends the Laplace ray): there Re alpha > 0, the
-    ray keeps cos(arg(B_p)/2) > 0.7 from the branch point u = -i, and the
-    integrand decays like e^{-Re(B_p d_p) t}, where on the real axis it
-    decays like e^{-t Im w}.  Each ray depends on (k, s, w, p) alone and is
-    kept in ``KERNEL_TABLE``; f scales it by c_p.  Against one_dim on 2,000
-    random points with k in {0, -2, -4}, s in [-3, 4], Re w in [-5.5, 4],
-    Im w in [0.05, 3] and one or two frequencies it is within 1.8e-13
-    relative, and on 1,000 such points with k = -10 among the weights,
+    ``_remainder_ray`` takes each p's integral by ``_ray``, the rule that
+    also takes ``ray_integral_bend``'s: along u = t d_p,
+    d_p = e^{-i arg(B_p)/2}, half the steepest-descent angle, where
+    Re alpha > 0, the ray keeps cos(arg(B_p)/2) > 0.7 from the branch point
+    u = -i, and the integrand decays like e^{-Re(B_p d_p) t}, where on the
+    real axis it decays like e^{-t Im w}.  Each ray depends on (k, s, w, p)
+    alone and is kept in ``KERNEL_TABLE``; f scales it by c_p.  Against
+    one_dim on 2,000 random points with k in {0, -2, -4}, s in [-3, 4],
+    Re w in [-5.5, 4], Im w in [0.05, 3] and one or two frequencies it is
+    within 1.8e-13 relative, and on 1,000 such points with k = -10 among the weights,
     where the order k - s reaches -14 and E_s steps down to it
     (``specfun.ExpIntOrder``), within 1.3e-13.  The two shapes agree
     wherever both are defined.  Both need Re w > -2 pi min|n|, where the
@@ -236,21 +229,17 @@ def r_remainder(f: FourierExpansion, s: float, w, form: str = "one_dim") -> comp
 
 
 def _remainder_ray(k: int, s: float, w: complex, p: int) -> complex:
-    """int_0^inf (u+i)^{s-1} E_{k-s}(2 pi p + w + B_p u) du along u = t d_p
-    (``r_remainder``), on [0, tail_extent(Re(B_p d_p), max(0, Re s - 1))]:
-    |u+i| <= 1+t, and |E_{k-s}(alpha)| falls like e^{-Re alpha}."""
+    """int_0^inf (u+i)^{s-1} E_{k-s}(2 pi p + w + B_p u) du (``r_remainder``)
+    by ``_ray`` with b = B_p: |E_{k-s}(alpha)| falls like e^{-Re alpha}."""
     b = -1j * (w - TWO_PI * p)
-    d = cmath.exp(-0.5j * cmath.phase(b))
     a = TWO_PI * p + w
     power = complex(s) - 1.0
     order = specfun.ExpIntOrder(k - s)
 
-    def integrand(t):
-        u = t * d
-        return (u + 1j) ** power * specfun.exp_int_E(order, a + b * u) * d
+    def g(u):
+        return (u + 1j) ** power * specfun.exp_int_E(order, a + b * u)
 
-    extent = specfun.tail_extent((b * d).real, max(0.0, power.real))
-    return integrate_decaying(integrand, 0.0, extent).value
+    return _ray(g, b, power)
 
 
 def rhs_main_theorem(f: FourierExpansion, s: float, w) -> complex:

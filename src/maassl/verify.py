@@ -170,9 +170,9 @@ def _functional_equation(f, p):
 
 
 def _bend(f, p):
-    """int_i^{i+T} e^{iwz} z^{a-1} dz plus its tail = i^a E_{1-a}(w); f is unused."""
-    a, w, T = float(p["a"]), _to_complex(p["w"]), float(p.get("T", 200.0))
-    lhs = contour.ray_integral_bend(a, w, T)
+    """int_i^{i+inf} e^{iwz} z^{a-1} dz = i^a E_{1-a}(w); f is unused."""
+    a, w = float(p["a"]), _to_complex(p["w"])
+    lhs = contour.ray_integral_bend(a, w)
     return lhs, contour.i_power(a) * specfun.exp_int_E(1 - a, w), 0.0, 0.0
 
 
@@ -242,7 +242,7 @@ IDENTITIES = {
     "cor_polyl": (("m",), _integer_value),
     "cor_hurw": (("s",), _hurwitz),
     "prop_fe": (("s", "w", "N", "g"), _functional_equation),
-    "lemma_bend": (("a", "w", "T"), _bend),
+    "lemma_bend": (("a", "w"), _bend),
     "lemma_integral_form": (_integral_form_params, _integral_form),
     "sect6_compact": (("phi", "a", "b"), _compact),
     "r_form_equality": (("s", "w"), _remainder_shapes),

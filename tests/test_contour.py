@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maassl import (InversePowerSeed, PhiSW, build_J, compact_support_value, l_star,
@@ -225,41 +225,73 @@ def test_decaying_exponential():
 
 def test_bend_matches_exp_int():
     for a, w in ((0.5, 1j), (-1.0, 2j), (2.0, 1 + 1j)):
-        lhs = ray_integral_bend(a, w, 200.0)
+        lhs = ray_integral_bend(a, w)
         rhs = i_power(a) * exp_int_E(1 - a, w)
         assert abs(lhs - rhs) < 1e-8
 
 
 def test_bend_real_w_regime():
     # Im(w) = 0 with a < 0 is inside the lemma's hypotheses
-    lhs = ray_integral_bend(-1.0, 1.0, 400.0)
+    lhs = ray_integral_bend(-1.0, 1.0)
     rhs = i_power(-1) * exp_int_E(2, 1.0)
     assert abs(lhs - rhs) < 1e-6
 
 
 def test_bend_closed_form():
     # a=1, w=2i: integral of e^{iwz} is e^{-2i}/2... i E_0(2i) = e^{-2i}/2
-    lhs = ray_integral_bend(1.0, 2j, 100.0)
+    lhs = ray_integral_bend(1.0, 2j)
     assert lhs == pytest.approx(cmath.exp(-2j) / 2, abs=1e-10)
 
 
 def test_bend_regime_errors():
     with pytest.raises(RegimeError):
-        ray_integral_bend(0.5, 1.0, 100.0)  # real w needs a < 0
+        ray_integral_bend(0.5, 1.0)  # real w needs a < 0
     with pytest.raises(RegimeError):
-        ray_integral_bend(0.5, 1 - 1j, 100.0)
-    with pytest.raises(ValueError):
-        ray_integral_bend(0.5, 1j, -1.0)
+        ray_integral_bend(0.5, 1 - 1j)
 
 
-def test_bend_tail_convergence():
-    """With its tail the ray integral's error falls strictly in T (1.0e-5,
-    3.3e-10 and 2.5e-16 relative at T = 50, 100 and 200)."""
-    a, w = 0.5, 0.1j
-    target = i_power(a) * exp_int_E(1 - a, w)
-    errs = [_rel_err(ray_integral_bend(a, w, T), target) for T in (50.0, 100.0, 200.0)]
-    assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-    assert errs[-1] <= 1e-15
+def _bend_by_mpmath(a, w) -> complex:
+    with mpmath.workdps(40):
+        return complex(mpmath.power(1j, a) * mpmath.expint(1 - a, w))
+
+
+# 3x the worst of 1,600 random points of test_bend_domain_vs_mpmath's
+# complex band and 800 of its corner a in [13, 15], Re w in [-3, -2],
+# Im w in [0.05, 0.5]: 2.4e-13 at a = 14.89, w = -2.28 + 0.13i, where the
+# integral of the ray's |integrand| is about 400 times the value
+BEND_REL_TOL = 7.5e-13
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@pytest.mark.parametrize("w", [0.1j, 0.001j])
+@pytest.mark.parametrize("a", [-2.0, 0.5, 1.0, 3.5])
+def test_bend_slow_decay_vs_mpmath(a, w):
+    """At Im w = 0.001 the ray's integrand decays like e^{-t/1000}, so it
+    runs to t near 4e4; the ray takes it whole, with no cut and no
+    asymptotic tail (which left 0.52 relative at a = 0.5, w = 0.001i)."""
+    assert _rel_err(ray_integral_bend(a, w), _bend_by_mpmath(a, w)) <= BEND_REL_TOL
+
+
+@pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
+@given(st.one_of(
+    st.tuples(st.floats(-3, 15), st.builds(complex, st.floats(-3, 3), st.floats(0.05, 3))),
+    st.tuples(st.floats(-3, -0.1), st.builds(complex, st.floats(0.2, 5)))))
+# the horizontal line cut at T = 200 plus an integration-by-parts tail read
+# these 0.52, 0.86, 9.5, 8.2, 1.8e-5 and 1.5e6 relative off
+@example((0.5, 0.001j))
+@example((15.0, 0.05j))
+@example((-1.0, 100 + 0j))
+@example((3.0, 50 + 1j))
+@example((-2.0, 0.01 + 0j))
+@example((14.24, 2.08 + 0.052j))
+@example((0.0, 5e-324 + 2j))  # arg(-iw) is subnormal: cmath.phase raised OverflowError
+@settings(max_examples=200, deadline=None)
+def test_bend_domain_vs_mpmath(point):
+    """ray_integral_bend against mpmath's i^a E_{1-a}(w) over the lemma's
+    domain: a in [-3, 15], Re w in [-3, 3], Im w in [0.05, 3], and real
+    w in [0.2, 5] with a in [-3, -0.1]."""
+    a, w = point
+    assert _rel_err(ray_integral_bend(a, w), _bend_by_mpmath(a, w)) <= BEND_REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +901,38 @@ def test_compact_support_refuses_an_unhashable_seed(monkeypatch):
     monkeypatch.setattr(contour, "integrate_segment", lambda *args: pytest.fail("quadrature"))
     with pytest.raises(TypeError, match=r"_MutableSeed\(power=2.0"):
         compact_support_value(build_J(), _MutableSeed(), 1.0, 2.0)
+
+
+def test_r_remainder_im_w_guards(harm_k0):
+    """one_dim needs Im w >= 0 and double_integral Im w > 0, where Re w is
+    inside the t-integrals' domain."""
+    with pytest.raises(RegimeError, match="Im"):
+        r_remainder(harm_k0, 1.0, 0.5 - 0.1j, "one_dim")
+    for w in (0.5, 0.5 - 0.1j):
+        with pytest.raises(RegimeError, match="Im"):
+            r_remainder(harm_k0, 1.0, w, "double_integral")
+
+
+@dataclasses.dataclass(frozen=True)
+class _SlowSeed:
+    """z^{-3/2}, claiming the decay |z|^{-2} that InversePowerSeed(2) has."""
+
+    decay_epsilon = 1.0
+
+    def value(self, z):
+        return InversePowerSeed(1.5).value(z)
+
+    def translated_sum(self, z):
+        return InversePowerSeed(1.5).translated_sum(z)
+
+
+def test_compact_support_regime_guards(J, harm_k0, no_quadrature):
+    """A harmonic form, and a seed whose values break its stated decay
+    bound, raise RegimeError before any quadrature."""
+    with pytest.raises(RegimeError, match="weakly holomorphic"):
+        compact_support_value(harm_k0, InversePowerSeed(2), 1.0, 2.0)
+    with pytest.raises(RegimeError, match="decay condition"):
+        compact_support_value(J, _SlowSeed(), 1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,11 @@ def test_windows():
         FrickePhiSW(0, 2.0, 2, 2).window(0.0, 1.0)
 
 
+def test_fricke_level_must_be_positive():
+    with pytest.raises(ValueError, match="positive integer"):
+        FrickePhiSW(0, 30, 2, 0)
+
+
 @pytest.mark.skipif(mpmath is None, reason="mpmath oracle not installed")
 @pytest.mark.parametrize("phi, c_inf, c_0", [
     (PhiSW(12, 8), TWO_PI, 0.0), (PhiSW(0.5 + 3j, 6.64), TWO_PI, 0.0),

@@ -73,9 +73,10 @@ def test_kernel_timings():
     kernels = [row.split()[0] for row in rows]
     assert [kernels.count(k) for k in ("lerch_sum", "eval_at", "integrate_segment",
                                        "segment_pairing", "exp_int_E", "hurwitz_zeta",
-                                       "digamma", "r_remainder", "remainder_ray", "l_value",
-                                       "l_star", "l_value_limit")] == [
-        18, 9, 1, 2, 4, 2, 1, 6, 2, 3, 1, 3]
+                                       "digamma", "r_remainder", "remainder_ray",
+                                       "ray_integral_bend", "l_value", "l_star",
+                                       "l_value_limit")] == [
+        18, 9, 1, 2, 4, 2, 1, 6, 2, 2, 3, 1, 3]
     assert [row.split()[1] for row in rows if row.startswith("exp_int_E")] == [
         "scalar", "scalar/order", "scalar/near-cut", "vector"]
     assert [row.split()[1] for row in rows if row.startswith(("l_value ", "l_star"))] == [
@@ -89,4 +90,6 @@ def test_kernel_timings():
         "hC/one_dim", "hC/double_integral", "hC/kept"]
     assert [row.split()[1] for row in rows if row.startswith("remainder_ray")] == [
         "hB/p=1", "hC/p=1"]
+    assert [row.split()[1] for row in rows if row.startswith("ray_integral_bend")] == [
+        "a=-1/w=1", "a=2/w=1+i"]
     assert all(0 < float(row.split()[-1]) < math.inf for row in rows)

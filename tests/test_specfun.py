@@ -251,6 +251,43 @@ def test_inc_gamma_integer_closed_form():
         assert inc_gamma_upper(1, x) == pytest.approx(math.exp(-x), rel=1e-12)
 
 
+def test_principal_power_at_zero():
+    """0^0 = 1, 0^a = 0 for Re a > 0, DomainError for Re a <= 0, a != 0."""
+    assert specfun.principal_power(0, 0) == 1
+    assert specfun.principal_power(0.0, 0.5 + 2j) == 0
+    for a in (-0.5, 1j, -2):
+        with pytest.raises(DomainError):
+            specfun.principal_power(0, a)
+
+
+@needs_mpmath
+def test_inc_gamma_upper_at_zero():
+    """Gamma(r, 0) = Gamma(r) for Re r > 0; it diverges for Re r <= 0."""
+    for r in (0.5, 2.5, 1 + 1j, 3.2 - 0.7j):
+        exact = complex(mpmath.gamma(r))
+        assert abs(inc_gamma_upper(r, 0) - exact) <= 1e-14 * abs(exact)
+    for r in (0, -1.5, 2j):
+        with pytest.raises(DomainError):
+            inc_gamma_upper(r, 0)
+
+
+def test_negative_index_guards():
+    with pytest.raises(DomainError):
+        upper_gamma_int(0, 1.0)
+    with pytest.raises(DomainError):
+        polygamma(-1, 1 + 1j)
+    with pytest.raises(DomainError):
+        bernoulli_number(-1)
+    with pytest.raises(DomainError):
+        bernoulli_poly(-1, 0.5)
+
+
+def test_polygamma_zero_is_digamma():
+    z = np.array([0.5 + 1j, 3.0 + 0j, -2.5 + 0.1j])
+    assert np.array_equal(polygamma(0, z), digamma(z))
+    assert polygamma(0, 1 + 1j) == digamma(1 + 1j)
+
+
 @given(st.floats(-2.5, 2.5).filter(lambda r: abs(r - round(r)) > 0.05),
        st.floats(0.2, 25), st.floats(-math.pi + 0.2, math.pi - 0.2))
 @settings(max_examples=120, deadline=None)

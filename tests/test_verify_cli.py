@@ -178,6 +178,21 @@ def test_weight_minus10_config_passes():
     assert summary == {"pass": 4, "fail": 0, "skipped": 0}, [r.message for r in reports]
 
 
+BEND_DOMAIN = Path(__file__).parent / "data" / "bend_domain.json"
+
+
+def test_bend_domain_config_passes():
+    """lemma_bend at six points of the lemma's domain, by the rotated ray:
+    every check passes (the worst read 9.6e-15, at a = 14.24; the
+    horizontal line cut at T = 200 plus its asymptotic tail failed all six,
+    at rel_err 1.8e-5 to 1)."""
+    checks = load_suite(str(BEND_DOMAIN))
+    assert {c.theorem for c in checks} == {"lemma_bend"} and len(checks) == 6
+    reports, summary = run_suite(checks)
+    assert summary == {"pass": 6, "fail": 0, "skipped": 0}, [r.message for r in reports]
+    assert max(r.rel_err for r in reports) <= 3e-14
+
+
 # each corrupts an evaluator's rhs; the pass rule must catch every one
 RHS_MUTANTS = {
     "rel_1e-10": lambda rhs: rhs * (1 + 1e-10),
@@ -315,9 +330,11 @@ def test_functional_equation_refuses_a_fast_growing_fricke_side():
 # non-holomorphic integrals of both pipelines are closed forms (174 calls
 # and 17,424 nodes by quadrature), and the double-integral remainder is one
 # ray per xi-frequency, one E_s value per node (the 48 x M grid it replaced
-# read 129 calls and 9,840 nodes, each of its nodes about 40 E_s values)
-SUITE_INTEGRAND_CALLS = 120
-SUITE_NODES = 10_560
+# read 129 calls and 9,840 nodes, each of its nodes about 40 E_s values);
+# the bending lemma's four checks take their rays like the remainder's (the
+# horizontal line cut at T = 200 read 120 calls and 10,560 nodes)
+SUITE_INTEGRAND_CALLS = 118
+SUITE_NODES = 8_928
 
 
 def test_default_suite_integrand_budget(monkeypatch):
@@ -536,6 +553,12 @@ def test_empty_config(tmp_path):
     reports, summary = run_suite(load_suite(str(cfg)))
     assert reports == []
     assert summary == {"pass": 0, "fail": 0, "skipped": 0}
+
+
+def test_bend_cut_parameter_rejected():
+    """The bending lemma's ray has no cut: a check that names T is refused."""
+    with pytest.raises(ValueError, match=r"\['T'\] for lemma_bend"):
+        CheckSpec("bend", "lemma_bend", "J", {"a": 0.5, "w": [0, 1], "T": 200})
 
 
 def test_config_parse_error_context(tmp_path):
