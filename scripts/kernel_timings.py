@@ -39,9 +39,10 @@ Prints one row per (kernel, case, N) with the best of --repeat rounds of
 - ltest.l_value(hB, phi_1^{0.5+i}) and ltest.l_value_limit(hB, 2), the
   series side with its non-holomorphic part; l_value(J, phi_{0.5}^{0.3+0.7i})
   and l_star(J, 0.5), each a sum of 12 kernel terms; l_value on the 4-term
-  synthetic form at the same phi, its 4 terms the size of an lseries item;
-  and l_value_limit(f, 0) on J and on that synthetic form, weakly
-  holomorphic.
+  synthetic form at the same phi, its 4 terms the size of an lseries item,
+  and, as synth4/fresh, that form built anew and its first l_value taken,
+  the cost a fresh-forms check pays per form; and l_value_limit(f, 0) on J
+  and on that synthetic form, weakly holomorphic.
 
 BLAS is pinned to one thread, as in perfbench.  Run it from the root of a
 checkout with PYTHONPATH=src, or point PYTHONPATH at another checkout's
@@ -81,8 +82,8 @@ def cases():
     for n, z in nodes.items():
         for a in LERCH_A:
             yield "lerch_sum", f"a={a:g}", n, lambda a=a, z=z: specfun.lerch_sum(a, LERCH_W, z)
-    forms = {"J": build_J(), "Jsq": build_J_squared(),
-             "synth4": synth_harmonic(0, {-1: 1, 1: 0.5 + 0.25j, 2: -0.3, 3: 0.1j}, {})}
+    synth4 = {-1: 1, 1: 0.5 + 0.25j, 2: -0.3, 3: 0.1j}
+    forms = {"J": build_J(), "Jsq": build_J_squared(), "synth4": synth_harmonic(0, synth4, {})}
     for n, z in nodes.items():
         for name, f in forms.items():
             yield "eval_at", name, n, lambda f=f, z=z: f.eval_at(z)
@@ -137,6 +138,8 @@ def cases():
     yield "l_value_limit", "hB/m=2", 1, lambda: l_value_limit(hb, 2)
     yield "l_value", "J", 1, lambda: l_value(J, PhiSW(0.5, LERCH_W))
     yield "l_value", "synth4", 1, lambda: l_value(forms["synth4"], PhiSW(0.5, LERCH_W))
+    yield "l_value", "synth4/fresh", 1, lambda: l_value(synth_harmonic(0, synth4, {}),
+                                                        PhiSW(0.5, LERCH_W))
     yield "l_star", "J/s=0.5", 1, lambda: l_star(J, 0.5)
     for name in ("J", "synth4"):
         yield "l_value_limit", f"{name}/m=0", 1, lambda f=forms[name]: l_value_limit(f, 0)

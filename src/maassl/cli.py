@@ -64,8 +64,7 @@ def _cmd_coeffs(args) -> int:
     # named forms are built to the requested --prec
     build = verify.NAMED_FORMS.get(args.form)
     form = build(args.prec) if build else resolve_form(args.form)
-    rows = [(n, form.holo[n].real, form.holo[n].imag)
-            for n in sorted(form.holo) if n < args.prec]
+    rows = [(n, a.real, a.imag) for n, a in form.holo.items() if n < args.prec]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "re", "im"])

@@ -245,8 +245,9 @@ def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
 
 def _holo_terms(f: FourierExpansion, phi, order):
     """(kernels, holo, err): the kernel values (L phi)(2 pi n) of the summed
-    n, the first len(kernels) of the sorted indices in f.arrays; their sum
-    against a(n); and its error estimate (see LValue).
+    n, the first len(kernels) rows of f.terms; their sum against a(n), left
+    to right; and its error estimate (see LValue).  The rows give n, a(n),
+    2 pi n and |a(n)|, so a call sorts nothing and looks nothing up.
 
     For phi_s^w each kernel is one E_{1-s}(2 pi n + w) call, made only for
     the n summed, with w converted once and order the L-value's prepared
@@ -271,18 +272,17 @@ def _holo_terms(f: FourierExpansion, phi, order):
     else:
         batch = phi.laplace(TWO_PI * f.arrays[0])
     kernels, holo, prev, growing, size = [], 0j, math.inf, 0, 0.0
-    for i, n in enumerate(sorted(f.holo)):
-        a = f.holo[n]
+    for i, n, a, u, a_abs in f.terms:
         if can_cut and n > 0 and holo:
-            x = TWO_PI * n + re_w
+            x = u + re_w
             limit = TAIL_CUT * abs(holo)
-            # the weights are read once the term's own bound (part of the
-            # tail's; hypot, unlike abs, overflows to inf) is below the cut
-            if x > p and math.hypot(a.real, a.imag) * math.exp(-x) / (x - p) <= limit:
+            # the weights are read once the term's own bound, part of the
+            # tail's, is below the cut
+            if x > p and a_abs * math.exp(-x) / (x - p) <= limit:
                 log_tail = f.tail_log_weights[i] - x - math.log(x - p)
                 if log_tail <= math.log(limit):
                     return kernels, holo, math.exp(log_tail)
-        kernels.append(specfun.exp_int_E(order, TWO_PI * n + w) if can_cut else batch[i])
+        kernels.append(specfun.exp_int_E(order, u + w) if can_cut else batch[i])
         term = a * kernels[-1]
         holo += term
         size += abs(term)
@@ -391,23 +391,22 @@ def _ladder_holo(f: FourierExpansion, s, order) -> tuple[np.ndarray, np.ndarray]
     E_p(z + h) = sum_{k < 16} (-h)^k/k! E_{p-k}(z) (E_p' = -E_{p-1}), the
     k!/|z|^k growth of E_{p-k} cancelled by h^k/k!: |h|/|z_n| <= 0.396875/6.27
     for every n != 0 (FourierExpansion drops n = 0).  One pass over the
-    summed n builds v_k = sum_n a(n) E_{p-k}(z_n): E_p(z_n) is
-    ``_holo_terms``' kernel value, from the limit's one prepared order
+    summed rows of f.terms builds v_k = sum_n a(n) E_{p-k}(z_n): E_p(z_n)
+    is ``_holo_terms``' kernel value, from the limit's one prepared order
     1 - s, and the lower orders follow by 15 scalar steps of
     E_{q-1} = (e^{-z} - (q-1) E_q)/z (DLMF 8.19.12).  The levels
     are then one (8 x 16) @ 16 product with ``_TAYLOR``.
 
-    Cost per summed n: the kernel call, one exponential and 15 complex
-    steps, about 3.7 us on a 2-vCPU x86 host (Python 3.11), near the kernel
-    call's own cost.  Against mpmath for m = -1..3 at n = -2, -1, 1, 2, 5
-    the levels are within 8.1e-16 relative, the direct kernel 1.5e-12."""
+    Cost per summed n on J at m = 0, besides the kernel term's own 3.3 us:
+    one exponential and 15 complex steps, about 3.1 us on a 2-vCPU x86 host
+    (Python 3.11).  Against mpmath for m = -1..3 at n = -2, -1, 1, 2, 5 the
+    levels are within 8.1e-16 relative, the direct kernel 1.5e-12."""
     w = 1j * _LIMIT_X0
     p = order.s
     kernels, _, _ = _holo_terms(f, PhiSW(s, w), order)
     v = [0j] * _SHIFT_TERMS
-    for n, e in zip(sorted(f.holo), kernels):
-        z = TWO_PI * n + w
-        a = f.holo[n]
+    for (_, _, a, u, _), e in zip(f.terms, kernels):
+        z = u + w
         # a(n) E_q runs the recurrence as well as E_q does: it is linear.
         # The steps stay fused with the sum over n: specfun's step function
         # lists each n's orders, 4 us more per limit on J's 12 terms

@@ -88,13 +88,17 @@ def build_j_series(prec: int) -> dict[int, int]:
 class FourierExpansion:
     """Finite coefficient table in the harmonic-Maass-cusp-form shape.
 
-    holo maps n (n >= -n0, n != 0) to a_f(n); nonholo maps n < 0 to b_f(n),
-    attached to the incomplete-gamma factor Gamma(1-k, -4 pi n y).  n0, the
-    pole order at the cusp, is read off the stored (nonzero) coefficients:
-    the deepest negative frequency, at least 1.
+    holo maps n (n >= -n0, n != 0) to a_f(n), stored in increasing n;
+    nonholo maps n < 0 to b_f(n), attached to the incomplete-gamma factor
+    Gamma(1-k, -4 pi n y).  n0, the pole order at the cusp, is read off the
+    stored (nonzero) coefficients: the deepest negative frequency, at least 1.
 
-    An expansion is treated as immutable once evaluated: ``arrays`` and
-    ``key`` cache its coefficient table.
+    terms lists holo's rows in that order, built once for the series side:
+    (i, n, a(n), 2 pi n, |a(n)|), i the row's index and |a(n)| taken by
+    math.hypot, which overflows to inf where abs raises OverflowError.
+
+    An expansion is treated as immutable once built: ``terms``, ``arrays``
+    and ``key`` hold its coefficient table.
     """
 
     weight: int
@@ -105,19 +109,23 @@ class FourierExpansion:
     modular: bool = False
     label: str = ""
     n0: int = field(init=False)
+    terms: list[tuple[int, int, complex, float, float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(int(n) != n for n in (*self.holo, *self.nonholo)):
             raise ExpansionError("frequencies must be integers")
         if self.holo.get(0, 0) != 0:
             raise ExpansionError("constant term must vanish (cuspidal expansion)")
-        self.holo = {n: complex(c) for n, c in self.holo.items() if n != 0 and c != 0}
+        self.holo = {n: complex(c) for n, c in sorted(self.holo.items()) if n != 0 and c != 0}
         if any(n >= 0 for n in self.nonholo):
             raise ExpansionError("non-holomorphic coefficients only at negative frequencies")
         self.nonholo = {n: complex(c) for n, c in self.nonholo.items() if c != 0}
         if self.nonholo and self.weight > 0:
             raise ExpansionError("non-holomorphic part requires weight <= 0")
         self.n0 = int(max(1, -min((*self.holo, *self.nonholo), default=0)))
+        self.terms = [(i, n, a, 2 * math.pi * n, math.hypot(a.real, a.imag))
+                      for i, (n, a) in enumerate(self.holo.items())]
 
     @property
     def is_weakly_holomorphic(self) -> bool:
@@ -126,8 +134,8 @@ class FourierExpansion:
     @cached_property
     def arrays(self):
         """(holo n, a(n), nonholo n, b(n)) as numpy arrays, sorted by n."""
-        hn = np.array(sorted(self.holo), dtype=float)
-        ha = np.array([self.holo[int(n)] for n in sorted(self.holo)], dtype=complex)
+        hn = np.array(list(self.holo), dtype=float)
+        ha = np.array(list(self.holo.values()), dtype=complex)
         nn = np.array(sorted(self.nonholo), dtype=float)
         nb = np.array([self.nonholo[int(n)] for n in sorted(self.nonholo)], dtype=complex)
         return hn, ha, nn, nb

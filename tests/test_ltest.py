@@ -550,8 +550,9 @@ def test_limit_divergence_check_survives_the_shift():
         l_value_limit(f, 1)
 
 
-# hA and hB of the default suite, and its synthetic weakly holomorphic form
+# hA to hD of the default suite, and its synthetic weakly holomorphic form
 _SUITE_FORMS = {"hA": ({1: 0.5}, {-1: 1}, 0), "hB": ({1: 1}, {-1: 2 - 1j}, -2),
+                "hC": ({}, {-1: 1, -2: 0.3}, 0), "hD": ({}, {-2: 1j}, -2),
                 "synth": ({-1: 1, 1: 2, 3: -1}, {}, 0)}
 
 
@@ -627,3 +628,51 @@ def test_nonholo_closed_form_vs_mpmath(k, no_quadrature):
                 gap = abs(value - exact)
                 assert gap <= 1e-13 * abs(exact), (s, w, gap / abs(exact))
                 assert gap <= err <= 1e-10 * abs(value), (s, w)
+
+
+@given(st.sampled_from(("J", "Jsq", "hA", "hB", "hC", "hD", "drawn")), st.sampled_from((0, -2)),
+       st.dictionaries(st.integers(-2, 30).filter(bool),
+                       st.complex_numbers(min_magnitude=1e-3, max_magnitude=100),
+                       max_size=24),
+       st.floats(-2.5, 3.5), st.floats(-1, 2), st.floats(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_holo_terms_keep_the_direct_bits(J, Jsq, name, k, coeffs, s, re_w, im_w):
+    """``_holo_terms`` reads n, a(n), 2 pi n and |a(n)| from ``f.terms``; every
+    float it forms is the one computed directly, here in the same process:
+    each kernel is exp_int_E(1 - s, 2 pi n + w) over the first len(kernels)
+    sorted n, and the sum is a(n) times them, left to right.  A drawn form has
+    its coefficients in any insertion order."""
+    if name == "drawn":
+        f = synth_harmonic(k, coeffs, {})
+    elif name in _SUITE_FORMS:
+        holo, nonholo, weight = _SUITE_FORMS[name]
+        f = synth_harmonic(weight, holo, nonholo)
+    else:
+        f = {"J": J, "Jsq": Jsq}[name]
+    assert [n for _, n, _, _, _ in f.terms] == sorted(f.holo)
+    for i, (index, n, a, u, a_abs) in enumerate(f.terms):
+        assert (index, a, u, a_abs) == (i, f.holo[n], TWO_PI * n, math.hypot(a.real, a.imag))
+    w = complex(re_w, im_w)
+    kernels, value, _ = ltest._holo_terms(f, PhiSW(s, w), specfun.ExpIntOrder(1 - complex(s)))
+    total = 0j
+    for n, e in zip(sorted(f.holo), kernels):
+        assert e == specfun.exp_int_E(1 - s, TWO_PI * n + w)
+        total += f.holo[n] * e
+    assert value == total
+
+
+def test_series_side_at_the_gate_edge(J):
+    """l_value(J, phi_2^{0.3+0.7i}), the series side of the default check
+    maincor_J_s2.0_w0.3+0.7i, is within 5e-15 relative of
+    sum a(n) E_{-1}(2 pi n + w) over J's stored coefficients at 40 digits
+    (measured 2.24e-15).  The contour side is 8.45e-15 off the same sum, and
+    that error is why the check's rel_err sits at 99.9 % of its baseline
+    gate; a change to the series side that moves its bits gets a reading
+    here that does not depend on the contour side."""
+    mp = pytest.importorskip("mpmath")
+    w = 0.3 + 0.7j
+    with mp.workdps(40):
+        exact = complex(mp.fsum(mp.mpc(a) * mp.expint(-1, 2 * mp.pi * n + mp.mpc(w))
+                                for n, a in J.holo.items()))
+    value = l_value(J, PhiSW(2.0, w)).value
+    assert abs(value - exact) <= 5e-15 * abs(exact)
