@@ -12,13 +12,14 @@ Each pairing done by quadrature integrates phi against a partner growing like
 e^{c_inf t} as t -> infinity and e^{c_0/t} as t -> 0, over phi.window(c_inf,
 c_0): the finite interval outside which the product integrates to at most
 TAIL_CUT of its lead (``specfun.tail_extent``).  The partner may be
-vector-valued: the Laplace transform of a test function without a closed
-form takes every requested u in one quadrature.
+vector-valued, giving one integral per column in one quadrature.
 
-For phi_s^w the holomorphic sum stops where a rigorous bound on all the
-remaining stored terms falls below the sum's rounding, and the reported
-error estimate includes that bound.  The other test functions have no such
-bound; their kernels at every stored 2 pi n come from one vector integral.
+For phi_s^w every kernel is a closed form in E_s, and the holomorphic sum
+stops where a rigorous bound on all the remaining stored terms falls below
+the sum's rounding, and the reported error estimate includes that bound.
+The other test functions have no such bound: every kernel of the pairing,
+holomorphic and non-holomorphic, comes from one vector integral
+(``_kernels``).
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class FrickePhiSW:
         out[mask] = np.exp(-complex(self.w) / mt) * mt ** expo
         return out
 
-    def laplace(self, u):
-        return _laplace(self, u)
-
 
 @dataclass(frozen=True)
 class CompactAnalytic:
@@ -163,9 +161,6 @@ class CompactAnalytic:
         out[mask] = self.seed.value(1j * t[mask])
         return out
 
-    def laplace(self, u):
-        return _laplace(self, u)
-
 
 def _pair(phi, g, c_inf: float, c_0: float) -> SegmentIntegral:
     """int g(t) phi(t) dt over phi.window(c_inf, c_0), for a real-argument g
@@ -177,18 +172,6 @@ def _pair(phi, g, c_inf: float, c_0: float) -> SegmentIntegral:
         return gv * phi.value(tr).reshape((-1,) + (1,) * (gv.ndim - 1))
 
     return integrate_decaying(integrand, *phi.window(c_inf, c_0))
-
-
-def _laplace(phi, u):
-    """int e^{-u t} phi(t) dt over phi's window, for a scalar u (complex
-    returned) or for every element of an ndarray u in one vector-valued
-    quadrature, its partner growing like e^{max(-Re u) t}."""
-    ua = np.asarray(u, dtype=complex)
-    flat = ua.ravel()
-    if not flat.size:
-        return np.zeros(ua.shape, dtype=complex)
-    seg = _pair(phi, lambda t: np.exp(-np.outer(t, flat)), float(np.max(-flat.real)), 0.0)
-    return complex(seg.value[0]) if ua.ndim == 0 else seg.value.reshape(ua.shape)
 
 
 def fricke_transform_testfn(phi, a: int, M: int):
@@ -214,7 +197,7 @@ class LValue(NamedTuple):
     summed every stored term; the non-holomorphic one is the same kernel
     accuracy of its finite sum of E_s terms (``_nonholo_part``).  For any
     other test function they are the magnitude of the last term summed and
-    the quadrature's estimate.
+    sum |b(n)| times the estimate of the one quadrature (``_kernels``).
     """
 
     value: complex
@@ -223,27 +206,37 @@ class LValue(NamedTuple):
     error_estimate: float
 
 
-def _nonholo_integral(f: FourierExpansion, phi, n: int) -> SegmentIntegral:
-    """int Gamma(1-k, -4 pi n y) e^{-2 pi n y} phi(y) dy; the kernel behaves
-    like e^{2 pi n y} as y -> infinity."""
-    k = f.weight
+def _kernels(f: FourierExpansion, phi) -> SegmentIntegral:
+    """Every kernel of f's pairing with phi from one vector quadrature
+    (``_pair``), once a Fricke phi passes the series' admissibility check:
+    a column int e^{-2 pi n t} phi(t) dt = (L phi)(2 pi n) per a(n), in
+    f.terms order, then int Gamma(1-k, -4 pi n t) e^{-2 pi n t} phi(t) dt
+    per b(n), in increasing n, none growing faster than e^{2 pi n0 t}.  The
+    columns share one absolute stop, so a small kernel may keep few correct
+    digits.  An expansion with no coefficients takes no quadrature."""
+    if isinstance(phi, FrickePhiSW):
+        threshold = max(TWO_PI * f.n0, f.growth_const ** 2 * phi.M / TWO_PI)
+        if complex(phi.w).real <= threshold:
+            raise AdmissibilityError(f"Fricke-side series needs Re(w) > {threshold:.4g}, "
+                                     f"got {complex(phi.w).real:.4g}")
+    hn, _, nn, _ = f.arrays
+    u = (TWO_PI * hn).astype(complex)
+    beta = -2 * TWO_PI * nn  # 4 pi |n| for each b(n)
+    if not (u.size or beta.size):
+        return SegmentIntegral(np.zeros(0, dtype=complex), 0.0, 0)
 
-    def g(y):
-        gam = specfun.upper_gamma_int(1 - k, -4 * math.pi * n * y)
-        return gam * np.exp(-TWO_PI * n * y)
+    def g(t):
+        holo = np.exp(-np.outer(t, u))
+        if not beta.size:
+            return holo
+        x = np.outer(t, beta)
+        nonholo = specfun.upper_gamma_int(1 - f.weight, x) * np.exp(x / 2)
+        return np.concatenate([holo, nonholo], axis=1)
 
-    return _pair(phi, g, TWO_PI * n, 0.0)
-
-
-def _check_fricke_admissibility(f: FourierExpansion, phi: FrickePhiSW):
-    threshold = max(TWO_PI * f.n0, f.growth_const ** 2 * phi.M / TWO_PI)
-    if complex(phi.w).real <= threshold:
-        raise AdmissibilityError(
-            f"Fricke-side series needs Re(w) > {threshold:.4g}, "
-            f"got {complex(phi.w).real:.4g}")
+    return _pair(phi, g, TWO_PI * f.n0, 0.0)
 
 
-def _holo_terms(f: FourierExpansion, phi, order):
+def _holo_terms(f: FourierExpansion, phi, order, batch=None):
     """(kernels, holo, err): the kernel values (L phi)(2 pi n) of the summed
     n, the first len(kernels) rows of f.terms; their sum against a(n), left
     to right; and its error estimate (see LValue).  The rows give n, a(n),
@@ -251,10 +244,9 @@ def _holo_terms(f: FourierExpansion, phi, order):
 
     For phi_s^w each kernel is one E_{1-s}(2 pi n + w) call, made only for
     the n summed, with w converted once and order the L-value's prepared
-    order 1 - s (``specfun.ExpIntOrder``); any other phi takes None.
-    Any other test function gets every stored n's kernel from one
-    ``phi.laplace`` call on the array 2 pi n, then runs the same sum and
-    divergence check over those values.
+    order 1 - s (``specfun.ExpIntOrder``).  Any other test function passes
+    batch, every stored n's kernel in f.terms order (``_kernels``), and
+    order None; the same sum and divergence check run over those values.
 
     For phi_s^w the sum stops at the first n_i > 0 whose tail bound
     e^{-x_i}/(x_i - p) G_i (``FourierExpansion.tail_log_weights``) is at most
@@ -263,14 +255,10 @@ def _holo_terms(f: FourierExpansion, phi, order):
     [1, inf), and every later x_m exceeds x_i.  A sum that uses every
     stored term skipped nothing, so its estimate is the kernels' accuracy.
     """
-    if isinstance(phi, FrickePhiSW):
-        _check_fricke_admissibility(f, phi)
-    can_cut = isinstance(phi, PhiSW)
+    can_cut = batch is None
     if can_cut:
         w = complex(phi.w)
         re_w, p = w.real, max(0.0, complex(phi.s).real - 1.0)
-    else:
-        batch = phi.laplace(TWO_PI * f.arrays[0])
     kernels, holo, prev, growing, size = [], 0j, math.inf, 0, 0.0
     for i, n, a, u, a_abs in f.terms:
         if can_cut and n > 0 and holo:
@@ -303,30 +291,24 @@ def _holo_terms(f: FourierExpansion, phi, order):
     return kernels, holo, (prev if math.isfinite(prev) else 0.0)
 
 
-def _nonholo_part(f: FourierExpansion, phi, order) -> tuple[complex, float]:
-    """The non-holomorphic sum of the pairing, and its error estimate.
-
-    For phi_s^w it is a finite sum of E_s values.  At the integer weights
-    k <= 0 that a non-holomorphic part needs, m = -k and beta = 4 pi |n|,
+def _nonholo_part(f: FourierExpansion, phi: PhiSW, order) -> tuple[complex, float]:
+    """The non-holomorphic sum of the pairing with phi_s^w, a finite sum of
+    E_s values, and its error estimate.  At the integer weights k <= 0 that
+    a non-holomorphic part needs, m = -k and beta = 4 pi |n|,
     Gamma(1-k, beta y) = m! e^{-beta y} sum_{j<=m} (beta y)^j/j!, so
         int_1^inf Gamma(1-k, beta y) e^{2 pi |n| y} phi_s^w(y) dy
             = sum_{j<=m} (m!/j!) beta^j E_{1-s-j}(2 pi |n| + w),
     the orders from one kernel call each n (``specfun.exp_int_E_orders``),
-    every n's call taking the L-value's prepared order 1 - s (None for any
-    other phi).  It converges for Re w > -2 pi min|n|, and
-    ``PhiSW.window`` raises AdmissibilityError elsewhere.  Its estimate is the kernel accuracy,
+    every n's call taking the L-value's prepared order 1 - s.  It converges
+    for Re w > -2 pi min|n|, and ``PhiSW.window`` raises AdmissibilityError
+    elsewhere.  Its estimate is the kernel accuracy,
     2e-12 sum |b(n) (m!/j!) beta^j E_{1-s-j}|.  Against mpmath on 1,600
     random points at k = 0, -2, -4 and -10, s in [-3, 4], Im w in [0, 3]
     and Re w from -2 pi |n| + 0.02 to 4 (|n| <= 2), it is within 4.3e-13
     relative, and 1.4e-12 where the kernel itself is (E_{2.96}(1.98)); the
-    estimate bounds every gap.  Any other test function is paired by
-    quadrature (``_nonholo_integral``), with the quadrature's estimate."""
+    estimate bounds every gap."""
     if not f.nonholo:
         return 0j, 0.0
-    if not isinstance(phi, PhiSW):
-        parts = [(b, _nonholo_integral(f, phi, n)) for n, b in f.nonholo.items()]
-        return (sum((b * q.value for b, q in parts), 0j),
-                sum((abs(b) * q.est_error for b, q in parts), 0.0))
     phi.window(TWO_PI * max(f.nonholo), 0.0)  # the admissibility check
     m = -f.weight
     w = complex(phi.w)
@@ -344,12 +326,20 @@ def _nonholo_part(f: FourierExpansion, phi, order) -> tuple[complex, float]:
 
 
 def l_value(f: FourierExpansion, phi) -> LValue:
-    """Series-side L-value: coefficient sums against the Laplace transform;
-    for phi_s^w the holomorphic sum stops at a tail bound (``_holo_terms``),
-    and both sums share one prepared E_{1-s} order."""
-    order = specfun.ExpIntOrder(1 - complex(phi.s)) if isinstance(phi, PhiSW) else None
-    _, holo, err = _holo_terms(f, phi, order)
-    nonholo, nonholo_err = _nonholo_part(f, phi, order)
+    """Series-side L-value: coefficient sums against the Laplace transform.
+    For phi_s^w the holomorphic sum stops at a tail bound (``_holo_terms``),
+    and both sums share one prepared E_{1-s} order.  Any other phi takes
+    every kernel from one quadrature (``_kernels``), and sums b(n) times its
+    kernel left to right, with estimate sum |b(n)| times the quadrature's."""
+    if isinstance(phi, PhiSW):
+        order = specfun.ExpIntOrder(1 - complex(phi.s))
+        _, holo, err = _holo_terms(f, phi, order)
+        nonholo, nonholo_err = _nonholo_part(f, phi, order)
+    else:
+        seg, split, nb = _kernels(f, phi), len(f.terms), f.arrays[3].tolist()
+        _, holo, err = _holo_terms(f, phi, None, seg.value[:split])
+        nonholo = sum((b * kernel for b, kernel in zip(nb, seg.value[split:].tolist())), 0j)
+        nonholo_err = seg.est_error * sum(map(abs, nb))
     return LValue(value=holo + nonholo, holo_part=complex(holo),
                   nonholo_part=complex(nonholo), error_estimate=float(err + nonholo_err))
 

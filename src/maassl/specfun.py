@@ -354,15 +354,11 @@ def _exp_int_cf(order: ExpIntOrder, z):
     1e-7 at s = -12.5 for |z| = 2, no digits left at s = -20.5)."""
     s = order.s
     depth = order.depth(z)
-    # one depth for the whole batch (a row's floor) needs no sort
     top = int(depth.max())
     nums = order.numerators(top)
-    rank = None if depth.min() == top else np.argsort(-depth, kind="stable")
-    if rank is None:
-        b = z + (s + 2 * top)
-    else:
-        depth, z = depth[rank], z[rank]
-        b = z + (s + 2.0 * depth)
+    rank = np.argsort(-depth, kind="stable")
+    depth, z = depth[rank], z[rank]
+    b = z + (s + 2.0 * depth)
     t = np.zeros_like(b)
     tmp = np.empty_like(b)
     # step i runs on the n elements of depth >= i, a prefix of the sorted batch
@@ -373,8 +369,6 @@ def _exp_int_cf(order: ExpIntOrder, z):
         np.add(b[:n], t[:n], out=tmp[:n])
         np.divide(nums[i], tmp[:n], out=t[:n])
         b[:n] -= 2.0
-    if rank is None:
-        return 1.0 / (b + t)
     out = np.empty_like(b)
     out[rank] = 1.0 / (b + t)
     return out
@@ -817,7 +811,7 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     """sum_{m>=0} e^{imw} (z+m)^{s_exponent}, vectorized over z.
 
     This is zeta(-s_exponent, w/(2 pi), z) in Lerch normalization; it needs
-    Im(w) > 0 and finite z (DomainError otherwise), and sums the terms
+    finite Im(w) > 0 and finite z (DomainError otherwise), and sums the terms
     m < M = tail_extent(Im w, max(0, Re a), |Im a| pi/2), a = s_exponent,
     which drop at most TAIL_CUT of the lead |z^a| at Re z >= 0 and |z| >= 1:
     there |z| <= |z+m| <= (1+m)|z|, and arg(z+m) lies between 0 and arg z.
@@ -846,10 +840,12 @@ def lerch_sum(s_exponent: complex, w: complex, z: np.ndarray) -> np.ndarray:
     Im w in {0.05, 0.7, 1.5}, it stays within 1e-13 relative plus 54% of
     eps sum_m |term_m|.
     """
+    w, a = complex(w), complex(s_exponent)
+    if not 0 < w.imag < math.inf:
+        raise DomainError(f"lerch_sum needs 0 < Im(w) < inf, got Im(w) = {w.imag}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.isfinite(z).all():
         raise DomainError("lerch_sum needs finite z")
-    w, a = complex(w), complex(s_exponent)
     mmax = tail_extent(w.imag, max(0.0, a.real), abs(a.imag) * math.pi / 2)
     m = np.arange(mmax)
     phase = lerch_phases(w, mmax)

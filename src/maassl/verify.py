@@ -15,7 +15,8 @@ Configs are JSON: an object whose "checks" array holds objects with "id",
 [re, im] pairs) and "tolerance".  CheckSpec raises ValueError for a
 parameter its theorem does not accept and for a tolerance that is a bool,
 not a number, negative, infinite or NaN; load_suite raises it, naming the
-check, for those and for any other shape.  A missing parameter fails its
+check, for those and for any other shape.  A missing parameter, and a
+complex one that is neither a number nor an [re, im] pair, fails its
 check instead.  run_suite accepts an empty list, but `maassl verify`
 refuses to run no check.
 Reports are deterministic apart from runtime_ms, the wall time of a check
@@ -95,9 +96,11 @@ NAMED_FORMS = {"J": modforms.build_J, "Jsq": modforms.build_J_squared}
 @functools.lru_cache(maxsize=32)
 def resolve_form(desc: str) -> modforms.FourierExpansion:
     """Resolve a form descriptor: a NAMED_FORMS key (built to 40
-    coefficients) or 'synth:<inline-json>'.  A synthetic descriptor reads
-    the keys "k" (an integer weight), "holo", "nonholo" and "label" (the
-    form's label, "synth" if absent); any other key raises ValueError.
+    coefficients) or 'synth:<inline-json>'.  A synthetic descriptor is a
+    JSON object with the keys "k" (an integer weight, required), "holo" and
+    "nonholo" (objects mapping integer frequencies to coefficients, each a
+    number or an [re, im] pair) and "label" (the form's label, "synth" if
+    absent); any other key or shape raises ValueError naming the descriptor.
 
     The 32 most recently used forms are kept, so a stream of one-off
     synthetic descriptors does not grow memory without bound.
@@ -105,20 +108,41 @@ def resolve_form(desc: str) -> modforms.FourierExpansion:
     if desc in NAMED_FORMS:
         return NAMED_FORMS[desc](40)
     if desc.startswith("synth:"):
-        data = json.loads(desc[len("synth:"):])
-        if unknown := set(data) - {"k", "holo", "nonholo", "label"}:
-            raise ValueError(f"form descriptor {desc!r} has unknown keys {sorted(unknown)}")
-        k = data["k"]
-        if type(k) is not int:  # not a float, a bool or a string: int() would take them
-            raise ValueError(f"form descriptor {desc!r} needs an integer weight k, got {k!r}")
-
-        def cmap(raw):
-            return {int(n): _to_complex(c) for n, c in raw.items()}
-
-        form = modforms.synth_harmonic(k, cmap(data.get("holo", {})), cmap(data.get("nonholo", {})))
-        form.label = data.get("label", form.label)
-        return form
+        try:
+            return _synth_form(desc[len("synth:"):])
+        except ValueError as exc:
+            raise ValueError(f"form descriptor {desc!r} {exc}") from None
     raise ValueError(f"unknown form descriptor {desc!r}")
+
+
+def _synth_form(text: str) -> modforms.FourierExpansion:
+    """The form of a synthetic descriptor's JSON text; ValueError, saying
+    what is wrong, for any other shape or for coefficients no expansion
+    takes (``modforms.ExpansionError``)."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"is not a JSON object: {data!r}")
+    if unknown := set(data) - {"k", "holo", "nonholo", "label"}:
+        raise ValueError(f"has unknown keys {sorted(unknown)}")
+    k = data.get("k")
+    if type(k) is not int:  # not a float, a bool or a string: int() would take them
+        raise ValueError(f"needs an integer weight k, got {k!r}")
+
+    def cmap(key):
+        raw = data.get(key, {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"needs {key!r} to be an object of coefficients, got {raw!r}")
+        try:
+            return {int(n): _to_complex(c) for n, c in raw.items()}
+        except ValueError as exc:
+            raise ValueError(f"has a bad {key!r} entry: {exc}") from None
+
+    form = modforms.synth_harmonic(k, cmap("holo"), cmap("nonholo"))
+    form.label = data.get("label", form.label)
+    return form
 
 
 _SEEDS = {"z^-2": ltest.InversePowerSeed(2.0), "z^-3": ltest.InversePowerSeed(3.0),
@@ -126,9 +150,14 @@ _SEEDS = {"z^-2": ltest.InversePowerSeed(2.0), "z^-3": ltest.InversePowerSeed(3.
 
 
 def _to_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
+    """An int, float or complex, or an [re, im] pair of ints or floats, as a
+    complex; ValueError for any other value (null, a bool, a string, a list
+    of another length).  The types are exact: a bool is an int subclass."""
+    if isinstance(v, (list, tuple)) and len(v) == 2 and {type(v[0]), type(v[1])} <= {int, float}:
         return complex(float(v[0]), float(v[1]))
-    return complex(v)
+    if type(v) in (int, float, complex):
+        return complex(v)
+    raise ValueError(f"expected a number or an [re, im] pair of real numbers, got {v!r}")
 
 
 def _main(f, p):

@@ -278,29 +278,12 @@ BATCHED_PHIS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BATCHED_PHIS))
-def test_batched_laplace_matches_scalar(J, name):
-    # one vector-valued quadrature for every 2 pi n of J against one
-    # quadrature per n; both meet the absolute tolerance of the largest
-    # kernel, so the gap is measured relative to it
-    phi = BATCHED_PHIS[name]
-    u = TWO_PI * J.arrays[0]
-    batch = phi.laplace(u)
-    assert batch.shape == u.shape
-    scalar = np.array([phi.laplace(x) for x in u])
-    assert isinstance(phi.laplace(u[0]), complex)
-    assert np.max(np.abs(batch - scalar)) <= 1e-13 * np.max(np.abs(scalar))
-    if name.startswith("fricke"):
-        assert np.all(np.abs(batch - scalar) <= 1e-13 * np.abs(scalar))
-
-
 def test_batched_laplace_closed_form(J):
     # -int_1^2 e^{-ut} t^{-2} dt = E_2(2u)/2 - E_2(u) for the z^-2 seed
     u = TWO_PI * J.arrays[0]
-    batch = BATCHED_PHIS["compact_z^-2"].laplace(u)
+    batch = ltest._kernels(J, BATCHED_PHIS["compact_z^-2"]).value
     exact = np.array([exp_int_E(2, 2 * x) / 2 - exp_int_E(2, x) for x in u])
     assert np.max(np.abs(batch - exact)) <= 1e-13 * np.max(np.abs(exact))
-    assert BATCHED_PHIS["compact_z^-2"].laplace(np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED_PHIS))
@@ -316,13 +299,23 @@ def test_holo_part_is_one_quadrature(J, harm_k0, monkeypatch, name):
     phi = BATCHED_PHIS[name]
     lv = l_value(J, phi)
     assert len(calls) == 1
-    terms = [J.holo[n] * phi.laplace(TWO_PI * n) for n in sorted(J.holo)]
-    assert abs(lv.value - sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
-    if name.startswith("fricke"):
-        # one more quadrature for the form's one non-holomorphic coefficient
-        calls.clear()
-        l_value(harm_k0, FrickePhiSW(phi.s, phi.w, 2 - harm_k0.weight, 1))
-        assert len(calls) == 2
+    # the vertical integral of f(iy) phi(y) is the same L-value by another
+    # quadrature
+    vertical = l_value_by_vertical_integral(J, phi)
+    assert abs(lv.value - vertical) <= 1e-13 * abs(vertical)
+    # the form's non-holomorphic coefficient takes a column of the same
+    # quadrature (weight 0, so a Fricke phi's a = 2 - k = 2 is harm_k0's)
+    calls.clear()
+    lv = l_value(harm_k0, phi)
+    assert len(calls) == 1
+    vertical = l_value_by_vertical_integral(harm_k0, phi)
+    assert lv.nonholo_part and abs(lv.value - vertical) <= 1e-13 * abs(vertical)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_PHIS))
+def test_empty_expansion_pairs_to_zero(no_quadrature, name):
+    lv = l_value(synth_harmonic(0, {}, {}), BATCHED_PHIS[name])
+    assert lv == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("phi", [CompactAnalytic(InversePowerSeed(2), 1.0, 2.0),

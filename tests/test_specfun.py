@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -385,8 +386,12 @@ def test_lerch_dilogarithm_value():
 
 
 def test_lerch_domain_errors():
-    with pytest.raises(DomainError):
-        lerch_zeta(2, 0.25, 1)  # real a != 0: no geometric decay
+    # real a != 0 or Im a < 0: no geometric decay, and the message names the
+    # parameter that lacks it, not the tail bound's
+    for a in (0.25, 0.5, 0.1 - 0.3j):
+        im_w = (2 * math.pi * complex(a)).imag
+        with pytest.raises(DomainError, match=re.escape(f"got Im(w) = {im_w}")):
+            lerch_zeta(2, a, 1.5)
     with pytest.raises(DomainError):
         lerch_zeta(2, 0.1 + 0.3j, -1)  # Re z <= 0
 

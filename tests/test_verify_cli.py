@@ -74,6 +74,46 @@ def test_resolve_synth_form_refuses_unknown_keys(desc, unknown):
         resolve_form(desc)
 
 
+@pytest.mark.parametrize("data, fault", [
+    ('{"k": 0, "holo": [1]}', "needs 'holo' to be an object of coefficients"),
+    ('{"k": 0, "holo": {"1": [1]}}', "got [1]"),
+    ('{"k": 0, "holo": {"1": null}}', "got None"),
+    ('{"k": 0, "holo": {"1": [1, 2, 3]}}', "got [1, 2, 3]"),
+    ('{"k": 0, "holo": {"1": [1, "2"]}}', "got [1, '2']"),
+    ('{"k": 0, "holo": {"1": true}}', "got True"),
+    ('{"k": 0, "holo": {"1": "1+2j"}}', "got '1+2j'"),
+    ('{"k": 0, "nonholo": {"x": 1}}', "has a bad 'nonholo' entry"),
+    ('{"holo": {"1": 1}}', "needs an integer weight k, got None"),
+    ('[1]', "is not a JSON object"),
+    ('{"k": 0', "is not JSON"),
+    ('{"k": 0, "holo": {"0": 1}}', "constant term must vanish"),
+], ids=["holo-list", "pair-short", "null", "pair-long", "pair-string", "bool", "string",
+        "frequency", "no-weight", "not-object", "not-json", "not-cuspidal"])
+def test_resolve_synth_form_refuses_malformed_descriptors(data, fault):
+    """Every other shape raises ValueError naming the descriptor and its
+    fault; a list of three numbers was read as its first two."""
+    desc = "synth:" + data
+    with pytest.raises(ValueError, match=re.escape(f"form descriptor {desc!r}")) as info:
+        resolve_form(desc)
+    assert fault in str(info.value)
+
+
+def test_cli_malformed_descriptor_is_usage_error():
+    """A malformed descriptor exits 2 with one error line, no traceback."""
+    code, out, err = run_cli("coeffs", 'synth:{"k": 0, "holo": [1]}')
+    assert code == 2 and out == ""
+    assert err.startswith("error: form descriptor") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("w", [[1, 2, 3], [1], None, True, "1+2j"])
+def test_complex_parameter_shapes_fail_their_check(w):
+    """A complex parameter is a number or an [re, im] pair; any other value
+    fails its check, naming the value, instead of being read as another."""
+    rep = run_check(CheckSpec("w", "thm_maincor", "J", {"s": 0.5, "w": w}))
+    assert rep.status == "fail" and rep.message.startswith("ValueError")
+    assert repr(w) in rep.message
+
+
 def test_resolve_synth_form_reads_its_label():
     """"label" names the form; without it a synthetic form is "synth"."""
     f = resolve_form('synth:{"k": 0, "holo": {"-1": 1, "1": 1}, "label": "warmup"}')
@@ -191,6 +231,22 @@ def test_bend_domain_config_passes():
     reports, summary = run_suite(checks)
     assert summary == {"pass": 6, "fail": 0, "skipped": 0}, [r.message for r in reports]
     assert max(r.rel_err for r in reports) <= 3e-14
+
+
+HARMONIC_TEST_FUNCTIONS = Path(__file__).parent / "data" / "harmonic_test_functions.json"
+
+
+def test_harmonic_test_functions_config_passes():
+    """lemma_integral_form on the default suite's harmonic forms hA-hD with
+    the compact z^-2, z^-3 and Lorentzian test functions and two Fricke
+    transforms: the series side takes every kernel, holomorphic and not,
+    from one quadrature (the worst read 2.9e-15)."""
+    checks = load_suite(str(HARMONIC_TEST_FUNCTIONS))
+    assert {c.theorem for c in checks} == {"lemma_integral_form"} and len(checks) == 20
+    assert {c.params["kind"] for c in checks} == {"compact_analytic", "fricke_of_phi_sw"}
+    reports, summary = run_suite(checks)
+    assert summary == {"pass": 20, "fail": 0, "skipped": 0}, [r.message for r in reports]
+    assert max(r.rel_err for r in reports) <= 1e-14
 
 
 # each corrupts an evaluator's rhs; the pass rule must catch every one
